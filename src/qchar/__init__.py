@@ -3,7 +3,4 @@ and the character tables (decomposition matrices, simple-character and
 standard-module expansions) they control.
 """
 
-from .laurent import KERNEL
-
-__all__ = ["KERNEL"]
 __version__ = "0.1.0"

@@ -20,12 +20,14 @@ from .combinatorics import (
     MultiTableau,
     SignedMultiPartition,
     enumerate_tableaux,
+    inversions,
     multi_tableau_from_row_reading,
 )
 from .laurent import (
     LaurentPoly,
     ONE,
     ZERO,
+    add_into,
     antisym_solve,
     bar as bar_q,
     exact_divide,
@@ -37,21 +39,12 @@ from .tensor_space import (
     antisymmetrize,
     bar_involution,
     hecke_act_word,
-    hecke_act_word_inverse,
     linear_extension,
     reduced_word,
     symmetrize,
     weight_block,
     wt_key,
 )
-
-#: The frozen realization of the braiding word in `xi_V`: "direct" applies
-#: H_{sigma_lambda} along a reduced word of the column-to-row shuffle, "alt"
-#: applies the inverse word of the inverse shuffle.  "direct" passes the full
-#: validation suite (Std-nonvanishing, classical-limit identity, route
-#: agreement) and is the active convention.
-BRAIDING_CONVENTION = "direct"
-
 
 class RouteDisagreement(RuntimeError):
     """The two dcb_P computation routes produced different matrices."""
@@ -60,17 +53,6 @@ class RouteDisagreement(RuntimeError):
 # ---------------------------------------------------------------------------
 # Module elements.
 # ---------------------------------------------------------------------------
-
-
-def _merged(a: dict, b: dict, scale: LaurentPoly = ONE) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, ZERO) + v * scale
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
 
 
 @dataclass(frozen=True)
@@ -93,7 +75,7 @@ class SElement:
         return not self.coeffs
 
     def __add__(self, other: "SElement") -> "SElement":
-        return SElement(self.shape, self.window, _merged(self.coeffs, other.coeffs))
+        return SElement(self.shape, self.window, add_into(dict(self.coeffs), other.coeffs))
 
     def scale(self, c: LaurentPoly) -> "SElement":
         return SElement(self.shape, self.window, {k: v * c for k, v in self.coeffs.items()})
@@ -103,54 +85,11 @@ class SElement:
 
     def to_tensor(self) -> TensorElement:
         """Lift through the monomial section A -> M_{rho(A)}."""
-        signs = self.shape.sign_sequence()
-        out = TensorElement(signs, self.window)
-        for mt, c in self.coeffs.items():
-            out = out + TensorElement.monomial(signs, self.window, mt.row_reading(), c)
-        return out
-
-    def to_json(self) -> dict:
-        return {
-            "shape": str(self.shape),
-            "window": list(self.window),
-            "terms": [
-                {"tableau": tableau_json(mt), "coeff": self.coeffs[mt].to_json()}
-                for mt in sorted(self.coeffs, key=lambda m: m.row_reading())
-            ],
-        }
-
-
-@dataclass(frozen=True)
-class PElement:
-    """A finite Laurent-linear combination of Delta_A, A in Std(lambda,epsilon)."""
-
-    shape: SignedMultiPartition
-    window: tuple[int, int]
-    coeffs: dict[MultiTableau, LaurentPoly]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", {k: c for k, c in self.coeffs.items() if c}
+        return TensorElement(
+            self.shape.sign_sequence(),
+            self.window,
+            {mt.row_reading(): c for mt, c in self.coeffs.items()},
         )
-        for k in self.coeffs:
-            if not k.is_std():
-                raise ValueError(f"PElement key is not a Std multi-tableau: {k}")
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "PElement") -> "PElement":
-        return PElement(self.shape, self.window, _merged(self.coeffs, other.coeffs))
-
-    def scale(self, c: LaurentPoly) -> "PElement":
-        return PElement(self.shape, self.window, {k: v * c for k, v in self.coeffs.items()})
-
-    def to_s(self) -> SElement:
-        """Expand through the standard basis into Pi-coordinates."""
-        out = SElement(self.shape, self.window, {})
-        for mt, c in self.coeffs.items():
-            out = out + delta(mt, self.window).scale(c)
-        return out
 
     def to_json(self) -> dict:
         return {
@@ -251,8 +190,8 @@ def dcb_solve(block: TriangularBlock) -> TriangularBlock:
         while True:
             d: dict = {}
             for g, c in x.items():
-                d = _merged(d, block.bar_rows[g], bar_q(c))
-            d = _merged(d, x, -ONE)
+                add_into(d, block.bar_rows[g], bar_q(c))
+            add_into(d, x, -1)
             if not d:
                 break
             g = max(d, key=lambda k: pos[k])
@@ -260,7 +199,7 @@ def dcb_solve(block: TriangularBlock) -> TriangularBlock:
                 raise RuntimeError(
                     f"bar matrix is not unitriangular at {t}: defect at {g}"
                 )
-            x = _merged(x, {g: antisym_solve(d[g])})
+            add_into(x, {g: antisym_solve(d[g])})
         canon[t] = x
     return TriangularBlock(block.space, block.order, block.bar_rows, canon)
 
@@ -296,24 +235,18 @@ def straighten(x: TensorElement, shape: SignedMultiPartition) -> SElement:
     if x.signs != shape.sign_sequence():
         raise ValueError("sign sequence of the element does not match the shape")
     segs = row_segments(shape)
-    out: dict[MultiTableau, LaurentPoly] = {}
-    for f, c in x.coeffs.items():
-        inv = 0
-        sorted_f = list(f)
-        for start, length, s in segs:
-            seg = list(f[start : start + length])
-            for i in range(length):
-                for j in range(i + 1, length):
-                    if (seg[i] > seg[j]) if s == "+" else (seg[i] < seg[j]):
-                        inv += 1
-            sorted_f[start : start + length] = sorted(seg, reverse=(s == "-"))
-        key = multi_tableau_from_row_reading(shape, tuple(sorted_f))
-        coeff = out.get(key, ZERO) + c * q_power(inv)
-        if coeff:
-            out[key] = coeff
-        else:
-            out.pop(key, None)
-    return SElement(shape, x.window, out)
+
+    def terms():
+        for f, c in x.coeffs.items():
+            inv = 0
+            sorted_f = list(f)
+            for start, length, s in segs:
+                seg = f[start : start + length]
+                inv += inversions(seg if s == "+" else [-v for v in seg])
+                sorted_f[start : start + length] = sorted(seg, reverse=(s == "-"))
+            yield multi_tableau_from_row_reading(shape, tuple(sorted_f)), c * q_power(inv)
+
+    return SElement(shape, x.window, add_into({}, terms()))
 
 
 def bar_S(x: SElement) -> SElement:
@@ -323,12 +256,38 @@ def bar_S(x: SElement) -> SElement:
 
 
 # ---------------------------------------------------------------------------
-# Weight blocks and dual canonical bases of T and S.
+# Weight blocks, leading-term elimination, and dual canonical bases of T and S.
 # ---------------------------------------------------------------------------
 
 
-def signed_weight_key(values: tuple[int, ...], signs: tuple[str, ...]):
-    return wt_key(values, signs)
+def _reading(kind: str):
+    """The reading that orders and indexes a block of tableaux of `kind`:
+    column reading for Col tableaux, row reading for Row and Std ones."""
+    return MultiTableau.column_reading if kind == "col" else MultiTableau.row_reading
+
+
+def _in_block_order(block: list[MultiTableau], signs, reading) -> list[MultiTableau]:
+    """Sort one weight block in place by the fixed linear extension of the
+    Bruhat order on its readings, and return it."""
+    ext = linear_extension([reading(mt) for mt in block], signs)
+    pos = {f: i for i, f in enumerate(ext)}
+    block.sort(key=lambda mt: pos[reading(mt)])
+    return block
+
+
+def _block(
+    shape: SignedMultiPartition, window: tuple[int, int], kind: str, mu: dict[int, int]
+) -> list[MultiTableau]:
+    """The tableaux of one kind and signed weight mu, in block order."""
+    signs = shape.sign_sequence()
+    reading = _reading(kind)
+    target = tuple(sorted((a, c) for a, c in mu.items() if c))
+    block = [
+        mt
+        for mt in enumerate_tableaux(shape, kind, window)
+        if wt_key(reading(mt), signs) == target
+    ]
+    return _in_block_order(block, signs, reading)
 
 
 def weight_blocks(
@@ -337,20 +296,39 @@ def weight_blocks(
     """Split the tableaux of a kind into signed-weight blocks, each ordered
     by the fixed linear extension of the Bruhat order on readings."""
     signs = shape.sign_sequence()
-    tabs = enumerate_tableaux(shape, kind, window)
-    reading = (
-        (lambda mt: mt.column_reading()) if kind == "col" else (lambda mt: mt.row_reading())
-    )
+    reading = _reading(kind)
     buckets: dict[tuple, list[MultiTableau]] = {}
-    for mt in tabs:
+    for mt in enumerate_tableaux(shape, kind, window):
         buckets.setdefault(wt_key(reading(mt), signs), []).append(mt)
-    out = []
-    for key in sorted(buckets):
-        block = buckets[key]
-        ext = linear_extension([reading(mt) for mt in block], signs)
-        block.sort(key=lambda mt: ext.index(reading(mt)))
-        out.append((dict(key), block))
-    return out
+    return [
+        (dict(key), _in_block_order(buckets[key], signs, reading))
+        for key in sorted(buckets)
+    ]
+
+
+def _eliminate(x: dict, order, rows: dict, pivot) -> tuple[dict, dict]:
+    """Expand the coefficient dict `x` over basis elements by leading-term
+    elimination.
+
+    `rows[t].coeffs` is the basis element at label t, whose leading term sits
+    at key `pivot(t)`.  Walking `order` from the top down, each pivot still
+    present in the remainder is divided exactly by the basis element's pivot
+    coefficient and that multiple of the element is subtracted.  Returns the
+    coordinates and the residual left outside the pivots; whether a nonzero
+    residual is an error is the caller's decision.
+    """
+    y = dict(x)
+    coords: dict = {}
+    for t in reversed(order):
+        key = pivot(t)
+        c = y.get(key)
+        if not c:
+            continue
+        row = rows[t].coeffs
+        co = exact_divide(c, row[key])
+        coords[t] = co
+        add_into(y, row, -co)
+    return coords, y
 
 
 def dcb_T(
@@ -370,15 +348,7 @@ def dcb_S(
 ) -> TriangularBlock:
     """The dual canonical basis {L_A} of one weight block of S, over Row
     multi-tableaux in Pi-coordinates."""
-    signs = shape.sign_sequence()
-    target = tuple(sorted((a, c) for a, c in mu.items() if c))
-    block = [
-        mt
-        for mt in enumerate_tableaux(shape, "row", window)
-        if wt_key(mt.row_reading(), signs) == target
-    ]
-    ext = linear_extension([mt.row_reading() for mt in block], signs)
-    block.sort(key=lambda mt: ext.index(mt.row_reading()))
+    block = _block(shape, window, "row", mu)
     bar_rows = {mt: bar_S(pi_monomial(shape, window, mt)).coeffs for mt in block}
     return dcb_solve(TriangularBlock("s", tuple(block), bar_rows))
 
@@ -404,41 +374,20 @@ def sym_ideal_dcb(
     """
     signs = shape.sign_sequence()
     ranges = row_ranges(shape)
-    target = tuple(sorted((a, c) for a, c in mu.items() if c))
-    block = [
-        mt
-        for mt in enumerate_tableaux(shape, "row", window)
-        if wt_key(mt.row_reading(), signs) == target
-    ]
-    ext = linear_extension([mt.row_reading() for mt in block], signs)
-    block.sort(key=lambda mt: ext.index(mt.row_reading()))
+    block = _block(shape, window, "row", mu)
     ideal = {
         mt: symmetrize(
             TensorElement.monomial(signs, window, mt.row_reading()), ranges
         )
         for mt in block
     }
-
-    def coords(x: TensorElement) -> dict[MultiTableau, LaurentPoly]:
-        y = dict(x.coeffs)
-        out: dict[MultiTableau, LaurentPoly] = {}
-        for mt in reversed(block):
-            c = y.get(mt.row_reading())
-            if not c:
-                continue
-            co = exact_divide(c, ideal[mt].coeffs[mt.row_reading()])
-            out[mt] = co
-            for f, v in ideal[mt].coeffs.items():
-                s = y.get(f, ZERO) - v * co
-                if s:
-                    y[f] = s
-                else:
-                    y.pop(f, None)
-        if y:
-            raise RuntimeError(f"element does not lie in the symmetrizer ideal: {y}")
-        return out
-
-    bar_rows = {mt: coords(bar_involution(ideal[mt])) for mt in block}
+    bar_rows = {}
+    for mt in block:
+        bar_rows[mt], rest = _eliminate(
+            bar_involution(ideal[mt]).coeffs, block, ideal, MultiTableau.row_reading
+        )
+        if rest:
+            raise RuntimeError(f"element does not lie in the symmetrizer ideal: {rest}")
     return dcb_solve(TriangularBlock("s", tuple(block), bar_rows))
 
 
@@ -481,41 +430,27 @@ def shuffle_permutation(shape_piece) -> tuple[int, ...]:
     )
 
 
-def _braiding_word_apply(bfA: MultiTableau, x: TensorElement, convention: str) -> TensorElement:
+def _braiding_word_apply(bfA: MultiTableau, x: TensorElement) -> TensorElement:
+    """Apply H_{sigma_lambda} piece by piece along a reduced word of the
+    column-to-row shuffle.  This realization of the braiding word, rather
+    than the inverse word of the inverse shuffle, is the one that passes
+    Std-nonvanishing, the classical-limit identity and route agreement."""
     pos = 0
     for t in bfA.components:
-        perm = shuffle_permutation(t.shape)
-        if convention == "direct":
-            word = [pos + g for g in reduced_word(perm)]
-            x = hecke_act_word(word, x)
-        elif convention == "alt":
-            inverse = tuple(perm.index(v) + 1 for v in range(1, len(perm) + 1))
-            word = [pos + g for g in reduced_word(inverse)]
-            x = hecke_act_word_inverse(word, x)
-        else:
-            raise ValueError(f"unknown braiding convention: {convention}")
+        word = [pos + g for g in reduced_word(shuffle_permutation(t.shape))]
+        x = hecke_act_word(word, x)
         pos += t.shape.size
     return x
 
 
-def xi_raw(
-    bfA: MultiTableau,
-    window: tuple[int, int],
-    convention: str = BRAIDING_CONVENTION,
-) -> SElement:
+def xi_raw(bfA: MultiTableau, window: tuple[int, int]) -> SElement:
     """The unnormalized intertwiner image: straighten the braiding word
     applied to kappa(A).  Coefficients live in the q-lattice; `xi_V` rescales
     them through the mirror involution."""
-    return straighten(
-        _braiding_word_apply(bfA, kappa(bfA, window), convention), bfA.shape
-    )
+    return straighten(_braiding_word_apply(bfA, kappa(bfA, window)), bfA.shape)
 
 
-def xi_V(
-    bfA: MultiTableau,
-    window: tuple[int, int],
-    convention: str = BRAIDING_CONVENTION,
-) -> SElement:
+def xi_V(bfA: MultiTableau, window: tuple[int, int]) -> SElement:
     """V_A for a Col multi-tableau: the braided image of K_A in S, with every
     Pi-coordinate rewritten by the mirror involution q -> -q^-1.
 
@@ -523,39 +458,24 @@ def xi_V(
     element over Std leading terms; the classical specialization of the
     alternating-sum identity then sits at q = -1.
     """
-    return xi_raw(bfA, window, convention).map_coeffs(mirror)
+    return xi_raw(bfA, window).map_coeffs(mirror)
 
 
-def delta(
-    bfA: MultiTableau,
-    window: tuple[int, int],
-    convention: str = BRAIDING_CONVENTION,
-) -> SElement:
+def delta(bfA: MultiTableau, window: tuple[int, int]) -> SElement:
     """The standard basis element Delta_A of P in Pi-coordinates: the tensor
     product of the per-piece V images, computed as one joint pipeline."""
     if not bfA.is_std():
         raise ValueError(f"delta requires a Std multi-tableau, got {bfA}")
-    return xi_V(bfA, window, convention)
+    return xi_V(bfA, window)
 
 
 def delta_block(
-    shape: SignedMultiPartition,
-    window: tuple[int, int],
-    mu: dict[int, int],
-    convention: str = BRAIDING_CONVENTION,
+    shape: SignedMultiPartition, window: tuple[int, int], mu: dict[int, int]
 ) -> tuple[list[MultiTableau], dict[MultiTableau, SElement]]:
     """The Std labels of one signed-weight block in linear-extension order,
     with their Delta expansions."""
-    signs = shape.sign_sequence()
-    target = tuple(sorted((a, c) for a, c in mu.items() if c))
-    block = [
-        mt
-        for mt in enumerate_tableaux(shape, "std", window)
-        if wt_key(mt.row_reading(), signs) == target
-    ]
-    ext = linear_extension([mt.row_reading() for mt in block], signs)
-    block.sort(key=lambda mt: ext.index(mt.row_reading()))
-    return block, {mt: delta(mt, window, convention) for mt in block}
+    block = _block(shape, window, "std", mu)
+    return block, {mt: delta(mt, window) for mt in block}
 
 
 def delta_coords(
@@ -569,25 +489,14 @@ def delta_coords(
     The Std coordinates determine the element of P uniquely; support left
     outside the Std pivots after elimination is the completion tail of the
     finite window and carries no Delta-coordinate, so it is dropped.  A
-    non-divisible pivot signals a broken braiding convention.
+    non-divisible pivot signals a broken braiding word.
     """
-    y = dict(x.coeffs)
-    coords: dict[MultiTableau, LaurentPoly] = {}
-    for t in reversed(order):
-        c = y.get(t)
-        if not c:
-            continue
-        co = exact_divide(c, deltas[t].coeffs[t])
-        coords[t] = co
-        y = _merged(y, deltas[t].coeffs, -ONE * co)
+    coords, _ = _eliminate(x.coeffs, order, deltas, lambda t: t)
     return coords
 
 
 def dcb_P(
-    shape: SignedMultiPartition,
-    window: tuple[int, int],
-    mu: dict[int, int],
-    convention: str = BRAIDING_CONVENTION,
+    shape: SignedMultiPartition, window: tuple[int, int], mu: dict[int, int]
 ) -> TriangularBlock:
     """The dual canonical basis {L_A} of one weight block of P, over Std
     multi-tableaux in Delta-coordinates.
@@ -597,7 +506,7 @@ def dcb_P(
     labels.  Both are computed and compared; a mismatch raises
     `RouteDisagreement`.
     """
-    order, deltas = delta_block(shape, window, mu, convention)
+    order, deltas = delta_block(shape, window, mu)
     bar_rows = {
         mt: delta_coords(bar_S(deltas[mt]), deltas, order) for mt in order
     }
@@ -630,47 +539,21 @@ def dcb_wedge(
     the mirror involution, which keeps it involutive and unitriangular and
     matches the normalization of `xi_V`.
     """
-    signs = shape.sign_sequence()
-    target = tuple(sorted((a, c) for a, c in mu.items() if c))
-    block = [
-        mt
-        for mt in enumerate_tableaux(shape, "col", window)
-        if wt_key(mt.column_reading(), signs) == target
-    ]
-    ext = linear_extension([mt.column_reading() for mt in block], signs)
-    block.sort(key=lambda mt: ext.index(mt.column_reading()))
+    block = _block(shape, window, "col", mu)
     kap = {mt: kappa(mt, window) for mt in block}
-
-    def coords(x: TensorElement) -> dict[MultiTableau, LaurentPoly]:
-        y = dict(x.coeffs)
-        out: dict[MultiTableau, LaurentPoly] = {}
-        for mt in reversed(block):
-            c = y.get(mt.column_reading())
-            if not c:
-                continue
-            co = exact_divide(c, kap[mt].coeffs[mt.column_reading()])
-            out[mt] = co
-            for f, v in kap[mt].coeffs.items():
-                s = y.get(f, ZERO) - v * co
-                if s:
-                    y[f] = s
-                else:
-                    y.pop(f, None)
-        if y:
-            raise RuntimeError(f"bar image leaves the kappa span: {y}")
-        return out
-
-    bar_rows = {
-        mt: {g: mirror(c) for g, c in coords(bar_involution(kap[mt])).items()}
-        for mt in block
-    }
+    bar_rows = {}
+    for mt in block:
+        coords, rest = _eliminate(
+            bar_involution(kap[mt]).coeffs, block, kap, MultiTableau.column_reading
+        )
+        if rest:
+            raise RuntimeError(f"bar image leaves the kappa span: {rest}")
+        bar_rows[mt] = {g: mirror(c) for g, c in coords.items()}
     return dcb_solve(TriangularBlock("wedge", tuple(block), bar_rows))
 
 
 def xi_wedge_images(
-    shape: SignedMultiPartition,
-    window: tuple[int, int],
-    convention: str = BRAIDING_CONVENTION,
+    shape: SignedMultiPartition, window: tuple[int, int]
 ) -> dict[MultiTableau, SElement]:
     """The xi image of every exterior dual canonical basis element.
 
@@ -680,10 +563,10 @@ def xi_wedge_images(
     out: dict[MultiTableau, SElement] = {}
     for mu, block in weight_blocks(shape, window, "col"):
         solved = dcb_wedge(shape, window, mu)
-        images = {mt: xi_V(mt, window, convention) for mt in block}
+        images = {mt: xi_V(mt, window) for mt in block}
         for mt in block:
-            acc = SElement(shape, window, {})
+            acc: dict = {}
             for g, c in solved.canon[mt].items():
-                acc = acc + images[g].scale(c)
-            out[mt] = acc
+                add_into(acc, images[g].coeffs, c)
+            out[mt] = SElement(shape, window, acc)
     return out

@@ -14,7 +14,7 @@ turn into nonnegative multiplicities.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import bases
 from .combinatorics import (
@@ -23,11 +23,11 @@ from .combinatorics import (
     SignedMultiPartition,
     Tableau,
     enumerate_tableaux,
+    inversions,
     pyramid_report,
     box_labels,
-    wv_add,
 )
-from .laurent import LaurentPoly, ZERO, eval_at_minus_one
+from .laurent import LaurentPoly, ZERO, add_into, eval_at_minus_one
 from .tensor_space import wt_key
 
 __all__ = [
@@ -66,14 +66,7 @@ class VermaSum:
                 raise ValueError(f"Verma class label is not row-normalized: {k}")
 
     def __add__(self, other: "VermaSum") -> "VermaSum":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return VermaSum(self.shape, out)
+        return VermaSum(self.shape, add_into(dict(self.coeffs), other.coeffs))
 
     def scale(self, c: int) -> "VermaSum":
         return VermaSum(self.shape, {k: v * c for k, v in self.coeffs.items()})
@@ -113,16 +106,10 @@ def _column_perms(col: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     position permutation; entries must be pairwise distinct."""
     if len(set(col)) != len(col):
         raise ValueError(f"repeated entry in a column: {col}")
-    out = []
-    for perm in itertools.permutations(range(len(col))):
-        inv = sum(
-            1
-            for i in range(len(perm))
-            for j in range(i + 1, len(perm))
-            if perm[i] > perm[j]
-        )
-        out.append((tuple(col[p] for p in perm), inv))
-    return out
+    return [
+        (tuple(col[p] for p in perm), inversions(perm))
+        for perm in itertools.permutations(range(len(col)))
+    ]
 
 
 def expand_standard(bfA: MultiTableau) -> VermaSum:
@@ -143,16 +130,14 @@ def expand_standard(bfA: MultiTableau) -> VermaSum:
             inv = sum(i for _, i in combo)
             piece_terms.append((_tableau_from_columns(t.shape, t.sign, cols), inv))
         per_piece.append(piece_terms)
-    coeffs: dict[MultiTableau, int] = {}
-    for combo in itertools.product(*per_piece):
-        mt = normalize_verma(MultiTableau(tuple(t for t, _ in combo)))
-        sign = (-1) ** sum(i for _, i in combo)
-        s = coeffs.get(mt, 0) + sign
-        if s:
-            coeffs[mt] = s
-        else:
-            coeffs.pop(mt, None)
-    return VermaSum(bfA.shape, coeffs)
+    terms = (
+        (
+            normalize_verma(MultiTableau(tuple(t for t, _ in combo))),
+            (-1) ** sum(i for _, i in combo),
+        )
+        for combo in itertools.product(*per_piece)
+    )
+    return VermaSum(bfA.shape, add_into({}, terms))
 
 
 def _tableau_from_columns(shape, sign, cols) -> Tableau:
@@ -185,24 +170,21 @@ def expand_N(bfA: MultiTableau) -> VermaSum:
         for k, cols in enumerate(piece_cols):
             if j < len(cols):
                 slots.append((k, j, _column_perms(cols[j])))
-    coeffs: dict[MultiTableau, int] = {}
-    for combo in itertools.product(*(opts for _, _, opts in slots)):
-        chosen = [list(cols) for cols in piece_cols]
-        inv = 0
-        for (k, j, _), (col, i) in zip(slots, combo):
-            chosen[k][j] = col
-            inv += i
-        comps = tuple(
-            _tableau_from_columns(t.shape, t.sign, cols)
-            for t, cols in zip(bfA.components, chosen)
-        )
-        mt = normalize_verma(MultiTableau(comps))
-        s = coeffs.get(mt, 0) + (-1) ** inv
-        if s:
-            coeffs[mt] = s
-        else:
-            coeffs.pop(mt, None)
-    return VermaSum(bfA.shape, coeffs)
+
+    def terms():
+        for combo in itertools.product(*(opts for _, _, opts in slots)):
+            chosen = [list(cols) for cols in piece_cols]
+            inv = 0
+            for (k, j, _), (col, i) in zip(slots, combo):
+                chosen[k][j] = col
+                inv += i
+            comps = tuple(
+                _tableau_from_columns(t.shape, t.sign, cols)
+                for t, cols in zip(bfA.components, chosen)
+            )
+            yield normalize_verma(MultiTableau(comps)), (-1) ** inv
+
+    return VermaSum(bfA.shape, add_into({}, terms()))
 
 
 def theoremC_check(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import itertools
 import json
 import random
@@ -109,12 +110,11 @@ def cmd_enumerate(args) -> int:
     shape = parse_shape(args.shape)
     window = parse_window(args.window)
     signs = shape.sign_sequence()
+    target = None if args.weight is None else tuple(sorted(parse_weight(args.weight).items()))
     rows = []
     for mt in enumerate_tableaux(shape, args.kind, window):
-        if args.weight is not None:
-            target = tuple(sorted(parse_weight(args.weight).items()))
-            if wt_key(mt.row_reading(), signs) != target:
-                continue
+        if target is not None and wt_key(mt.row_reading(), signs) != target:
+            continue
         rows.append(
             {
                 "tableau": bases.tableau_json(mt),
@@ -142,24 +142,36 @@ def cmd_enumerate(args) -> int:
 
 def _weights_for(shape: SignedMultiPartition, window: tuple[int, int], kind: str):
     signs = shape.sign_sequence()
-    seen = []
-    for mt in enumerate_tableaux(shape, kind, window):
-        key = wt_key(mt.row_reading(), signs)
-        if key not in seen:
-            seen.append(key)
-    return sorted(seen)
+    return sorted(
+        {wt_key(mt.row_reading(), signs) for mt in enumerate_tableaux(shape, kind, window)}
+    )
+
+
+@contextlib.contextmanager
+def _naming_block(shape, window: tuple[int, int], mu: dict[int, int]):
+    """Re-raise a computation's ValueError or RuntimeError with the block it
+    failed on; a route disagreement passes through unchanged."""
+    try:
+        yield
+    except bases.RouteDisagreement:
+        raise
+    except (ValueError, RuntimeError) as exc:
+        raise RuntimeError(
+            f"shape {shape}, window {window[0]}..{window[1]}, weight {mu}: {exc}"
+        ) from exc
 
 
 def _dcb_block(task):
     shape_text, window, space, weight = task
     shape = parse_shape(shape_text)
     mu = dict(weight)
-    if space == "t":
-        blk = bases.dcb_T(shape.sign_sequence(), window, mu)
-    elif space == "s":
-        blk = bases.dcb_S(shape, window, mu)
-    else:
-        blk = bases.dcb_P(shape, window, mu)
+    with _naming_block(shape, window, mu):
+        if space == "t":
+            blk = bases.dcb_T(shape.sign_sequence(), window, mu)
+        elif space == "s":
+            blk = bases.dcb_S(shape, window, mu)
+        else:
+            blk = bases.dcb_P(shape, window, mu)
     data = blk.to_json()
     data["weight"] = {str(a): c for a, c in sorted(mu.items())}
     return data, blk.to_latex()
@@ -219,9 +231,11 @@ def cmd_decompose(args) -> int:
         weights = [tuple(sorted(parse_weight(args.weight).items()))]
     else:
         weights = _weights_for(shape, window, "std")
-    tables = [
-        characters.decomposition_matrix(shape, window, dict(w)) for w in weights
-    ]
+    tables = []
+    for w in weights:
+        mu = dict(w)
+        with _naming_block(shape, window, mu):
+            tables.append(characters.decomposition_matrix(shape, window, mu))
     if args.format == "csv":
         _emit("\n".join(t.to_csv() for t in tables), args.out)
     elif args.format == "latex":
@@ -457,7 +471,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except bases.RouteDisagreement as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,26 +13,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
+from .laurent import add_into
+
 Sign = str  # "+" or "-"
 
 # ---------------------------------------------------------------------------
 # Weight vectors: finite mappings a -> coefficient of delta_a, no stored zeros.
 # ---------------------------------------------------------------------------
-
-
-def wv_trim(nu: dict[int, int]) -> dict[int, int]:
-    return {a: c for a, c in nu.items() if c}
-
-
-def wv_add(nu: dict[int, int], mu: dict[int, int]) -> dict[int, int]:
-    out = dict(nu)
-    for a, c in mu.items():
-        s = out.get(a, 0) + c
-        if s:
-            out[a] = s
-        else:
-            out.pop(a, None)
-    return out
 
 
 def wv_scale(nu: dict[int, int], c: int) -> dict[int, int]:
@@ -42,7 +29,7 @@ def wv_scale(nu: dict[int, int], c: int) -> dict[int, int]:
 
 
 def wv_sub(nu: dict[int, int], mu: dict[int, int]) -> dict[int, int]:
-    return wv_add(nu, wv_scale(mu, -1))
+    return add_into(dict(nu), mu, -1)
 
 
 def in_P_plus(nu: dict[int, int]) -> bool:
@@ -266,7 +253,7 @@ class MultiTableau:
     def weight(self) -> dict[int, int]:
         nu: dict[int, int] = {}
         for t in self.components:
-            nu = wv_add(nu, t.weight())
+            add_into(nu, t.weight())
         return nu
 
     def weight_signed(self) -> dict[int, int]:
@@ -278,7 +265,7 @@ class MultiTableau:
             raise ValueError(f"component index {j} out of range")
         nu: dict[int, int] = {}
         for t in self.components[j - 1 :]:
-            nu = wv_add(nu, wv_scale(t.weight(), 1 if t.sign == "+" else -1))
+            add_into(nu, t.weight(), 1 if t.sign == "+" else -1)
         return nu
 
     def is_row(self) -> bool:
@@ -427,7 +414,7 @@ def suffix_weights(f: IntVector) -> list[dict[int, int]]:
     out: list[dict[int, int]] = [dict() for _ in range(k)]
     acc: dict[int, int] = {}
     for j in range(k, 0, -1):
-        acc = wv_add(acc, {f.values[j - 1]: 1 if f.signs[j - 1] == "+" else -1})
+        acc = add_into(dict(acc), {f.values[j - 1]: 1 if f.signs[j - 1] == "+" else -1})
         out[j - 1] = acc
     return out
 
@@ -485,7 +472,8 @@ def multi_leq_T(bfA2: MultiTableau, bfA1: MultiTableau) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _inversions(perm: tuple[int, ...]) -> int:
+def inversions(perm: Sequence[int]) -> int:
+    """The number of pairs i < j with perm[i] > perm[j]."""
     return sum(
         1
         for i in range(len(perm))
@@ -508,7 +496,7 @@ def column_stabilizer(bfA: MultiTableau) -> Iterator[tuple[MultiTableau, int]]:
                 raise ValueError(f"repeated entry in column {j + 1} of component {ci + 1}")
             column_sets.append((ci, j, col))
     perm_choices = [
-        [(p, _inversions(p)) for p in itertools.permutations(range(len(col)))]
+        [(p, inversions(p)) for p in itertools.permutations(range(len(col)))]
         for _, _, col in column_sets
     ]
     for choice in itertools.product(*perm_choices):

@@ -8,19 +8,31 @@ stored mappings.  All solver-support primitives (`antisym_solve`,
 
 from __future__ import annotations
 
-import os
 from functools import cache
 
-if os.environ.get("QCHAR_PURE"):
-    from . import _laurent_py as _kernel
-else:
-    try:
-        from . import _laurent_cy as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _laurent_py as _kernel
 
-#: Name of the selected term-dictionary kernel, "cython" or "python".
-KERNEL = _kernel.__name__.rsplit("_", 1)[-1].replace("cy", "cython").replace("py", "python")
+def add_into(acc: dict, terms, scale=None) -> dict:
+    """Add a sparse vector into `acc` in place and return `acc`.
+
+    `terms` is a dict or an iterable of (key, value) pairs; every value is
+    multiplied by `scale` first when one is given.  Entries that cancel are
+    removed, so `acc` never holds a zero value.  This is the one sparse-add
+    loop of the package: Laurent term dictionaries, weight vectors and module
+    coefficient dictionaries all accumulate through it.
+    """
+    if isinstance(terms, dict):
+        terms = terms.items()
+    for k, v in terms:
+        if scale is not None:
+            v = v * scale
+        old = acc.get(k)
+        if old is not None:
+            v = old + v
+        if v:
+            acc[k] = v
+        else:
+            acc.pop(k, None)
+    return acc
 
 
 class LaurentPoly:
@@ -39,14 +51,7 @@ class LaurentPoly:
     @classmethod
     def from_pairs(cls, pairs) -> "LaurentPoly":
         """Build from an iterable of (exponent, coefficient) pairs."""
-        terms: dict[int, int] = {}
-        for e, c in pairs:
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return cls(terms)
+        return cls(add_into({}, pairs))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -64,18 +69,25 @@ class LaurentPoly:
         return self._hash
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly(_kernel.term_add(self.terms, other.terms))
+        return LaurentPoly(add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly(_kernel.term_add(self.terms, _kernel.term_scale(other.terms, -1)))
+        return LaurentPoly(add_into(dict(self.terms), other.terms, -1))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(_kernel.term_scale(self.terms, -1))
+        return LaurentPoly({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly(_kernel.term_scale(self.terms, other))
-        return LaurentPoly(_kernel.term_mul(self.terms, other.terms))
+            return LaurentPoly({e: other * c for e, c in self.terms.items()})
+        # The convolution accumulates freely; the constructor drops the terms
+        # that cancelled.
+        out: dict[int, int] = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = ea + eb
+                out[e] = out.get(e, 0) + ca * cb
+        return LaurentPoly(out)
 
     __rmul__ = __mul__
 
@@ -108,14 +120,6 @@ def constant(c: int) -> LaurentPoly:
 def q_power(e: int, c: int = 1) -> LaurentPoly:
     """The monomial c*q^e."""
     return LaurentPoly({e: c})
-
-
-def add(p: LaurentPoly, r: LaurentPoly) -> LaurentPoly:
-    return p + r
-
-
-def mul(p: LaurentPoly, r: LaurentPoly) -> LaurentPoly:
-    return p * r
 
 
 def bar(p: LaurentPoly) -> LaurentPoly:
@@ -177,17 +181,12 @@ def exact_divide(p: LaurentPoly, r: LaurentPoly) -> LaurentPoly:
     quot: dict[int, int] = {}
     while num:
         deg = max(num)
+        shift = deg - den_deg
         c, rem = divmod(num[deg], den_lead)
-        if rem or deg - den_deg < vp - vr:
+        if rem or shift < vp - vr:
             raise ValueError(f"exact_divide: ({p}) is not divisible by ({r})")
-        quot[deg - den_deg] = c
-        for e, ce in r.terms.items():
-            ne = e + deg - den_deg
-            s = num.get(ne, 0) - c * ce
-            if s:
-                num[ne] = s
-            else:
-                num.pop(ne, None)
+        quot[shift] = c
+        add_into(num, {e + shift: ce for e, ce in r.terms.items()}, -c)
     return LaurentPoly(quot)
 
 

@@ -14,11 +14,11 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 
-from .combinatorics import IntVector, bruhat_leq
+from .combinatorics import IntVector, bruhat_leq, inversions
 from .laurent import (
     LaurentPoly,
     ONE,
-    ZERO,
+    add_into,
     bar,
     exact_divide,
     q_power,
@@ -75,14 +75,7 @@ class TensorElement:
         )
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
-        out = dict(self.coeffs)
-        for f, c in other.coeffs.items():
-            s = out.get(f, ZERO) + c
-            if s:
-                out[f] = s
-            else:
-                out.pop(f, None)
-        return TensorElement(self.signs, self.window, out)
+        return TensorElement(self.signs, self.window, add_into(dict(self.coeffs), other.coeffs))
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + other.scale(LaurentPoly({0: -1}))
@@ -302,15 +295,6 @@ def hecke_act_word_inverse(word, x: TensorElement) -> TensorElement:
     return x
 
 
-def inversions(perm: tuple[int, ...]) -> int:
-    return sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-
-
 def reduced_word(perm: tuple[int, ...]) -> tuple[int, ...]:
     """A reduced word (s_{i_1}, ..., s_{i_t}) with s_{i_1}...s_{i_t} = perm.
 
@@ -463,12 +447,7 @@ def _check_zeta(si: str, sj: str, z: LaurentPoly) -> bool:
     def theta(x: TensorElement) -> TensorElement:
         out = dict(x.coeffs)
         for f, c in x.coeffs.items():
-            for g, w in _pairwise_theta_terms(f, 0, 1, signs, window, zeta):
-                s = out.get(g, ZERO) + c * w
-                if s:
-                    out[g] = s
-                else:
-                    out.pop(g, None)
+            add_into(out, _pairwise_theta_terms(f, 0, 1, signs, window, zeta), c)
         return TensorElement(signs, window, out)
 
     for f in itertools.product((0, 1), repeat=2):
@@ -526,12 +505,7 @@ def _psi_monomial(
         for i in range(t):
             nxt = dict(cur)
             for g, c in cur.items():
-                for h, w in _pairwise_theta_terms(g, i, t, sub_signs, window, zeta):
-                    s = nxt.get(h, ZERO) + c * w
-                    if s:
-                        nxt[h] = s
-                    else:
-                        nxt.pop(h, None)
+                add_into(nxt, _pairwise_theta_terms(g, i, t, sub_signs, window, zeta), c)
             cur = nxt
     _psi_cache[key] = cur
     return cur
@@ -542,13 +516,7 @@ def bar_involution(x: TensorElement) -> TensorElement:
     respect to the Bruhat order on monomial indices."""
     out: dict[tuple[int, ...], LaurentPoly] = {}
     for f, c in x.coeffs.items():
-        cbar = bar(c)
-        for g, w in _psi_monomial(f, x.signs, x.window).items():
-            s = out.get(g, ZERO) + cbar * w
-            if s:
-                out[g] = s
-            else:
-                out.pop(g, None)
+        add_into(out, _psi_monomial(f, x.signs, x.window), bar(c))
     return TensorElement(x.signs, x.window, out)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -147,6 +148,24 @@ class TestDecompose:
         assert out.splitlines()[0] == ",1 / 2,2 / 1"
 
 
+class TestComputationErrors:
+    # The P-layer defect is still open on this shape: the commands must fail
+    # with a one-line error naming the block, not with a traceback.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--shape", "1,1:+ / 1:-", "--window", "1..3"],
+            ["dcb", "--space", "p", "--shape", "1,1:+ / 1:-", "--window", "1..3"],
+        ],
+    )
+    def test_solver_error_exits_one_without_traceback(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.startswith("error: shape 1,1:+ / 1:-, window 1..3, weight {2: 1}: ")
+
+
 class TestVerify:
     def test_all_suites_pass(self, capsys):
         code, out = run(capsys, "verify", "--suite", "all")
@@ -201,3 +220,36 @@ class TestReport:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["shape"] == self.SHAPE
+
+
+# SHA-256 of stdout, recorded before the single-implementation refactor of the
+# solver layers; the JSON is the contract and must stay byte-identical.
+GOLDEN = [
+    (
+        ["dcb", "--space", "s", "--shape", "2,1:+", "--window", "1..3"],
+        "a4bc2113f73e34a255e58b24d33576ceab6624f6bc1ee30232b60b00e5298e4a",
+    ),
+    (
+        ["dcb", "--space", "t", "--shape", "1:+ / 1:-", "--window", "1..3"],
+        "a14786a0724a9c38aaf9860d3cde77ce95289fe20dd87474f04753f4a79dc34c",
+    ),
+    (
+        ["dcb", "--space", "p", "--shape", "1,1:+", "--window", "1..3"],
+        "4821b5def438225358d8afaf9d0807faf1b70832da9bca7eec34ac68ee1aa852",
+    ),
+    (
+        ["decompose", "--shape", "1:+ / 1:+", "--window", "1..2"],
+        "ac9a5e8c76faec45e9160adb38448f9e19aa69bba67cd2619a08abb06ba7d8c5",
+    ),
+    (
+        ["enumerate", "--shape", "2,1:+ / 2:-", "--kind", "std", "--window", "0..2"],
+        "6827a0159a67917367cd5bb99f0cb4c2cb4d11782c466cd78b86d3eb347c737a",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_output(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qchar import laurent
 from qchar.laurent import (
     LaurentPoly,
     ONE,
@@ -130,22 +129,22 @@ def test_exact_divide_round_trip(p, r):
     assert exact_divide(p * r, r) == p
 
 
-def test_kernel_twins_agree():
-    from qchar import _laurent_py
-
-    kernels = [_laurent_py]
-    try:
-        from qchar import _laurent_cy
-
-        kernels.append(_laurent_cy)
-    except ImportError:
-        pass
-    a = {3: 2, 0: -1, -2: 5}
-    b = {1: 7, -1: -7, 0: 1}
-    results = []
-    for k in kernels:
-        acc = {2: 1}
-        k.term_addmul(acc, a, b)
-        results.append((k.term_add(a, b), k.term_mul(a, b), k.term_scale(a, -3), acc))
-    assert all(r == results[0] for r in results)
-    assert laurent.KERNEL in {"cython", "python"}
+def test_no_zero_coefficient_is_stored():
+    p = poly((3, 2), (0, -1), (-2, 5))
+    r = poly((1, 7), (-1, -7), (0, 1))
+    results = [
+        p + r,
+        p + (-p),
+        p - p,
+        p - r,
+        p * r,
+        poly((1, 1), (-1, 1)) * poly((1, 1), (-1, -1)),
+        p * 0,
+        p * -3,
+        0 * p,
+        poly((2, 3), (2, -3), (1, 4), (0, 0), (1, -4), (5, 1)),
+    ]
+    for x in results:
+        assert 0 not in x.terms.values()
+    assert p * 0 == p - p == ZERO
+    assert poly((2, 3), (2, -3), (1, 4), (0, 0), (1, -4), (5, 1)).terms == {5: 1}
