@@ -38,12 +38,13 @@ from .tensor_space import (
     TensorElement,
     antisymmetrize,
     bar_involution,
+    by_weight,
     hecke_act_word,
     linear_extension,
+    of_weight,
     reduced_word,
     symmetrize,
     weight_block,
-    wt_key,
 )
 
 class RouteDisagreement(RuntimeError):
@@ -132,16 +133,6 @@ class TriangularBlock:
     order: tuple
     bar_rows: dict
     canon: dict = field(default_factory=dict)
-
-    def is_solved(self) -> bool:
-        return bool(self.canon) or not self.order
-
-    def matrix(self) -> list[list[LaurentPoly]]:
-        """The canonical matrix with entry [i][j] = coefficient of basis
-        element order[i] inside the canonical element at order[j]."""
-        return [
-            [self.canon[t].get(g, ZERO) for t in self.order] for g in self.order
-        ]
 
     def to_json(self) -> dict:
         return {
@@ -279,27 +270,32 @@ def _block(
     shape: SignedMultiPartition, window: tuple[int, int], kind: str, mu: dict[int, int]
 ) -> list[MultiTableau]:
     """The tableaux of one kind and signed weight mu, in block order."""
-    signs = shape.sign_sequence()
-    reading = _reading(kind)
-    target = tuple(sorted((a, c) for a, c in mu.items() if c))
-    block = [
-        mt
-        for mt in enumerate_tableaux(shape, kind, window)
-        if wt_key(reading(mt), signs) == target
-    ]
+    signs, reading = shape.sign_sequence(), _reading(kind)
+    block = of_weight(enumerate_tableaux(shape, kind, window), signs, mu, reading)
     return _in_block_order(block, signs, reading)
+
+
+def _by_weight(
+    shape: SignedMultiPartition, window: tuple[int, int], kind: str
+) -> dict[tuple, list[MultiTableau]]:
+    return by_weight(enumerate_tableaux(shape, kind, window), shape.sign_sequence(), _reading(kind))
+
+
+def block_weights(
+    shape: SignedMultiPartition, window: tuple[int, int], kind: str
+) -> list[tuple[tuple[int, int], ...]]:
+    """The sorted weight keys of the nonempty blocks of tableaux of a kind."""
+    return sorted(_by_weight(shape, window, kind))
 
 
 def weight_blocks(
     shape: SignedMultiPartition, window: tuple[int, int], kind: str
 ) -> list[tuple[dict[int, int], list[MultiTableau]]]:
-    """Split the tableaux of a kind into signed-weight blocks, each ordered
-    by the fixed linear extension of the Bruhat order on readings."""
-    signs = shape.sign_sequence()
-    reading = _reading(kind)
-    buckets: dict[tuple, list[MultiTableau]] = {}
-    for mt in enumerate_tableaux(shape, kind, window):
-        buckets.setdefault(wt_key(reading(mt), signs), []).append(mt)
+    """Split the tableaux of a kind into signed-weight blocks in the order
+    of `block_weights`, each ordered by the fixed linear extension of the
+    Bruhat order on readings."""
+    signs, reading = shape.sign_sequence(), _reading(kind)
+    buckets = _by_weight(shape, window, kind)
     return [
         (dict(key), _in_block_order(buckets[key], signs, reading))
         for key in sorted(buckets)

@@ -19,22 +19,19 @@ from dataclasses import dataclass
 from . import bases
 from .combinatorics import (
     MultiTableau,
-    PyramidReport,
     SignedMultiPartition,
     Tableau,
-    enumerate_tableaux,
-    inversions,
-    pyramid_report,
     box_labels,
+    column_perms,
+    column_stabilizer,
+    enumerate_tableaux,
+    tableau_from_columns,
 )
 from .laurent import LaurentPoly, ZERO, add_into, eval_at_minus_one
-from .tensor_space import wt_key
 
 __all__ = [
     "VermaSum",
     "DecompositionTable",
-    "PyramidReport",
-    "pyramid_report",
     "normalize_verma",
     "expand_standard",
     "expand_N",
@@ -101,53 +98,13 @@ def normalize_verma(B: MultiTableau) -> MultiTableau:
 # ---------------------------------------------------------------------------
 
 
-def _column_perms(col: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """All rearrangements of one column with the inversion count of the
-    position permutation; entries must be pairwise distinct."""
-    if len(set(col)) != len(col):
-        raise ValueError(f"repeated entry in a column: {col}")
-    return [
-        (tuple(col[p] for p in perm), inversions(perm))
-        for perm in itertools.permutations(range(len(col)))
-    ]
-
-
 def expand_standard(bfA: MultiTableau) -> VermaSum:
-    """The Verma-class expansion of [Delta(bfA)], grouped piece by piece.
-
-    Each piece contributes its signed column-stabilizer orbit; the pieces
-    are combined multiplicatively and every resulting label is
-    row-normalized.
-    """
+    """The Verma-class expansion of [Delta(bfA)], grouped piece by piece:
+    the signed sum over the column stabilizer, every label row-normalized."""
     if not bfA.is_std():
         raise ValueError(f"expand_standard requires a Std multi-tableau, got {bfA}")
-    per_piece: list[list[tuple[Tableau, int]]] = []
-    for t in bfA.components:
-        piece_terms: list[tuple[Tableau, int]] = []
-        choices = [_column_perms(col) for col in t.columns()]
-        for combo in itertools.product(*choices):
-            cols = [c for c, _ in combo]
-            inv = sum(i for _, i in combo)
-            piece_terms.append((_tableau_from_columns(t.shape, t.sign, cols), inv))
-        per_piece.append(piece_terms)
-    terms = (
-        (
-            normalize_verma(MultiTableau(tuple(t for t, _ in combo))),
-            (-1) ** sum(i for _, i in combo),
-        )
-        for combo in itertools.product(*per_piece)
-    )
+    terms = ((normalize_verma(mt), (-1) ** inv) for mt, inv in column_stabilizer(bfA))
     return VermaSum(bfA.shape, add_into({}, terms))
-
-
-def _tableau_from_columns(shape, sign, cols) -> Tableau:
-    lengths = shape.row_lengths()
-    rows = [[0] * length for length in lengths]
-    for j, col in enumerate(cols):
-        members = [i for i, length in enumerate(lengths) if length > j]
-        for pos, i in enumerate(members):
-            rows[i][j] = col[pos]
-    return Tableau(shape, sign, tuple(tuple(r) for r in rows))
 
 
 def expand_N(bfA: MultiTableau) -> VermaSum:
@@ -169,7 +126,7 @@ def expand_N(bfA: MultiTableau) -> VermaSum:
     for j in range(num_cols):
         for k, cols in enumerate(piece_cols):
             if j < len(cols):
-                slots.append((k, j, _column_perms(cols[j])))
+                slots.append((k, j, column_perms(cols[j])))
 
     def terms():
         for combo in itertools.product(*(opts for _, _, opts in slots)):
@@ -179,7 +136,7 @@ def expand_N(bfA: MultiTableau) -> VermaSum:
                 chosen[k][j] = col
                 inv += i
             comps = tuple(
-                _tableau_from_columns(t.shape, t.sign, cols)
+                tableau_from_columns(t.shape, t.sign, cols)
                 for t, cols in zip(bfA.components, chosen)
             )
             yield normalize_verma(MultiTableau(comps)), (-1) ** inv
@@ -325,9 +282,7 @@ def simple_character(
     if not bfA.is_std():
         raise ValueError(f"simple_character requires a Std multi-tableau, got {bfA}")
     shape = bfA.shape
-    signs = shape.sign_sequence()
-    weight = dict(wt_key(bfA.row_reading(), signs))
-    blk = bases.dcb_P(shape, window, weight)
+    blk = bases.dcb_P(shape, window, bfA.weight_signed())
     delta_exp = {
         g: eval_at_minus_one(c) for g, c in blk.canon[bfA].items() if eval_at_minus_one(c)
     }

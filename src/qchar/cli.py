@@ -19,6 +19,7 @@ import sys
 
 from . import bases, characters
 from .combinatorics import (
+    MultiTableau,
     Partition,
     SignedMultiPartition,
     enumerate_tableaux,
@@ -28,9 +29,12 @@ from .laurent import ONE, in_qinv_lattice
 from .tensor_space import (
     TensorElement,
     bar_involution,
+    by_weight,
     hecke_act,
     hecke_act_inverse,
-    wt_key,
+    monomials,
+    of_weight,
+    weight_key,
 )
 
 SUITES = ("hecke", "bar", "dcb", "xi", "theoremC", "sameDCB", "all")
@@ -54,7 +58,7 @@ def parse_shape(text: str) -> SignedMultiPartition:
             raise UsageError(f"malformed shape piece: {chunk!r}")
         parts_text, sign = chunk.split(":")
         sign = sign.strip()
-        if sign not in "+-" or not sign:
+        if sign not in ("+", "-"):
             raise UsageError(f"piece sign must be '+' or '-': {chunk!r}")
         try:
             parts = tuple(int(p) for p in parts_text.strip().split(","))
@@ -109,21 +113,20 @@ def _json(data) -> str:
 def cmd_enumerate(args) -> int:
     shape = parse_shape(args.shape)
     window = parse_window(args.window)
-    signs = shape.sign_sequence()
-    target = None if args.weight is None else tuple(sorted(parse_weight(args.weight).items()))
-    rows = []
-    for mt in enumerate_tableaux(shape, args.kind, window):
-        if target is not None and wt_key(mt.row_reading(), signs) != target:
-            continue
-        rows.append(
-            {
-                "tableau": bases.tableau_json(mt),
-                "display": str(mt),
-                "row_reading": list(mt.row_reading()),
-                "column_reading": list(mt.column_reading()),
-                "weight": {str(a): c for a, c in sorted(mt.weight().items())},
-            }
-        )
+    tableaux = enumerate_tableaux(shape, args.kind, window)
+    if args.weight is not None:
+        mu = parse_weight(args.weight)
+        tableaux = of_weight(tableaux, shape.sign_sequence(), mu, MultiTableau.row_reading)
+    rows = [
+        {
+            "tableau": bases.tableau_json(mt),
+            "display": str(mt),
+            "row_reading": list(mt.row_reading()),
+            "column_reading": list(mt.column_reading()),
+            "weight": {str(a): c for a, c in sorted(mt.weight().items())},
+        }
+        for mt in tableaux
+    ]
     if args.format == "json":
         _emit(_json({"shape": str(shape), "window": list(window), "kind": args.kind, "tableaux": rows}), args.out)
     elif args.format == "csv":
@@ -138,13 +141,6 @@ def cmd_enumerate(args) -> int:
         lines = [r["display"] for r in rows]
         _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
     return 0
-
-
-def _weights_for(shape: SignedMultiPartition, window: tuple[int, int], kind: str):
-    signs = shape.sign_sequence()
-    return sorted(
-        {wt_key(mt.row_reading(), signs) for mt in enumerate_tableaux(shape, kind, window)}
-    )
 
 
 @contextlib.contextmanager
@@ -188,19 +184,12 @@ def cmd_dcb(args) -> int:
     shape = parse_shape(args.shape)
     window = parse_window(args.window)
     if args.weight is not None:
-        weights = [tuple(sorted(parse_weight(args.weight).items()))]
+        weights = [weight_key(parse_weight(args.weight))]
+    elif args.space == "t":
+        signs = shape.sign_sequence()
+        weights = sorted(by_weight(monomials(signs, window), signs))
     else:
-        kind = {"t": "row", "s": "row", "p": "std"}[args.space]
-        weights = _weights_for(shape, window, kind)
-        if args.space == "t":
-            signs = shape.sign_sequence()
-            lo, hi = window
-            weights = sorted(
-                {
-                    wt_key(f, signs)
-                    for f in itertools.product(range(lo, hi + 1), repeat=len(signs))
-                }
-            )
+        weights = bases.block_weights(shape, window, "row" if args.space == "s" else "std")
     tasks = [(args.shape, window, args.space, w) for w in weights]
     try:
         results = _run_blocks(tasks, args.jobs)
@@ -228,9 +217,9 @@ def cmd_decompose(args) -> int:
     shape = parse_shape(args.shape)
     window = parse_window(args.window)
     if args.weight is not None:
-        weights = [tuple(sorted(parse_weight(args.weight).items()))]
+        weights = [weight_key(parse_weight(args.weight))]
     else:
-        weights = _weights_for(shape, window, "std")
+        weights = bases.block_weights(shape, window, "std")
     tables = []
     for w in weights:
         mu = dict(w)
@@ -429,26 +418,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, shape_required=True):
-        p.add_argument("--shape", required=shape_required, help='signed multi-partition, e.g. "2,1:+ / 2:-"')
-        p.add_argument("--window", default="1..3", help='inclusive entry interval, e.g. "0..6"')
-        p.add_argument("--weight", default=None, help='signed weight filter, e.g. "1:1,2:1"')
-        p.add_argument("--format", choices=("json", "csv", "latex", "text"), default="json")
+    def common(p, formats, blocks=True):
+        """The options every command that reads a shape takes; `blocks` adds
+        the window and weight of the computation."""
+        p.add_argument("--shape", required=True, help='signed multi-partition, e.g. "2,1:+ / 2:-"')
+        if blocks:
+            p.add_argument("--window", default="1..3", help='inclusive entry interval, e.g. "0..6"')
+            p.add_argument("--weight", default=None, help='signed weight filter, e.g. "1:1,2:1"')
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel block jobs")
 
     p = sub.add_parser("enumerate", help="list Row/Col/Std tableaux with readings and weights")
-    common(p)
+    common(p, ("json", "csv", "text"))
     p.add_argument("--kind", choices=("row", "col", "std"), default="std")
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("dcb", help="export dual canonical basis matrices per weight block")
-    common(p)
+    common(p, ("json", "latex"))
     p.add_argument("--space", choices=("t", "s", "p"), default="s")
+    p.add_argument("--jobs", type=int, default=1, help="parallel block jobs")
     p.set_defaults(fn=cmd_dcb)
 
     p = sub.add_parser("decompose", help="export decomposition tables")
-    common(p)
+    common(p, ("json", "csv", "latex"))
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("verify", help="run an invariant verification suite")
@@ -456,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("report", help="pyramid statistics and Levi data")
-    common(p)
+    common(p, ("json", "text"), blocks=False)
     p.add_argument("--theta", default=None, help="comma-separated integers, one per piece")
     p.set_defaults(fn=cmd_report)
 

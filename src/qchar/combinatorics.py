@@ -98,7 +98,7 @@ class SignedMultiPartition:
     def __post_init__(self):
         if not self.pieces:
             raise ValueError("signed multi-partition needs at least one piece")
-        if any(s not in "+-" for _, s in self.pieces):
+        if any(s not in ("+", "-") for _, s in self.pieces):
             raise ValueError("signs must be '+' or '-'")
 
     @property
@@ -178,10 +178,6 @@ class Tableau:
     @property
     def length(self) -> int:
         return self.shape.length
-
-    def entry(self, i: int, j: int) -> int:
-        """The entry in row i (1-based, from the top) and column j (1-based)."""
-        return self.rows[i - 1][j - 1]
 
     def columns(self) -> list[tuple[int, ...]]:
         """Column contents top to bottom, leftmost column first."""
@@ -279,22 +275,6 @@ class MultiTableau:
 
     def __str__(self) -> str:
         return " / ".join(str(t) for t in self.components)
-
-
-def weight(obj: Tableau | MultiTableau) -> dict[int, int]:
-    return obj.weight()
-
-
-def column_reading(obj: Tableau | MultiTableau) -> tuple[int, ...]:
-    return obj.column_reading()
-
-
-def row_reading(obj: Tableau | MultiTableau) -> tuple[int, ...]:
-    return obj.row_reading()
-
-
-def partial_weight(mt: MultiTableau, j: int) -> dict[int, int]:
-    return mt.partial_weight(j)
 
 
 def tableau_from_row_reading(shape: Partition, sign: Sign, values: Sequence[int]) -> Tableau:
@@ -482,38 +462,45 @@ def inversions(perm: Sequence[int]) -> int:
     )
 
 
+def column_perms(col: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """All rearrangements of one column with the inversion count of the
+    position permutation; entries must be pairwise distinct."""
+    if len(set(col)) != len(col):
+        raise ValueError(f"repeated entry in a column: {col}")
+    return [
+        (tuple(col[p] for p in perm), inversions(perm))
+        for perm in itertools.permutations(range(len(col)))
+    ]
+
+
+def tableau_from_columns(shape: Partition, sign: Sign, cols) -> Tableau:
+    """Rebuild a tableau from its column contents, leftmost column first."""
+    lengths = shape.row_lengths()
+    rows = [[0] * length for length in lengths]
+    for j, col in enumerate(cols):
+        members = [i for i, length in enumerate(lengths) if length > j]
+        for pos, i in enumerate(members):
+            rows[i][j] = col[pos]
+    return Tableau(shape, sign, tuple(tuple(r) for r in rows))
+
+
 def column_stabilizer(bfA: MultiTableau) -> Iterator[tuple[MultiTableau, int]]:
     """Iterate over all column permutations of a multi-tableau.
 
     Yields the permuted multi-tableau together with the total length (sum of
-    per-column inversion counts).  Entries must be pairwise distinct inside
-    every column, which holds for standard multi-tableaux.
+    per-column inversion counts).  Each piece's orbit is built once and the
+    pieces are combined as a product.  Entries must be pairwise distinct
+    inside every column, which holds for standard multi-tableaux.
     """
-    column_sets = []  # (component index, column index, contents)
-    for ci, t in enumerate(bfA.components):
-        for j, col in enumerate(t.columns()):
-            if len(set(col)) != len(col):
-                raise ValueError(f"repeated entry in column {j + 1} of component {ci + 1}")
-            column_sets.append((ci, j, col))
-    perm_choices = [
-        [(p, inversions(p)) for p in itertools.permutations(range(len(col)))]
-        for _, _, col in column_sets
+    per_piece = [
+        [
+            (tableau_from_columns(t.shape, t.sign, [c for c, _ in combo]), sum(i for _, i in combo))
+            for combo in itertools.product(*(column_perms(col) for col in t.columns()))
+        ]
+        for t in bfA.components
     ]
-    for choice in itertools.product(*perm_choices):
-        new_rows = [[list(row) for row in t.rows] for t in bfA.components]
-        total = 0
-        for (ci, j, col), (perm, inv) in zip(column_sets, choice):
-            total += inv
-            rows_with_col = [
-                i for i, row in enumerate(bfA.components[ci].rows) if len(row) > j
-            ]
-            for pos, i in enumerate(rows_with_col):
-                new_rows[ci][i][j] = col[perm[pos]]
-        comps = tuple(
-            Tableau(t.shape, t.sign, tuple(tuple(row) for row in rows))
-            for t, rows in zip(bfA.components, new_rows)
-        )
-        yield MultiTableau(comps), total
+    for combo in itertools.product(*per_piece):
+        yield MultiTableau(tuple(t for t, _ in combo)), sum(i for _, i in combo)
 
 
 # ---------------------------------------------------------------------------

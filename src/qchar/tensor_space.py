@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .combinatorics import IntVector, bruhat_leq, inversions
 from .laurent import (
@@ -91,10 +91,10 @@ class TensorElement:
     def weight(self) -> dict[int, int]:
         if self.is_zero():
             raise ValueError("the zero element has no single weight")
-        weights = {wt_key(f, self.signs) for f in self.coeffs}
+        weights = by_weight(self.coeffs, self.signs)
         if len(weights) > 1:
             raise ValueError("element is not weight-homogeneous")
-        return dict(weights.pop())
+        return dict(next(iter(weights)))
 
     def __repr__(self) -> str:
         body = " + ".join(f"({c})*M{f}" for f, c in sorted(self.coeffs.items()))
@@ -134,12 +134,18 @@ class HeckeWord:
                 raise ValueError(f"generator {i} is not valid for signs {signs}")
 
 
+def weight_key(mu: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """Hashable normal form of a signed weight: its nonzero (a, c) pairs,
+    sorted.  Every weight filter and block key in the package is one."""
+    return tuple(sorted((a, c) for a, c in mu.items() if c))
+
+
 def wt_key(f: tuple[int, ...], signs: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
     """Hashable form of the signed weight of a monomial."""
     nu: dict[int, int] = {}
     for v, s in zip(f, signs):
         nu[v] = nu.get(v, 0) + (1 if s == "+" else -1)
-    return tuple(sorted((a, c) for a, c in nu.items() if c))
+    return weight_key(nu)
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +488,7 @@ def zeta_constants() -> dict[tuple[str, str], LaurentPoly]:
     return table
 
 
-_psi_cache: dict = {}
-
-
+@lru_cache(maxsize=1 << 16)
 def _psi_monomial(
     f: tuple[int, ...], signs: tuple[str, ...], window: tuple[int, int]
 ) -> dict[tuple[int, ...], LaurentPoly]:
@@ -492,22 +496,18 @@ def _psi_monomial(
     built one factor at a time: extend by the next factor, then apply the
     pairwise operators against it from the farthest factor inward (the
     ordering, like the constants, is validated rather than assumed: the
-    opposite ordering fails bar^2 = id on three mixed-sign factors)."""
-    key = (f, signs, window)
-    cached = _psi_cache.get(key)
-    if cached is not None:
-        return cached
+    opposite ordering fails bar^2 = id on three mixed-sign factors).
+    Callers must not mutate the cached result."""
     zeta = zeta_constants()
     cur: dict[tuple[int, ...], LaurentPoly] = {(f[0],): ONE}
     for t in range(1, len(f)):
-        cur = {key_ + (f[t],): c for key_, c in cur.items()}
+        cur = {key + (f[t],): c for key, c in cur.items()}
         sub_signs = signs[: t + 1]
         for i in range(t):
             nxt = dict(cur)
             for g, c in cur.items():
                 add_into(nxt, _pairwise_theta_terms(g, i, t, sub_signs, window, zeta), c)
             cur = nxt
-    _psi_cache[key] = cur
     return cur
 
 
@@ -523,6 +523,31 @@ def bar_involution(x: TensorElement) -> TensorElement:
 # ---------------------------------------------------------------------------
 # Weight blocks.
 # ---------------------------------------------------------------------------
+
+
+def monomials(signs: tuple[str, ...], window: tuple[int, int]):
+    """Every monomial index of the tensor module in the window, in
+    lexicographic order."""
+    lo, hi = window
+    return itertools.product(range(lo, hi + 1), repeat=len(signs))
+
+
+def of_weight(items, signs: tuple[str, ...], mu: dict[int, int], reading=None) -> list:
+    """The items whose reading (the item itself when `reading` is None) has
+    signed weight mu, in input order."""
+    target = weight_key(mu)
+    if reading is None:
+        return [f for f in items if wt_key(f, signs) == target]
+    return [x for x in items if wt_key(reading(x), signs) == target]
+
+
+def by_weight(items, signs: tuple[str, ...], reading=None) -> dict[tuple, list]:
+    """Group items by the `weight_key` of their reading (the item itself when
+    `reading` is None), keeping input order inside each group."""
+    groups: dict[tuple, list] = {}
+    for x in items:
+        groups.setdefault(wt_key(x if reading is None else reading(x), signs), []).append(x)
+    return groups
 
 
 def linear_extension(
@@ -549,11 +574,4 @@ def weight_block(
 ) -> list[tuple[int, ...]]:
     """All monomial indices in the window of signed weight mu, sorted by a
     fixed linear extension of the Bruhat order."""
-    lo, hi = window
-    target = tuple(sorted((a, c) for a, c in mu.items() if c))
-    hits = [
-        f
-        for f in itertools.product(range(lo, hi + 1), repeat=len(signs))
-        if wt_key(f, signs) == target
-    ]
-    return linear_extension(hits, signs)
+    return linear_extension(of_weight(monomials(signs, window), signs, mu), signs)

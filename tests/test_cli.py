@@ -28,8 +28,9 @@ class TestGrammar:
             parse_shape("3,,2:+")
 
     def test_parse_shape_rejects_bad_sign(self):
-        with pytest.raises(UsageError):
-            parse_shape("2,1:x")
+        for text in ("2,1:x", "2,1:+-"):
+            with pytest.raises(UsageError):
+                parse_shape(text)
 
     def test_parse_window(self):
         assert parse_window("0..6") == (0, 6)
@@ -74,6 +75,23 @@ class TestEnumerate:
     def test_malformed_shape_is_usage_error(self, capsys):
         code, _ = run(capsys, "enumerate", "--shape", "3,,2:+", "--window", "1..2")
         assert code == 2
+
+
+class TestOptions:
+    # Each command takes only the options and formats it reads; anything
+    # else is a usage error instead of being silently ignored.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dcb", "--shape", "1:+", "--format", "csv"],
+            ["report", "--shape", "1:+", "--window", "1..3"],
+            ["decompose", "--shape", "1:+", "--jobs", "2"],
+        ],
+    )
+    def test_unread_option_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestDcb:
@@ -244,6 +262,25 @@ GOLDEN = [
     (
         ["enumerate", "--shape", "2,1:+ / 2:-", "--kind", "std", "--window", "0..2"],
         "6827a0159a67917367cd5bb99f0cb4c2cb4d11782c466cd78b86d3eb347c737a",
+    ),
+    # Recorded before weight selection and grouping moved into tensor_space.
+    (
+        ["enumerate", "--shape", "2,1:+ / 1:-", "--kind", "row", "--window", "1..3",
+         "--weight", "1:1,2:1"],
+        "507cd21ff50525c37943bbbe257bb84ceb9e623d0d54d5317abe3433d62c3f2a",
+    ),
+    (
+        ["enumerate", "--shape", "2,1:+ / 1:-", "--kind", "col", "--window", "1..3",
+         "--weight", "2:1,3:1", "--format", "csv"],
+        "ace1eed55cebd3269c0c5d5325113079c106d83ae161a80db9cd75298ee4de84",
+    ),
+    (
+        ["dcb", "--space", "t", "--shape", "1:+ / 1:- / 1:+", "--window", "1..3"],
+        "73f30447be446e0e6a40929b64c0be20720133f0bca018bba92021dfa82045fd",
+    ),
+    (
+        ["decompose", "--shape", "1:+ / 1:- / 1:+", "--window", "1..3"],
+        "f8679ca43476c51c489a36414cf1d813915e28d9b5b958852b2bbb4de1ba9e14",
     ),
 ]
 

@@ -41,6 +41,13 @@ COL_MINUS = T((3, 2, 2), "-", [(1, 0), (2, 2), (3, 3, 6)])
 STD_MINUS = T((3, 2, 2), "-", [(1, 0), (2, 2), (6, 3, 3)])
 
 
+class TestSignedMultiPartition:
+    @pytest.mark.parametrize("sign", ["", "+-", "x"])
+    def test_rejects_malformed_sign(self, sign):
+        with pytest.raises(ValueError):
+            MP(((1,), sign))
+
+
 class TestTableauPredicates:
     def test_running_examples_plus(self):
         assert ROW_PLUS.is_row() and not ROW_PLUS.is_col()
