@@ -24,6 +24,7 @@ from .combinatorics import (
     multi_tableau_from_row_reading,
 )
 from .laurent import (
+    Element,
     LaurentPoly,
     ONE,
     ZERO,
@@ -57,32 +58,16 @@ class RouteDisagreement(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SElement:
+class SElement(Element):
     """A finite Laurent-linear combination of Pi_A, A in Row(lambda,epsilon)."""
 
     shape: SignedMultiPartition
     window: tuple[int, int]
     coeffs: dict[MultiTableau, LaurentPoly]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", {k: c for k, c in self.coeffs.items() if c}
-        )
-        for k in self.coeffs:
-            if not k.is_row():
-                raise ValueError(f"SElement key is not a Row multi-tableau: {k}")
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "SElement") -> "SElement":
-        return SElement(self.shape, self.window, add_into(dict(self.coeffs), other.coeffs))
-
-    def scale(self, c: LaurentPoly) -> "SElement":
-        return SElement(self.shape, self.window, {k: v * c for k, v in self.coeffs.items()})
-
-    def map_coeffs(self, fn) -> "SElement":
-        return SElement(self.shape, self.window, {k: fn(c) for k, c in self.coeffs.items()})
+    def _check_key(self, k: MultiTableau) -> None:
+        if not k.is_row():
+            raise ValueError(f"SElement key is not a Row multi-tableau: {k}")
 
     def to_tensor(self) -> TensorElement:
         """Lift through the monomial section A -> M_{rho(A)}."""

@@ -13,6 +13,8 @@ turn into nonnegative multiplicities.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 from dataclasses import dataclass
 
@@ -27,7 +29,7 @@ from .combinatorics import (
     enumerate_tableaux,
     tableau_from_columns,
 )
-from .laurent import LaurentPoly, ZERO, add_into, eval_at_minus_one
+from .laurent import Element, LaurentPoly, ZERO, add_into, eval_at_minus_one
 
 __all__ = [
     "VermaSum",
@@ -48,28 +50,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class VermaSum:
+class VermaSum(Element):
     """An integer combination of Verma classes [M(B)], keys row-normalized."""
 
     shape: SignedMultiPartition
     coeffs: dict[MultiTableau, int]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", {k: c for k, c in self.coeffs.items() if c}
-        )
-        for k in self.coeffs:
-            if not k.is_row():
-                raise ValueError(f"Verma class label is not row-normalized: {k}")
-
-    def __add__(self, other: "VermaSum") -> "VermaSum":
-        return VermaSum(self.shape, add_into(dict(self.coeffs), other.coeffs))
-
-    def scale(self, c: int) -> "VermaSum":
-        return VermaSum(self.shape, {k: v * c for k, v in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _check_key(self, k: MultiTableau) -> None:
+        if not k.is_row():
+            raise ValueError(f"Verma class label is not row-normalized: {k}")
 
     def to_json(self) -> dict:
         return {
@@ -220,13 +209,13 @@ class DecompositionTable:
 
     def to_csv(self) -> str:
         """The integer multiplicity matrix as CSV, one standard class per
-        column, header row of labels."""
-        lines = ["," + ",".join(str(t) for t in self.order)]
+        column, header row of labels; labels holding commas are quoted."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["", *self.order])
         for i, g in enumerate(self.order):
-            lines.append(
-                str(g) + "," + ",".join(str(self.Delta_in_L[j][i]) for j in range(len(self.order)))
-            )
-        return "\n".join(lines) + "\n"
+            writer.writerow([g, *(self.Delta_in_L[j][i] for j in range(len(self.order)))])
+        return buf.getvalue()
 
     def to_latex(self) -> str:
         """The integer multiplicity matrix as a LaTeX tabular."""
@@ -286,10 +275,10 @@ def simple_character(
     delta_exp = {
         g: eval_at_minus_one(c) for g, c in blk.canon[bfA].items() if eval_at_minus_one(c)
     }
-    verma = VermaSum(shape, {})
+    verma: dict = {}
     for g, c in delta_exp.items():
-        verma = verma + expand_standard(g).scale(c)
-    return delta_exp, verma
+        add_into(verma, expand_standard(g).coeffs, c)
+    return delta_exp, VermaSum(shape, verma)
 
 
 # ---------------------------------------------------------------------------

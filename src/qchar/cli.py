@@ -25,7 +25,7 @@ from .combinatorics import (
     enumerate_tableaux,
     pyramid_report,
 )
-from .laurent import ONE, in_qinv_lattice
+from .laurent import ONE, add_into, in_qinv_lattice
 from .tensor_space import (
     TensorElement,
     bar_involution,
@@ -174,13 +174,18 @@ def _dcb_block(task):
 
 
 def _run_blocks(tasks, jobs):
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    """Solve the blocks in order; a pool, never larger than the number of
+    blocks, only when more than one worker would have work."""
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_dcb_block, tasks))
     return [_dcb_block(t) for t in tasks]
 
 
 def cmd_dcb(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     shape = parse_shape(args.shape)
     window = parse_window(args.window)
     if args.weight is not None:
@@ -274,12 +279,11 @@ def _sp(*pieces):
 
 def _random_element(signs, window, rng):
     lo, hi = window
-    x = TensorElement(signs, window)
+    terms = []
     for _ in range(3):
         f = tuple(rng.randint(lo, hi) for _ in signs)
-        c = ONE * rng.randint(-3, 3) + bases.q_power(rng.randint(-2, 2))
-        x = x + TensorElement.monomial(signs, window, f, c)
-    return x
+        terms.append((f, ONE * rng.randint(-3, 3) + bases.q_power(rng.randint(-2, 2))))
+    return TensorElement(signs, window, add_into({}, terms))
 
 
 def _suite_hecke() -> tuple[bool, dict]:
@@ -436,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dcb", help="export dual canonical basis matrices per weight block")
     common(p, ("json", "latex"))
     p.add_argument("--space", choices=("t", "s", "p"), default="s")
-    p.add_argument("--jobs", type=int, default=1, help="parallel block jobs")
+    p.add_argument("--jobs", type=int, default=1, help="parallel block jobs, at least 1")
     p.set_defaults(fn=cmd_dcb)
 
     p = sub.add_parser("decompose", help="export decomposition tables")

@@ -366,14 +366,13 @@ def enumerate_tableaux(
     """All Row/Col/Std multi-tableaux with entries inside the window.
 
     Output order is lexicographic on the row reading, which keeps listings
-    and golden files deterministic.
+    and golden files deterministic: each piece's list is sorted by its
+    fixed-length row reading, so the product of the lists already is.
     """
     if isinstance(shape, tuple):
         shape = SignedMultiPartition((shape,))
     per_piece = [enumerate_component(p, s, kind, window) for p, s in shape.pieces]
-    out = [MultiTableau(combo) for combo in itertools.product(*per_piece)]
-    out.sort(key=lambda mt: mt.row_reading())
-    return out
+    return [MultiTableau(combo) for combo in itertools.product(*per_piece)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ stored mappings.  All solver-support primitives (`antisym_solve`,
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cache
 
 
@@ -33,6 +34,39 @@ def add_into(acc: dict, terms, scale=None) -> dict:
         else:
             acc.pop(k, None)
     return acc
+
+
+class Element:
+    """The algebra shared by every module element: a frozen dataclass whose
+    `coeffs` field maps basis keys to nonzero coefficients and whose other
+    fields fix the module.  Construction drops zero coefficients and hands
+    every key to the subclass's `_check_key`; operands of `+` and `-` are
+    assumed to lie in the same module."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", {k: c for k, c in self.coeffs.items() if c})
+        for k in self.coeffs:
+            self._check_key(k)
+
+    def _check_key(self, key) -> None:
+        raise NotImplementedError
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other):
+        return replace(self, coeffs=add_into(dict(self.coeffs), other.coeffs))
+
+    def __sub__(self, other):
+        return replace(self, coeffs=add_into(dict(self.coeffs), other.coeffs, -1))
+
+    def scale(self, c):
+        return replace(self, coeffs={k: v * c for k, v in self.coeffs.items()})
+
+    def map_coeffs(self, fn):
+        return replace(self, coeffs={k: fn(v) for k, v in self.coeffs.items()})
 
 
 class LaurentPoly:

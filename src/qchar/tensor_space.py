@@ -11,11 +11,12 @@ operators whose scalar constants are derived (not assumed) at import time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
 from .combinatorics import IntVector, bruhat_leq, inversions
 from .laurent import (
+    Element,
     LaurentPoly,
     ONE,
     add_into,
@@ -30,27 +31,21 @@ class WindowEscapeError(ValueError):
     """A generator action produced an entry outside the window."""
 
 
-class TensorElement:
+@dataclass(frozen=True)
+class TensorElement(Element):
     """A finite Laurent-linear combination of monomials with a fixed sign
-    sequence and entry window.  Zero coefficients are never stored."""
+    sequence and entry window."""
 
-    __slots__ = ("signs", "window", "coeffs")
+    signs: tuple[str, ...]
+    window: tuple[int, int]
+    coeffs: dict[tuple[int, ...], LaurentPoly] = field(default_factory=dict)
 
-    def __init__(
-        self,
-        signs: tuple[str, ...],
-        window: tuple[int, int],
-        coeffs: dict[tuple[int, ...], LaurentPoly] | None = None,
-    ):
-        self.signs = signs
-        self.window = window
-        self.coeffs = {f: c for f, c in (coeffs or {}).items() if c}
-        lo, hi = window
-        for f in self.coeffs:
-            if len(f) != len(signs):
-                raise ValueError(f"vector {f} does not match sign sequence {signs}")
-            if any(not lo <= v <= hi for v in f):
-                raise WindowEscapeError(f"vector {f} leaves window {window}")
+    def _check_key(self, f: tuple[int, ...]) -> None:
+        if len(f) != len(self.signs):
+            raise ValueError(f"vector {f} does not match sign sequence {self.signs}")
+        lo, hi = self.window
+        if any(not lo <= v <= hi for v in f):
+            raise WindowEscapeError(f"vector {f} leaves window {self.window}")
 
     @classmethod
     def monomial(
@@ -61,32 +56,6 @@ class TensorElement:
         coeff: LaurentPoly = ONE,
     ) -> "TensorElement":
         return cls(signs, window, {f: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (
-            self.signs == other.signs
-            and self.window == other.window
-            and self.coeffs == other.coeffs
-        )
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        return TensorElement(self.signs, self.window, add_into(dict(self.coeffs), other.coeffs))
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + other.scale(LaurentPoly({0: -1}))
-
-    def scale(self, c: LaurentPoly) -> "TensorElement":
-        if not c:
-            return TensorElement(self.signs, self.window)
-        return TensorElement(self.signs, self.window, {f: p * c for f, p in self.coeffs.items()})
-
-    def map_coeffs(self, fn) -> "TensorElement":
-        return TensorElement(self.signs, self.window, {f: fn(c) for f, c in self.coeffs.items()})
 
     def weight(self) -> dict[int, int]:
         if self.is_zero():
@@ -122,18 +91,6 @@ class TensorElement:
         )
 
 
-@dataclass(frozen=True)
-class HeckeWord:
-    """A word in the Hecke generators, each index acting inside a same-sign run."""
-
-    generators: tuple[int, ...]
-
-    def validate(self, signs: tuple[str, ...]) -> None:
-        for i in self.generators:
-            if not 1 <= i <= len(signs) - 1 or signs[i - 1] != signs[i]:
-                raise ValueError(f"generator {i} is not valid for signs {signs}")
-
-
 def weight_key(mu: dict[int, int]) -> tuple[tuple[int, int], ...]:
     """Hashable normal form of a signed weight: its nonzero (a, c) pairs,
     sorted.  Every weight filter and block key in the package is one."""
@@ -159,29 +116,26 @@ def _k_pair_exponent(value: int, sign: str, up: int, down: int) -> int:
     return e if sign == "+" else -e
 
 
-def act_K(a: int, x: TensorElement) -> TensorElement:
-    out: dict = {}
-    for f, c in x.coeffs.items():
-        e = sum((v == a) * (1 if s == "+" else -1) for v, s in zip(f, x.signs))
-        out[f] = c * q_power(e)
+def _act_diagonal(up: int | None, down: int | None, x: TensorElement) -> TensorElement:
+    """K_up K_down^{-1}, an index of None standing for the identity."""
+    out = {
+        f: c * q_power(sum(_k_pair_exponent(v, s, up, down) for v, s in zip(f, x.signs)))
+        for f, c in x.coeffs.items()
+    }
     return TensorElement(x.signs, x.window, out)
+
+
+def act_K(a: int, x: TensorElement) -> TensorElement:
+    return _act_diagonal(a, None, x)
 
 
 def act_K_inv(a: int, x: TensorElement) -> TensorElement:
-    out: dict = {}
-    for f, c in x.coeffs.items():
-        e = sum((v == a) * (1 if s == "+" else -1) for v, s in zip(f, x.signs))
-        out[f] = c * q_power(-e)
-    return TensorElement(x.signs, x.window, out)
+    return _act_diagonal(None, a, x)
 
 
 def act_K_pair(a: int, x: TensorElement) -> TensorElement:
     """K_{a,a+1} = K_a K_{a+1}^{-1}."""
-    out: dict = {}
-    for f, c in x.coeffs.items():
-        e = sum(_k_pair_exponent(v, s, a, a + 1) for v, s in zip(f, x.signs))
-        out[f] = c * q_power(e)
-    return TensorElement(x.signs, x.window, out)
+    return _act_diagonal(a, a + 1, x)
 
 
 def _act_raise_lower(a: int, x: TensorElement, kind: str, conjugate: bool) -> TensorElement:
@@ -193,33 +147,34 @@ def _act_raise_lower(a: int, x: TensorElement, kind: str, conjugate: bool) -> Te
     which is only needed by the constant-derivation procedure.
     """
     lo, hi = x.window
-    acc = TensorElement(x.signs, x.window)
-    for f, c in x.coeffs.items():
-        for i, (v, s) in enumerate(zip(f, x.signs)):
-            if kind == "E":
-                src, dst = (a + 1, a) if s == "+" else (a, a + 1)
-            else:
-                src, dst = (a, a + 1) if s == "+" else (a + 1, a)
-            if v != src:
-                continue
-            if not lo <= dst <= hi:
-                raise WindowEscapeError(
-                    f"acting on entry {v} at position {i + 1} escapes window {x.window}"
+
+    def terms():
+        for f, c in x.coeffs.items():
+            for i, (v, s) in enumerate(zip(f, x.signs)):
+                if kind == "E":
+                    src, dst = (a + 1, a) if s == "+" else (a, a + 1)
+                else:
+                    src, dst = (a, a + 1) if s == "+" else (a + 1, a)
+                if v != src:
+                    continue
+                if not lo <= dst <= hi:
+                    raise WindowEscapeError(
+                        f"acting on entry {v} at position {i + 1} escapes window {x.window}"
+                    )
+                if kind == "E":
+                    others, up, down = f[i + 1 :], a, a + 1
+                    other_signs = x.signs[i + 1 :]
+                else:
+                    others, up, down = f[:i], a + 1, a
+                    other_signs = x.signs[:i]
+                if conjugate:
+                    up, down = down, up
+                e = sum(
+                    _k_pair_exponent(w, sw, up, down) for w, sw in zip(others, other_signs)
                 )
-            if kind == "E":
-                others, up, down = f[i + 1 :], a, a + 1
-                other_signs = x.signs[i + 1 :]
-            else:
-                others, up, down = f[:i], a + 1, a
-                other_signs = x.signs[:i]
-            if conjugate:
-                up, down = down, up
-            e = sum(
-                _k_pair_exponent(w, sw, up, down) for w, sw in zip(others, other_signs)
-            )
-            g = f[:i] + (dst,) + f[i + 1 :]
-            acc = acc + TensorElement.monomial(x.signs, x.window, g, c * q_power(e))
-    return acc
+                yield f[:i] + (dst,) + f[i + 1 :], c * q_power(e)
+
+    return TensorElement(x.signs, x.window, add_into({}, terms()))
 
 
 def act_E(a: int, x: TensorElement) -> TensorElement:
@@ -230,19 +185,22 @@ def act_F(a: int, x: TensorElement) -> TensorElement:
     return _act_raise_lower(a, x, "F", conjugate=False)
 
 
-def act_E_divided(a: int, r: int, x: TensorElement) -> TensorElement:
-    """E_a^{(r)} = E_a^r / [r]!; non-exact division signals an integrality bug."""
+def _divided_power(act, a: int, r: int, x: TensorElement) -> TensorElement:
+    """act(a, -)^r / [r]!; non-exact division signals an integrality bug."""
     for _ in range(r):
-        x = act_E(a, x)
+        x = act(a, x)
     fact = quantum_factorial(r)
     return x.map_coeffs(lambda c: exact_divide(c, fact))
+
+
+def act_E_divided(a: int, r: int, x: TensorElement) -> TensorElement:
+    """The divided power E_a^{(r)} = E_a^r / [r]!."""
+    return _divided_power(act_E, a, r, x)
 
 
 def act_F_divided(a: int, r: int, x: TensorElement) -> TensorElement:
-    for _ in range(r):
-        x = act_F(a, x)
-    fact = quantum_factorial(r)
-    return x.map_coeffs(lambda c: exact_divide(c, fact))
+    """The divided power F_a^{(r)} = F_a^r / [r]!."""
+    return _divided_power(act_F, a, r, x)
 
 
 # ---------------------------------------------------------------------------
@@ -266,19 +224,18 @@ def hecke_act(i: int, x: TensorElement) -> TensorElement:
     sign = x.signs[i - 1]
     if sign != x.signs[i]:
         raise ValueError(f"H_{i} straddles a sign change in {x.signs}")
-    out = TensorElement(x.signs, x.window)
-    for f, c in x.coeffs.items():
-        u, v = f[i - 1], f[i]
-        g = f[: i - 1] + (v, u) + f[i + 1 :]
-        if u == v:
-            out = out + TensorElement.monomial(x.signs, x.window, f, c * q_power(-1))
-        elif (u > v) == (sign == "+"):
-            out = out + TensorElement.monomial(x.signs, x.window, g, c)
-        else:
-            out = out + TensorElement(
-                x.signs, x.window, {g: c, f: -(c * Q_MINUS_QINV)}
-            )
-    return out
+
+    def terms():
+        for f, c in x.coeffs.items():
+            u, v = f[i - 1], f[i]
+            if u == v:
+                yield f, c * q_power(-1)
+                continue
+            yield f[: i - 1] + (v, u) + f[i + 1 :], c
+            if (u > v) != (sign == "+"):
+                yield f, -(c * Q_MINUS_QINV)
+
+    return TensorElement(x.signs, x.window, add_into({}, terms()))
 
 
 def hecke_act_inverse(i: int, x: TensorElement) -> TensorElement:
@@ -287,16 +244,15 @@ def hecke_act_inverse(i: int, x: TensorElement) -> TensorElement:
 
 
 def hecke_act_word(word, x: TensorElement) -> TensorElement:
-    generators = word.generators if isinstance(word, HeckeWord) else tuple(word)
-    for i in generators:
+    """Right action of H_{i_1} ... H_{i_t} for the sequence `word`."""
+    for i in word:
         x = hecke_act(i, x)
     return x
 
 
 def hecke_act_word_inverse(word, x: TensorElement) -> TensorElement:
     """Right action of (H_{i_1} ... H_{i_t})^{-1} = H_{i_t}^{-1} ... H_{i_1}^{-1}."""
-    generators = word.generators if isinstance(word, HeckeWord) else tuple(word)
-    for i in reversed(generators):
+    for i in reversed(word):
         x = hecke_act_inverse(i, x)
     return x
 
@@ -335,15 +291,15 @@ def _symmetrizer_act(x: TensorElement, start: int, k: int, anti: bool) -> Tensor
     if k == 1:
         return x
     longest = k * (k - 1) // 2
-    out = TensorElement(x.signs, x.window)
+    out: dict = {}
     for _, length, word in symmetric_group(k):
         shifted = [start - 1 + i for i in word]
         if anti:
             coeff = q_power(length - longest, (-1) ** ((length - longest) % 2))
         else:
             coeff = q_power(longest - length)
-        out = out + hecke_act_word(shifted, x).scale(coeff)
-    return out
+        add_into(out, hecke_act_word(shifted, x).coeffs, coeff)
+    return TensorElement(x.signs, x.window, out)
 
 
 def symmetrize(x: TensorElement, ranges) -> TensorElement:

@@ -1,8 +1,10 @@
+import csv
 import hashlib
 import json
 
 import pytest
 
+import qchar.cli
 from qchar.cli import (
     UsageError,
     main,
@@ -120,6 +122,38 @@ class TestDcb:
         _, out2 = run(capsys, *args, "--jobs", "2")
         assert out1 == out2
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        code, _ = run(capsys, "dcb", "--shape", "1:+", "--window", "1..2", "--jobs", jobs)
+        assert code == 2
+
+    def test_pool_never_exceeds_block_count(self, capsys, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(qchar.cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        args = ["dcb", "--shape", "1:+ / 1:+", "--window", "1..2", "--space", "s"]
+        _, serial = run(capsys, *args)
+        # three weight blocks: a pool of three, whatever --jobs asks for
+        code, pooled = run(capsys, *args, "--jobs", "64")
+        assert code == 0 and pooled == serial
+        assert sizes == [3]
+        # a single block runs without a pool
+        run(capsys, *args, "--weight", "1:1,2:1", "--jobs", "8")
+        assert sizes == [3]
+
     def test_p_space_runs(self, capsys):
         code, out = run(
             capsys, "dcb", "--shape", "1,1:+", "--window", "1..3", "--space", "p"
@@ -164,6 +198,26 @@ class TestDecompose:
         )
         assert code == 0
         assert out.splitlines()[0] == ",1 / 2,2 / 1"
+
+    def test_csv_rows_parse_with_comma_labels(self, capsys):
+        # Labels such as "2|1,1 / 1" hold commas, so they must be quoted.
+        args = ["decompose", "--shape", "2,1:+ / 1:-", "--window", "1..2"]
+        code, out = run(capsys, *args)
+        assert code == 0
+        orders = [len(t["order"]) for t in json.loads(out)["tables"]]
+        code, out = run(capsys, *args, "--format", "csv")
+        assert code == 0
+        tables, cur = [], []
+        for row in csv.reader(out.splitlines()):
+            if row:
+                cur.append(row)
+            else:
+                tables.append(cur)
+                cur = []
+        tables.append(cur)
+        assert [len(t) for t in tables] == [n + 1 for n in orders]
+        for n, table in zip(orders, tables):
+            assert all(len(row) == n + 1 for row in table)
 
 
 class TestComputationErrors:
@@ -281,6 +335,17 @@ GOLDEN = [
     (
         ["decompose", "--shape", "1:+ / 1:- / 1:+", "--window", "1..3"],
         "f8679ca43476c51c489a36414cf1d813915e28d9b5b958852b2bbb4de1ba9e14",
+    ),
+    # Recorded before the Hecke action, the symmetrizers and the module
+    # element algebra were rebuilt: both run kappa's antisymmetrizer and the
+    # braiding word through hecke_act.
+    (
+        ["dcb", "--space", "p", "--shape", "2,1:+", "--window", "1..3"],
+        "44e97bd1874603aa8c73b893a9a75bbab428fe07690d8fe9c825427f60a4c952",
+    ),
+    (
+        ["decompose", "--shape", "2,1:+", "--window", "1..4", "--format", "latex"],
+        "2f7d721f7adb2b4b09117efbc648ce6394ea4d0b53b7d7d53443bb06b40d71e8",
     ),
 ]
 

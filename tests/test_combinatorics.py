@@ -248,9 +248,10 @@ class TestEnumeration:
         assert std <= row
 
     def test_output_sorted_by_row_reading(self):
-        tabs = enumerate_tableaux(MP(((2, 1), "+"), ((1,), "-")), "row", (0, 2))
-        readings = [t.row_reading() for t in tabs]
-        assert readings == sorted(readings)
+        for kind in ("row", "col", "std"):
+            tabs = enumerate_tableaux(MP(((2, 1), "+"), ((1,), "-")), kind, (0, 2))
+            readings = [t.row_reading() for t in tabs]
+            assert readings and readings == sorted(readings), kind
 
     def test_multi_round_trip(self):
         shape = MP(((2, 1), "+"), ((2,), "-"))

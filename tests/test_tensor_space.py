@@ -12,7 +12,6 @@ from qchar.laurent import (
     quantum_integer,
 )
 from qchar.tensor_space import (
-    HeckeWord,
     Q_MINUS_QINV,
     TensorElement,
     WindowEscapeError,
@@ -74,9 +73,11 @@ class TestElementBasics:
         assert TensorElement.from_json(data) == x
 
     def test_hecke_word_validation(self):
-        HeckeWord((1, 2)).validate(("+", "+", "+"))
+        # A word is a plain sequence; hecke_act rejects a generator that
+        # straddles a sign change.
+        hecke_act_word((1, 2), mono("+++", (0, 2), (0, 1, 2)))
         with pytest.raises(ValueError):
-            HeckeWord((2,)).validate(("+", "+", "-"))
+            hecke_act_word((2,), mono("++-", (0, 2), (0, 1, 2)))
 
 
 class TestGeneratorActions:
