@@ -242,22 +242,13 @@ def _reading(kind: str):
     return MultiTableau.column_reading if kind == "col" else MultiTableau.row_reading
 
 
-def _in_block_order(block: list[MultiTableau], signs, reading) -> list[MultiTableau]:
-    """Sort one weight block in place by the fixed linear extension of the
-    Bruhat order on its readings, and return it."""
-    ext = linear_extension([reading(mt) for mt in block], signs)
-    pos = {f: i for i, f in enumerate(ext)}
-    block.sort(key=lambda mt: pos[reading(mt)])
-    return block
-
-
 def _block(
     shape: SignedMultiPartition, window: tuple[int, int], kind: str, mu: dict[int, int]
 ) -> list[MultiTableau]:
     """The tableaux of one kind and signed weight mu, in block order."""
     signs, reading = shape.sign_sequence(), _reading(kind)
     block = of_weight(enumerate_tableaux(shape, kind, window), signs, mu, reading)
-    return _in_block_order(block, signs, reading)
+    return linear_extension(block, signs, reading)
 
 
 def _by_weight(
@@ -282,7 +273,7 @@ def weight_blocks(
     signs, reading = shape.sign_sequence(), _reading(kind)
     buckets = _by_weight(shape, window, kind)
     return [
-        (dict(key), _in_block_order(buckets[key], signs, reading))
+        (dict(key), linear_extension(buckets[key], signs, reading))
         for key in sorted(buckets)
     ]
 

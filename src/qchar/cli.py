@@ -87,9 +87,12 @@ def parse_weight(text: str) -> dict[int, int]:
         if not sep:
             raise UsageError(f"weight entries must look like 'a:c', got {chunk!r}")
         try:
-            out[int(a)] = int(c)
+            a, c = int(a), int(c)
         except ValueError as exc:
             raise UsageError(f"weight entries must look like 'a:c', got {chunk!r}") from exc
+        if a in out:
+            raise UsageError(f"weight index {a} is repeated in {text!r}")
+        out[a] = c
     return {a: c for a, c in out.items() if c}
 
 
@@ -247,7 +250,10 @@ def cmd_report(args) -> int:
             theta = tuple(int(x) for x in args.theta.split(","))
         except ValueError as exc:
             raise UsageError(f"theta must be comma-separated integers: {args.theta!r}") from exc
-    rep = pyramid_report(shape, theta)
+    try:
+        rep = pyramid_report(shape, theta)
+    except ValueError as exc:  # a theta of the wrong length or order
+        raise UsageError(str(exc)) from exc
     if args.format == "json":
         _emit(_json(rep.to_json()), args.out)
     else:

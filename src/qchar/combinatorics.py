@@ -9,7 +9,9 @@ sign "-" are the reverses of the sign "+" conditions.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -22,21 +24,12 @@ Sign = str  # "+" or "-"
 # ---------------------------------------------------------------------------
 
 
-def wv_scale(nu: dict[int, int], c: int) -> dict[int, int]:
-    if c == 0:
-        return {}
-    return {a: c * v for a, v in nu.items()}
-
-
-def wv_sub(nu: dict[int, int], mu: dict[int, int]) -> dict[int, int]:
-    return add_into(dict(nu), mu, -1)
-
-
 def in_P_plus(nu: dict[int, int]) -> bool:
     """Membership of the cone spanned by delta_a - delta_{a+1} over N.
 
     Characterized by total coefficient sum zero together with nonnegative
-    prefix sums over increasing a.
+    prefix sums over increasing a; `key_leq` tests the same prefix sums on
+    cumulative counts, and this form stays as its oracle.
     """
     if sum(nu.values()) != 0:
         return False
@@ -200,11 +193,6 @@ class Tableau:
             nu[x] = nu.get(x, 0) + 1
         return nu
 
-    def truncate(self, r: int) -> "Tableau":
-        """Delete all boxes in rows higher than the r-th row (keep rows r..l)."""
-        kept = self.rows[r - 1 :]
-        return Tableau(Partition(tuple(sorted((len(x) for x in kept), reverse=True))), self.sign, kept)
-
     def is_row(self) -> bool:
         inc = self.sign == "+"
         for row in self.rows:
@@ -305,56 +293,42 @@ def multi_tableau_from_row_reading(
 # ---------------------------------------------------------------------------
 
 
-def _rows_bottom_up(
-    lengths: list[int],
-    below: tuple[int, ...] | None,
-    lo: int,
-    hi: int,
-    sign: Sign,
-    kind: str,
-) -> Iterator[list[tuple[int, ...]]]:
-    """Yield lists of rows ordered bottom to top, extending the row `below`."""
-    if not lengths:
-        yield []
-        return
-    length = lengths[0]
-    row_monotone = kind in ("row", "std")
-    col_strict = kind in ("col", "std")
-
-    def cells(prefix: list[int]) -> Iterator[list[int]]:
-        if len(prefix) == length:
-            yield prefix
-            return
-        j = len(prefix)
-        for v in range(lo, hi + 1):
-            if row_monotone and prefix:
-                if (prefix[-1] > v) if sign == "+" else (prefix[-1] < v):
-                    continue
-            if col_strict and below is not None:
-                if (v <= below[j]) if sign == "+" else (v >= below[j]):
-                    continue
-            yield from cells(prefix + [v])
-
-    for row_list in cells([]):
-        row = tuple(row_list)
-        for rest in _rows_bottom_up(lengths[1:], row, lo, hi, sign, kind):
-            yield [row] + rest
-
-
 def enumerate_component(
     lam: Partition, sign: Sign, kind: str, window: tuple[int, int]
 ) -> list[Tableau]:
-    """All Row/Col/Std tableaux of one piece with entries inside the window."""
+    """All Row/Col/Std tableaux of one piece with entries inside the window,
+    sorted by row reading.  Rows are stacked bottom-up: Row and Std rows are
+    the monotone ones, a Col row ranges cell by cell beyond the row below and
+    a Std row must pass the same column-strictness test."""
     if kind not in ("row", "col", "std"):
         raise ValueError(f"unknown tableau kind: {kind}")
     lo, hi = window
     if lo > hi:
         return []
-    lengths = list(lam.parts)  # bottom row (longest) first
-    out = []
-    for rows in _rows_bottom_up(lengths, None, lo, hi, sign, kind):
-        out.append(Tableau(lam, sign, tuple(reversed(rows))))
-    out.sort(key=lambda t: t.row_reading())
+    plus = sign == "+"
+    values = range(lo, hi + 1)
+
+    def beyond(b: int) -> range:
+        """The entries that may sit directly above b in a column."""
+        return range(b + 1, hi + 1) if plus else range(lo, b)
+
+    def rows(length: int, below: tuple[int, ...] | None):
+        if kind == "col":
+            cells = [beyond(b) for b in below[:length]] if below else [values] * length
+            return itertools.product(*cells)
+        monotone = itertools.combinations_with_replacement(values, length)
+        return monotone if plus else (row[::-1] for row in monotone)
+
+    stacks: list[tuple[tuple[int, ...], ...]] = [()]
+    for length in lam.parts:
+        stacks = [
+            (row,) + stack
+            for stack in stacks
+            for row in rows(length, stack[0] if stack else None)
+            if kind != "std" or not stack or all(v in beyond(b) for v, b in zip(row, stack[0]))
+        ]
+    out = [Tableau(lam, sign, stack) for stack in stacks]
+    out.sort(key=Tableau.row_reading)
     return out
 
 
@@ -387,63 +361,77 @@ class IntVector(NamedTuple):
     signs: tuple[Sign, ...]
 
 
-def suffix_weights(f: IntVector) -> list[dict[int, int]]:
-    """wt^j for j = 1..k, computed from the tail inward; index j-1 holds wt^j."""
-    k = len(f.values)
-    out: list[dict[int, int]] = [dict() for _ in range(k)]
-    acc: dict[int, int] = {}
-    for j in range(k, 0, -1):
-        acc = add_into(dict(acc), {f.values[j - 1]: 1 if f.signs[j - 1] == "+" else -1})
-        out[j - 1] = acc
-    return out
+def bruhat_key(
+    values: Sequence[int], signs: Sequence[Sign], thresholds: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """The suffix weights of a vector as cumulative counts: row j holds, for
+    each ascending threshold b, the signed count of the entries <= b among
+    positions j+1..k.  With thresholds covering both vectors' entries,
+    `key_leq` on their keys is the Bruhat order."""
+    counts = [0] * len(thresholds)
+    rows = []
+    for v, s in zip(reversed(values), reversed(signs)):
+        step = 1 if s == "+" else -1
+        for i in range(bisect.bisect_left(thresholds, v), len(thresholds)):
+            counts[i] += step
+        rows.append(tuple(counts))
+    return tuple(reversed(rows))
+
+
+def key_leq(kg: tuple[tuple[int, ...], ...], kf: tuple[tuple[int, ...], ...]) -> bool:
+    """g precedes f iff the total weights agree and every suffix-weight
+    difference wt^j(f) - wt^j(g) lies in the dominance cone: row 0 of the
+    keys is equal and every other row of g is componentwise <= that of f."""
+    flat = itertools.chain.from_iterable
+    return kg[:1] == kf[:1] and all(map(operator.le, flat(kg), flat(kf)))
+
+
+def _keys_at(g: Sequence[int], f: Sequence[int], signs: Sequence[Sign], starts) -> tuple[list, list]:
+    """The Bruhat keys of g and f on thresholds covering both, cut to the
+    rows of the suffixes that begin at the positions `starts`."""
+    thresholds = sorted({*g, *f})
+    keys = (bruhat_key(v, signs, thresholds) for v in (g, f))
+    return tuple([key[j] for j in starts] for key in keys)
+
+
+def _segment_starts(lengths) -> list[int]:
+    """The first position of each run of consecutive positions of the given lengths."""
+    return [0, *itertools.accumulate(lengths)][:-1]
 
 
 def bruhat_leq(g: IntVector, f: IntVector) -> bool:
-    """g precedes f iff the total weights agree and every suffix-weight
-    difference wt^j(f) - wt^j(g) lies in the dominance cone."""
+    """The Bruhat order on vectors of one length and sign sequence."""
     if g.signs != f.signs or len(g.values) != len(f.values):
         raise ValueError("vectors must share length and sign sequence")
-    wg, wf = suffix_weights(g), suffix_weights(f)
-    if wg[0] != wf[0]:
-        return False
-    return all(in_P_plus(wv_sub(wf[j], wg[j])) for j in range(1, len(f.values)))
+    return key_leq(*_keys_at(g.values, f.values, g.signs, range(len(g.values))))
 
 
 def tableau_leq_T(A2: Tableau, A1: Tableau, ep: Sign) -> bool:
     """A2 <= A1 iff the weights agree and every bottom-truncation weight
-    difference ep*(wt(A1, rows r..l) - wt(A2, rows r..l)) is dominant."""
+    difference ep*(wt(A1, rows r..l) - wt(A2, rows r..l)) is dominant: the
+    Bruhat comparison of the row readings, every entry signed ep, at the
+    first position of each row."""
     if A2.shape != A1.shape or A2.sign != A1.sign:
         raise ValueError("tableaux must share shape and sign")
-    if A1.weight() != A2.weight():
-        return False
-    sgn = 1 if ep == "+" else -1
-    for r in range(2, A1.length + 1):
-        diff = wv_sub(A1.truncate(r).weight(), A2.truncate(r).weight())
-        if not in_P_plus(wv_scale(diff, sgn)):
-            return False
-    return True
+    starts = _segment_starts(len(row) for row in A1.rows)
+    return key_leq(*_keys_at(A2.row_reading(), A1.row_reading(), (ep,) * A1.shape.size, starts))
 
 
 def multi_leq_T(bfA2: MultiTableau, bfA1: MultiTableau) -> bool:
     """The multi-tableau order: equal total signed weight, dominant partial
-    weight differences, and componentwise comparison when every partial
-    weight agrees."""
+    weight differences (the Bruhat comparison of the row readings at the
+    first position of each component), and componentwise comparison when
+    every partial weight agrees."""
     if bfA2.shape != bfA1.shape:
         raise ValueError("multi-tableaux must share the signed multi-partition")
-    r = len(bfA1.components)
-    partials1 = [bfA1.partial_weight(j) for j in range(1, r + 1)]
-    partials2 = [bfA2.partial_weight(j) for j in range(1, r + 1)]
-    if partials1[0] != partials2[0]:
-        return False
-    for w1, w2 in zip(partials1, partials2):
-        if not in_P_plus(wv_sub(w1, w2)):
-            return False
-    if partials1 == partials2:
+    starts = _segment_starts(t.shape.size for t in bfA1.components)
+    k2, k1 = _keys_at(bfA2.row_reading(), bfA1.row_reading(), bfA1.shape.sign_sequence(), starts)
+    if k2 == k1:
         return all(
             tableau_leq_T(t2, t1, t1.sign)
             for t2, t1 in zip(bfA2.components, bfA1.components)
         )
-    return True
+    return key_leq(k2, k1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ operators whose scalar constants are derived (not assumed) at import time.
 
 from __future__ import annotations
 
+import collections
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
-from .combinatorics import IntVector, bruhat_leq, inversions
+from .combinatorics import bruhat_key, inversions, key_leq
 from .laurent import (
     Element,
     LaurentPoly,
@@ -287,19 +289,21 @@ def symmetric_group(k: int) -> tuple[tuple[tuple[int, ...], int, tuple[int, ...]
 
 
 def _symmetrizer_act(x: TensorElement, start: int, k: int, anti: bool) -> TensorElement:
-    """Right-multiply by Sym_k (or Ant_k) on positions start..start+k-1."""
-    if k == 1:
-        return x
-    longest = k * (k - 1) // 2
-    out: dict = {}
-    for _, length, word in symmetric_group(k):
-        shifted = [start - 1 + i for i in word]
-        if anti:
-            coeff = q_power(length - longest, (-1) ** ((length - longest) % 2))
-        else:
-            coeff = q_power(longest - length)
-        add_into(out, hecke_act_word(shifted, x).coeffs, coeff)
-    return TensorElement(x.signs, x.window, out)
+    """Right-multiply by Sym_k (or Ant_k) on positions start..start+k-1.
+
+    Sym_k = sum_w t^(l(w0) - l(w)) H_w, t = q (-q^-1 for Ant_k).  Splitting
+    w over the minimal coset representatives of S_(m-1) in S_m gives
+    x Sym_m = (x Sym_(m-1)) sum_(i<m) t^(m-1-i) H_(m-1)...H_(m-i)."""
+    for m in range(2, k + 1):
+        out: dict = {}
+        z = x
+        for i in range(m):
+            if i:
+                z = hecke_act(start - 1 + m - i, z)
+            e = m - 1 - i
+            add_into(out, z.coeffs, q_power(-e, (-1) ** e) if anti else q_power(e))
+        x = TensorElement(x.signs, x.window, out)
+    return x
 
 
 def symmetrize(x: TensorElement, ranges) -> TensorElement:
@@ -506,22 +510,26 @@ def by_weight(items, signs: tuple[str, ...], reading=None) -> dict[tuple, list]:
     return groups
 
 
-def linear_extension(
-    vectors: list[tuple[int, ...]], signs: tuple[str, ...]
-) -> list[tuple[int, ...]]:
-    """A deterministic linear extension of the Bruhat order: repeatedly emit
-    the lexicographically smallest remaining minimal element."""
-    remaining = sorted(vectors)
+def linear_extension(items, signs: tuple[str, ...], reading=None) -> list:
+    """A deterministic linear extension of the Bruhat order on the readings
+    of `items` (the items themselves when `reading` is None): repeatedly emit
+    the remaining minimal element with the lexicographically smallest
+    reading.  Each reading's Bruhat key is computed once."""
+    read = [x if reading is None else reading(x) for x in items]
+    order = sorted(range(len(read)), key=read.__getitem__)
+    thresholds = sorted({v for f in read for v in f})
+    keys = [bruhat_key(read[i], signs, thresholds) for i in order]
+    above = [[b for b, kb in enumerate(keys) if ka != kb and key_leq(ka, kb)] for ka in keys]
+    n_below = collections.Counter(itertools.chain.from_iterable(above))
+    ready = [b for b in range(len(keys)) if not n_below[b]]
     out = []
-    while remaining:
-        for idx, f in enumerate(remaining):
-            fv = IntVector(f, signs)
-            if not any(
-                g != f and bruhat_leq(IntVector(g, signs), fv) for g in remaining
-            ):
-                out.append(f)
-                del remaining[idx]
-                break
+    while ready:
+        a = heapq.heappop(ready)
+        out.append(items[order[a]])
+        for b in above[a]:
+            n_below[b] -= 1
+            if not n_below[b]:
+                heapq.heappush(ready, b)
     return out
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from qchar.combinatorics import (
@@ -42,7 +44,14 @@ from qchar.bases import (
     xi_V,
     xi_wedge_images,
 )
-from qchar.tensor_space import TensorElement, bar_involution, hecke_act
+from qchar.tensor_space import (
+    TensorElement,
+    bar_involution,
+    by_weight,
+    hecke_act,
+    monomials,
+    weight_block,
+)
 
 
 def MP(*pieces):
@@ -315,6 +324,26 @@ class TestDcbP:
         elem = deltas[order[0]].scale(q_power(-2)) + deltas[order[-1]]
         coords = delta_coords(elem, deltas, order)
         assert coords == {order[0]: q_power(-2), order[-1]: ONE}
+
+
+class TestBlockOrder:
+    # SHA-256 of the label order of every Row, Std and Col block of
+    # "2,1:+ / 1:+" at 1..5 and of every tensor block of + + - - + at 1..4,
+    # recorded before the keyed linear extension replaced the pairwise one.
+    # Several of these blocks are reordered by a sort on a Bruhat-monotone
+    # scalar key, so the digest pins the "smallest remaining minimal" rule.
+    GOLDEN = "edab44771924e750d05d40470853c3f092d23de6df1e702b417525ac3ce46b09"
+
+    def test_golden_block_order(self):
+        h = hashlib.sha256()
+        shape = MP(((2, 1), "+"), ((1,), "+"))
+        for kind in ("row", "std", "col"):
+            for mu, block in weight_blocks(shape, (1, 5), kind):
+                h.update(f"{kind} {sorted(mu.items())}: {[str(mt) for mt in block]}\n".encode())
+        signs = ("+", "+", "-", "-", "+")
+        for key in sorted(by_weight(monomials(signs, (1, 4)), signs)):
+            h.update(f"t {key}: {weight_block(signs, (1, 4), dict(key))}\n".encode())
+        assert h.hexdigest() == self.GOLDEN
 
 
 class TestSerialization:

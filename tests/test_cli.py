@@ -44,6 +44,12 @@ class TestGrammar:
         with pytest.raises(UsageError):
             parse_weight("1=1")
 
+    def test_parse_weight_rejects_repeated_index(self, capsys):
+        with pytest.raises(UsageError):
+            parse_weight("1:1,1:0")
+        argv = ["decompose", "--shape", "1:+ / 1:-", "--window", "1..2", "--weight", "1:1,1:0"]
+        assert run(capsys, *argv)[0] == 2
+
 
 class TestEnumerate:
     def test_std_listing_deterministic(self, capsys):
@@ -282,6 +288,12 @@ class TestReport:
         code, _ = run(
             capsys, "report", "--shape", self.SHAPE, "--theta", "0,1,2,x"
         )
+        assert code == 2
+
+    @pytest.mark.parametrize("theta", ["3", "1,2"])
+    def test_theta_against_the_shape_is_usage_error(self, capsys, theta):
+        # one value for two pieces; values that do not strictly decrease
+        code, _ = run(capsys, "report", "--shape", "2:+ / 1:-", "--theta", theta)
         assert code == 2
 
     def test_out_file(self, tmp_path, capsys):

@@ -19,7 +19,6 @@ from qchar.combinatorics import (
     refine,
     tableau_from_row_reading,
     tableau_leq_T,
-    wv_sub,
 )
 
 
@@ -144,6 +143,28 @@ class TestBruhatOrder:
         for f, g, h in itertools.permutations(vectors, 3):
             if bruhat_leq(f, g) and bruhat_leq(g, h):
                 assert bruhat_leq(f, h)
+
+
+    @pytest.mark.parametrize("signs", [("+", "+", "+"), ("+", "-", "+"), ("-", "+", "-", "-")])
+    def test_key_matches_suffix_weight_definition(self, signs):
+        # g <= f iff wt^1 agree and wt^j(f) - wt^j(g) lies in P+ for j >= 2.
+        def suffix_weights(f):
+            out = []
+            for j in range(len(f)):
+                nu = {}
+                for v, s in zip(f[j:], signs[j:]):
+                    nu[v] = nu.get(v, 0) + (1 if s == "+" else -1)
+                out.append(nu)
+            return out
+
+        vectors = list(itertools.product(range(3), repeat=len(signs)))
+        weights = {f: suffix_weights(f) for f in vectors}
+        for g, f in itertools.product(vectors, repeat=2):
+            wg, wf = weights[g], weights[f]
+            same = {a: c for a, c in wg[0].items() if c} == {a: c for a, c in wf[0].items() if c}
+            diffs = [{a: wf[j].get(a, 0) - wg[j].get(a, 0) for a in {*wf[j], *wg[j]}} for j in range(1, len(f))]
+            expected = same and all(in_P_plus(d) for d in diffs)
+            assert bruhat_leq(IntVector(g, signs), IntVector(f, signs)) == expected
 
 
 class TestTableauOrder:

@@ -263,6 +263,35 @@ class TestSymmetrizers:
         a = antisymmetrize(x, [(1, 2)])
         assert hecke_act(1, a) == a.scale(q_power(1, -1))
 
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    @pytest.mark.parametrize("anti", [False, True])
+    def test_coset_walk_matches_word_sum(self, sign, anti):
+        # Oracle: the sum over S_k of t^(l(w0) - l(w)) x H_w, each reduced
+        # word applied from scratch; t = q for Sym_k, -q^-1 for Ant_k.  The
+        # range starts at position 2 so the generator shift is exercised.
+        rng = random.Random(7)
+        act = antisymmetrize if anti else symmetrize
+        for k in range(1, 5):
+            signs = sign * (k + 1)
+            x = random_element(rng, signs, (0, 2), terms=4)
+            longest = k * (k - 1) // 2
+            expected = TensorElement(tuple(signs), (0, 2))
+            for _, length, word in symmetric_group(k):
+                e = longest - length
+                t = q_power(-e, (-1) ** e) if anti else q_power(e)
+                expected = expected + hecke_act_word([1 + i for i in word], x).scale(t)
+            assert act(x, [(2, k)]) == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_coset_walk_generator_count(self, k, monkeypatch):
+        import qchar.tensor_space as ts
+
+        calls = []
+        real = ts.hecke_act
+        monkeypatch.setattr(ts, "hecke_act", lambda i, x: calls.append(i) or real(i, x))
+        symmetrize(mono("+" * k, (0, 3), range(k)), [(1, k)])
+        assert len(calls) == k * (k - 1) // 2
+
     def test_multi_range_composition(self):
         w = (0, 2)
         x = mono("++++", w, (1, 0, 2, 2))
