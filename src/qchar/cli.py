@@ -2,9 +2,9 @@
 decomposition tables, invariant verification suites, and pyramid reports.
 
 JSON is the canonical output format; CSV and LaTeX are lossy views.  Exit
-codes: 0 success, 1 verification failure, 2 usage error.  Identical
-configurations produce byte-identical output: every listing is sorted and
-block results are merged in a fixed order regardless of --jobs.
+codes: 0 success, 1 verification or computation failure, 2 usage error.
+Identical configurations produce byte-identical output: every listing is
+sorted and block results are merged in a fixed order regardless of --jobs.
 """
 
 from __future__ import annotations
@@ -98,8 +98,11 @@ def parse_weight(text: str) -> dict[int, int]:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise UsageError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -148,12 +151,10 @@ def cmd_enumerate(args) -> int:
 
 @contextlib.contextmanager
 def _naming_block(shape, window: tuple[int, int], mu: dict[int, int]):
-    """Re-raise a computation's ValueError or RuntimeError with the block it
-    failed on; a route disagreement passes through unchanged."""
+    """Re-raise a computation's ValueError or RuntimeError (a route
+    disagreement included) with the block it failed on."""
     try:
         yield
-    except bases.RouteDisagreement:
-        raise
     except (ValueError, RuntimeError) as exc:
         raise RuntimeError(
             f"shape {shape}, window {window[0]}..{window[1]}, weight {mu}: {exc}"
@@ -199,11 +200,7 @@ def cmd_dcb(args) -> int:
     else:
         weights = bases.block_weights(shape, window, "row" if args.space == "s" else "std")
     tasks = [(args.shape, window, args.space, w) for w in weights]
-    try:
-        results = _run_blocks(tasks, args.jobs)
-    except bases.RouteDisagreement as exc:
-        _emit(_json({"error": "route disagreement", "detail": str(exc)}), args.out)
-        return 1
+    results = _run_blocks(tasks, args.jobs)
     if args.format == "latex":
         _emit("\n\n".join(latex for _, latex in results) + "\n", args.out)
     else:

@@ -98,8 +98,13 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
+        # A constant equals its int (see __eq__), so it must hash like one.
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self.terms.items())))
+            terms = self.terms
+            if terms.keys() <= {0}:
+                self._hash = hash(terms.get(0, 0))
+            else:
+                self._hash = hash(tuple(sorted(terms.items())))
         return self._hash
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":

@@ -112,16 +112,22 @@ def wt_key(f: tuple[int, ...], signs: tuple[str, ...]) -> tuple[tuple[int, int],
 # ---------------------------------------------------------------------------
 
 
-def _k_pair_exponent(value: int, sign: str, up: int, down: int) -> int:
-    """Eigenvalue exponent of K_up K_down^{-1} on a single factor."""
-    e = (value == up) - (value == down)
-    return e if sign == "+" else -e
+def _k_exponent(f: tuple[int, ...], signs: tuple[str, ...], positions, up, down) -> int:
+    """Exponent of the K_up K_down^{-1} eigenvalue on the factors of M_f at
+    `positions`: each natural factor counts +1 on entry up and -1 on entry
+    down, each dual factor the opposite; an index of None never matches."""
+    e = 0
+    for p in positions:
+        d = (f[p] == up) - (f[p] == down)
+        e += d if signs[p] == "+" else -d
+    return e
 
 
 def _act_diagonal(up: int | None, down: int | None, x: TensorElement) -> TensorElement:
     """K_up K_down^{-1}, an index of None standing for the identity."""
+    positions = range(len(x.signs))
     out = {
-        f: c * q_power(sum(_k_pair_exponent(v, s, up, down) for v, s in zip(f, x.signs)))
+        f: c * q_power(_k_exponent(f, x.signs, positions, up, down))
         for f, c in x.coeffs.items()
     }
     return TensorElement(x.signs, x.window, out)
@@ -143,37 +149,29 @@ def act_K_pair(a: int, x: TensorElement) -> TensorElement:
 def _act_raise_lower(a: int, x: TensorElement, kind: str, conjugate: bool) -> TensorElement:
     """Shared body of act_E / act_F.
 
-    The comultiplication puts K_{a,a+1} on the factors to the right of an
-    acting E_a and K_{a+1,a} on the factors to the left of an acting F_a.
-    `conjugate` swaps those diagonal corrections (the bar of the coproduct),
-    which is only needed by the constant-derivation procedure.
+    E_a moves an entry a+1 -> a on a natural factor and a -> a+1 on a dual
+    one, F_a the reverse.  The comultiplication puts K_{a,a+1} on the factors
+    to the right of an acting E_a and K_{a+1,a} on the factors to the left of
+    an acting F_a.  `conjugate` swaps those diagonal corrections (the bar of
+    the coproduct), which is only needed by the constant-derivation procedure.
     """
     lo, hi = x.window
+    n = len(x.signs)
+    raising = kind == "E"
+    up, down = (a, a + 1) if raising != conjugate else (a + 1, a)
 
     def terms():
         for f, c in x.coeffs.items():
             for i, (v, s) in enumerate(zip(f, x.signs)):
-                if kind == "E":
-                    src, dst = (a + 1, a) if s == "+" else (a, a + 1)
-                else:
-                    src, dst = (a, a + 1) if s == "+" else (a + 1, a)
+                src, dst = (a + 1, a) if (s == "+") == raising else (a, a + 1)
                 if v != src:
                     continue
                 if not lo <= dst <= hi:
                     raise WindowEscapeError(
                         f"acting on entry {v} at position {i + 1} escapes window {x.window}"
                     )
-                if kind == "E":
-                    others, up, down = f[i + 1 :], a, a + 1
-                    other_signs = x.signs[i + 1 :]
-                else:
-                    others, up, down = f[:i], a + 1, a
-                    other_signs = x.signs[:i]
-                if conjugate:
-                    up, down = down, up
-                e = sum(
-                    _k_pair_exponent(w, sw, up, down) for w, sw in zip(others, other_signs)
-                )
+                side = range(i + 1, n) if raising else range(i)
+                e = _k_exponent(f, x.signs, side, up, down)
                 yield f[:i] + (dst,) + f[i + 1 :], c * q_power(e)
 
     return TensorElement(x.signs, x.window, add_into({}, terms()))
@@ -329,73 +327,55 @@ def _theta_candidates():
     return (Q_MINUS_QINV, -Q_MINUS_QINV)
 
 
-def _pairwise_theta_terms(
-    f: tuple[int, ...],
+def _theta(
+    cur: dict[tuple[int, ...], LaurentPoly],
     i: int,
     j: int,
     signs: tuple[str, ...],
     window: tuple[int, int],
     zeta: dict,
-) -> list[tuple[tuple[int, ...], LaurentPoly]]:
-    """The correction terms of the pairwise operator on positions i < j
-    (0-based) applied to M_f.
+) -> dict[tuple[int, ...], LaurentPoly]:
+    """The pairwise operator on positions i < j (0-based) applied to the
+    coefficient dict `cur`; returns a new dict.
 
     The operator is 1 + sum_{a<b} zeta_{a,b} * (raising of weight
     delta_a-delta_b on factor i) x (matching lowering on factor j); on these
-    modules each root acts at most once, and the entries of f determine which
-    roots apply.  Because the raising operator reaches factor i through the
-    iterated comultiplication, each term also carries the K_a K_b^{-1}
-    eigenvalue of every factor strictly between i and j.  For same-sign pairs
-    only the root with b - a forced by the entries contributes and
-    zeta_{a,b} is the derived simple-root constant;
-    for mixed-sign pairs every gap contributes and the constant scales by
-    (-q)^{b-a-1} (the non-simple root vectors act through products on these
-    modules), which the intertwining relation forces and which makes the
-    recursion square to the identity.
+    modules each root acts at most once, and the entries of M_f determine
+    which roots apply.  Because the raising operator reaches factor i through
+    the iterated comultiplication, each term also carries the K_a K_b^{-1}
+    eigenvalue q^e of every factor strictly between i and j.  Two rules
+    cover the four sign pairs:
+
+    * same sign: only the root forced by the entries contributes, a = f(j) <
+      b = f(i) on "+" and a = f(i) < b = f(j) on "-"; the entries swap and
+      the coefficient is the derived simple-root constant zeta * q^e;
+    * mixed sign with f(i) = f(j): both entries move to every value below
+      (+-) or above (-+) the common one inside the window, and the constant
+      scales by (-q)^{gap-1}, gap = b - a (the non-simple root vectors act
+      through products on these modules), which the intertwining relation
+      forces and which makes the recursion square to the identity.
     """
     si, sj = signs[i], signs[j]
     z = zeta[(si, sj)]
-    vi, vj = f[i], f[j]
     lo, hi = window
+    between = range(i + 1, j)
 
-    def between(a: int, b: int) -> LaurentPoly:
-        e = sum(
-            _k_pair_exponent(f[p], signs[p], a, b) for p in range(i + 1, j)
-        )
-        return q_power(e)
+    def terms():
+        for f, c in cur.items():
+            vi, vj = f[i], f[j]
+            if si == sj:
+                a, b = (vj, vi) if si == "+" else (vi, vj)
+                if a < b:
+                    g = f[:i] + (vj,) + f[i + 1 : j] + (vi,) + f[j + 1 :]
+                    yield g, c * (z * q_power(_k_exponent(f, signs, between, a, b)))
+            elif vi == vj:
+                for t in range(lo, vi) if si == "+" else range(vi + 1, hi + 1):
+                    gap = abs(t - vi)
+                    e = _k_exponent(f, signs, between, min(t, vi), max(t, vi))
+                    g = f[:i] + (t,) + f[i + 1 : j] + (t,) + f[j + 1 :]
+                    yield g, c * (z * q_power(gap - 1 + e, (-1) ** (gap - 1)))
 
-    out = []
-    if si == "+" and sj == "+":
-        # raise i: b -> a, lower j: a -> b, with a = f(j) < b = f(i).
-        if vj < vi:
-            g = list(f)
-            g[i], g[j] = vj, vi
-            out.append((tuple(g), z * between(vj, vi)))
-    elif si == "-" and sj == "-":
-        # raise i: a -> b, lower j: b -> a, with a = f(i) < b = f(j).
-        if vi < vj:
-            g = list(f)
-            g[i], g[j] = vj, vi
-            out.append((tuple(g), z * between(vi, vj)))
-    elif si == "+" and sj == "-":
-        # raise i: b -> a, lower j: b -> a, with b = f(i) = f(j), any a < b.
-        if vi == vj:
-            for a in range(lo, vi):
-                gap = vi - a
-                g = list(f)
-                g[i] = g[j] = a
-                coeff = z * q_power(gap - 1, (-1) ** (gap - 1)) * between(a, vi)
-                out.append((tuple(g), coeff))
-    else:
-        # raise i: a -> b, lower j: a -> b, with a = f(i) = f(j), any b > a.
-        if vi == vj:
-            for b in range(vi + 1, hi + 1):
-                gap = b - vi
-                g = list(f)
-                g[i] = g[j] = b
-                coeff = z * q_power(gap - 1, (-1) ** (gap - 1)) * between(vi, b)
-                out.append((tuple(g), coeff))
-    return out
+    return add_into(dict(cur), terms())
 
 
 def _check_zeta(si: str, sj: str, z: LaurentPoly) -> bool:
@@ -411,10 +391,7 @@ def _check_zeta(si: str, sj: str, z: LaurentPoly) -> bool:
     zeta = {(si, sj): z}
 
     def theta(x: TensorElement) -> TensorElement:
-        out = dict(x.coeffs)
-        for f, c in x.coeffs.items():
-            add_into(out, _pairwise_theta_terms(f, 0, 1, signs, window, zeta), c)
-        return TensorElement(signs, window, out)
+        return TensorElement(signs, window, _theta(x.coeffs, 0, 1, signs, window, zeta))
 
     for f in itertools.product((0, 1), repeat=2):
         x = TensorElement.monomial(signs, window, f)
@@ -462,12 +439,8 @@ def _psi_monomial(
     cur: dict[tuple[int, ...], LaurentPoly] = {(f[0],): ONE}
     for t in range(1, len(f)):
         cur = {key + (f[t],): c for key, c in cur.items()}
-        sub_signs = signs[: t + 1]
         for i in range(t):
-            nxt = dict(cur)
-            for g, c in cur.items():
-                add_into(nxt, _pairwise_theta_terms(g, i, t, sub_signs, window, zeta), c)
-            cur = nxt
+            cur = _theta(cur, i, t, signs, window, zeta)
     return cur
 
 

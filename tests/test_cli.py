@@ -244,6 +244,31 @@ class TestComputationErrors:
         assert err.startswith("error: shape 1,1:+ / 1:-, window 1..3, weight {2: 1}: ")
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--shape", "1,1:+", "--window", "1..3", "--weight", "1:1,2:1"],
+            ["dcb", "--space", "p", "--shape", "1,1:+", "--window", "1..3", "--weight", "1:1,2:1"],
+        ],
+    )
+    def test_route_disagreement_names_the_block(self, capsys, monkeypatch, tmp_path, argv):
+        def disagree(shape, window, mu):
+            raise qchar.cli.bases.RouteDisagreement("dcb_P routes disagree at T")
+
+        monkeypatch.setattr(qchar.cli.bases, "dcb_P", disagree)
+        out_path = tmp_path / "out.json"
+        for extra in ([], ["--out", str(out_path)]):
+            code = main(argv + extra)
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err == (
+                "error: shape 1,1:+, window 1..3, weight {1: 1, 2: 1}: "
+                "dcb_P routes disagree at T\n"
+            )
+        assert not out_path.exists()
+
+
 class TestVerify:
     def test_all_suites_pass(self, capsys):
         code, out = run(capsys, "verify", "--suite", "all")
@@ -304,6 +329,18 @@ class TestReport:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["shape"] == self.SHAPE
+
+
+class TestOut:
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, target):
+        path = str(tmp_path / target)
+        code = main(["dcb", "--shape", "1,1:+", "--window", "1..3", "--out", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write --out {path!r}: ")
+        assert "Traceback" not in captured.err
 
 
 # SHA-256 of stdout, recorded before the single-implementation refactor of the

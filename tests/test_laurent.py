@@ -7,6 +7,7 @@ from qchar.laurent import (
     ZERO,
     antisym_solve,
     bar,
+    constant,
     eval_at_one,
     exact_divide,
     in_qinv_lattice,
@@ -148,3 +149,11 @@ def test_no_zero_coefficient_is_stored():
         assert 0 not in x.terms.values()
     assert p * 0 == p - p == ZERO
     assert poly((2, 3), (2, -3), (1, 4), (0, 0), (1, -4), (5, 1)).terms == {5: 1}
+
+
+def test_constant_hashes_like_its_int():
+    for c in (0, 1, -3):
+        assert constant(c) == c
+        assert hash(constant(c)) == hash(c)
+    assert 1 in {ONE}
+    assert ONE in {1}

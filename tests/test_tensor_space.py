@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -15,6 +16,8 @@ from qchar.tensor_space import (
     Q_MINUS_QINV,
     TensorElement,
     WindowEscapeError,
+    _act_raise_lower,
+    _psi_monomial,
     act_E,
     act_E_divided,
     act_F,
@@ -418,3 +421,53 @@ class TestWeightBlock:
         signs = ("+", "+")
         out = linear_extension([(2, 1), (1, 2)], signs)
         assert out == [(1, 2), (2, 1)]
+
+
+def _terms(coeffs):
+    return repr(sorted((g, str(c)) for g, c in coeffs.items()))
+
+
+class TestPinnedActions:
+    # SHA-256 digests recorded before the pairwise quasi-R step, the E/F sign
+    # table and the K exponent were each folded into one rule; psi and every
+    # generator action must stay byte-identical.
+    PSI = "cd930b92e212eb2d49d698205b128c991ec153804cfb5929fc386ed3a881a9a6"
+    ACTIONS = "f88a552a452d2a50e431d198f86157bd334fbb9532ea5043e34c69b3506c2c26"
+
+    def test_psi_digest(self):
+        h = hashlib.sha256()
+        cases = [(n, (1, 3)) for n in (1, 2, 3, 4)] + [(n, (0, 4)) for n in (1, 2, 3)]
+        count = 0
+        for n, window in cases:
+            lo, hi = window
+            for signs in itertools.product("+-", repeat=n):
+                for f in itertools.product(range(lo, hi + 1), repeat=n):
+                    psi = _psi_monomial.__wrapped__(f, signs, window)
+                    h.update(f"{''.join(signs)} {window} {f}: {_terms(psi)}\n".encode())
+                    count += 1
+        assert count == 2664
+        assert h.hexdigest() == self.PSI
+
+    def test_action_digest(self):
+        h = hashlib.sha256()
+        window = (0, 3)
+        count = 0
+        for n in (1, 2, 3):
+            for signs in itertools.product("+-", repeat=n):
+                for f in itertools.product(range(4), repeat=n):
+                    x = mono(signs, window, f)
+                    for a in range(-1, 4):
+                        for kind in ("E", "F"):
+                            for conjugate in (False, True):
+                                try:
+                                    out = _terms(_act_raise_lower(a, x, kind, conjugate).coeffs)
+                                except WindowEscapeError as exc:
+                                    out = f"escape: {exc}"
+                                h.update(f"{kind}{a}{conjugate:d} {x.signs} {f}: {out}\n".encode())
+                                count += 1
+                        for name, act in (("K", act_K), ("Kinv", act_K_inv), ("Kpair", act_K_pair)):
+                            out = _terms(act(a, x).coeffs)
+                            h.update(f"{name}{a} {x.signs} {f}: {out}\n".encode())
+                            count += 1
+        assert count == 20440
+        assert h.hexdigest() == self.ACTIONS
