@@ -27,7 +27,6 @@ from .laurent import (
     Element,
     LaurentPoly,
     ONE,
-    ZERO,
     add_into,
     antisym_solve,
     bar as bar_q,
@@ -78,19 +77,26 @@ class SElement(Element):
         )
 
     def to_json(self) -> dict:
-        return {
-            "shape": str(self.shape),
-            "window": list(self.window),
-            "terms": [
-                {"tableau": tableau_json(mt), "coeff": self.coeffs[mt].to_json()}
-                for mt in sorted(self.coeffs, key=lambda m: m.row_reading())
-            ],
-        }
+        return terms_json(self.shape, self.coeffs, LaurentPoly.to_json, window=list(self.window))
 
 
 def tableau_json(mt: MultiTableau) -> list:
     """Serialize a multi-tableau as row lists per component."""
     return [[list(row) for row in t.rows] for t in mt.components]
+
+
+def terms_json(shape: SignedMultiPartition, coeffs: dict, cell, **fields) -> dict:
+    """JSON form of a module element keyed by multi-tableaux: the shape, any
+    further `fields`, then the terms in row-reading order with each
+    coefficient written by `cell`."""
+    return {
+        "shape": str(shape),
+        **fields,
+        "terms": [
+            {"tableau": tableau_json(mt), "coeff": cell(coeffs[mt])}
+            for mt in sorted(coeffs, key=MultiTableau.row_reading)
+        ],
+    }
 
 
 def _label_json(label) -> list:
@@ -123,32 +129,40 @@ class TriangularBlock:
         return {
             "space": self.space,
             "order": [_label_json(t) for t in self.order],
-            "bar": _sparse_json(self.order, self.bar_rows),
-            "canonical": _sparse_json(self.order, self.canon),
+            "bar": sparse_json(self.order, self.bar_rows, LaurentPoly.to_json),
+            "canonical": sparse_json(self.order, self.canon, LaurentPoly.to_json),
         }
 
     def to_latex(self) -> str:
         """The canonical matrix as a LaTeX tabular, rows and columns in order."""
-        cols = "l|" + "r" * len(self.order)
-        lines = [f"\\begin{{tabular}}{{{cols}}}"]
-        header = " & ".join(str(t) for t in self.order)
-        lines.append(f" & {header} \\\\ \\hline")
-        for g in self.order:
-            cells = " & ".join(
-                f"${self.canon[t].get(g, ZERO)}$" for t in self.order
-            )
-            lines.append(f"{g} & {cells} \\\\")
-        lines.append("\\end{tabular}")
-        return "\n".join(lines)
+        return latex_table(self.order, self.canon, "${}$".format)
 
 
-def _sparse_json(order, rows) -> list:
+def sparse_json(order, cols: dict, cell) -> list:
+    """The stored entries of a square matrix given by label-keyed sparse
+    columns, as [row, column, cell(value)] position triples, column by column
+    and rows in `order`; a label without a column contributes nothing."""
     pos = {t: i for i, t in enumerate(order)}
-    out = []
-    for j, t in enumerate(order):
-        for g, c in sorted(rows.get(t, {}).items(), key=lambda kv: pos[kv[0]]):
-            out.append([pos[g], j, c.to_json()])
-    return out
+    return [
+        [pos[g], j, cell(c)]
+        for j, t in enumerate(order)
+        for g, c in sorted(cols.get(t, {}).items(), key=lambda kv: pos[kv[0]])
+    ]
+
+
+def latex_table(order, cols: dict, cell) -> str:
+    """A square matrix given by label-keyed sparse columns as a LaTeX
+    tabular, rows and columns in `order`; every entry, absent ones as 0, is
+    printed by `cell`."""
+    lines = [
+        f"\\begin{{tabular}}{{l|{'r' * len(order)}}}",
+        " & " + " & ".join(str(t) for t in order) + " \\\\ \\hline",
+    ]
+    for g in order:
+        cells = " & ".join(cell(cols[t].get(g, 0)) for t in order)
+        lines.append(f"{g} & {cells} \\\\")
+    lines.append("\\end{tabular}")
+    return "\n".join(lines)
 
 
 def dcb_solve(block: TriangularBlock) -> TriangularBlock:

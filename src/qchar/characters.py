@@ -61,13 +61,7 @@ class VermaSum(Element):
             raise ValueError(f"Verma class label is not row-normalized: {k}")
 
     def to_json(self) -> dict:
-        return {
-            "shape": str(self.shape),
-            "terms": [
-                {"tableau": bases.tableau_json(mt), "coeff": self.coeffs[mt]}
-                for mt in sorted(self.coeffs, key=lambda m: m.row_reading())
-            ],
-        }
+        return bases.terms_json(self.shape, self.coeffs, int)
 
 
 def normalize_verma(B: MultiTableau) -> MultiTableau:
@@ -138,29 +132,25 @@ def theoremC_check(
 ) -> dict:
     """Compare the piece-wise and column-wise Verma expansions of every
     standard class in the window; report the first discrepancy or pass."""
-    checked = 0
-    for mt in enumerate_tableaux(shape, "std", window):
-        checked += 1
-        a, b = expand_standard(mt), expand_N(mt)
-        if a.coeffs != b.coeffs:
-            return {
-                "shape": str(shape),
-                "window": list(window),
-                "checked": checked,
-                "pass": False,
-                "first_discrepancy": {
-                    "tableau": bases.tableau_json(mt),
-                    "standard": a.to_json(),
-                    "parabolic": b.to_json(),
-                },
-            }
-    return {
+    report = {
         "shape": str(shape),
         "window": list(window),
-        "checked": checked,
+        "checked": 0,
         "pass": True,
         "first_discrepancy": None,
     }
+    for mt in enumerate_tableaux(shape, "std", window):
+        report["checked"] += 1
+        a, b = expand_standard(mt), expand_N(mt)
+        if a.coeffs != b.coeffs:
+            report["pass"] = False
+            report["first_discrepancy"] = {
+                "tableau": bases.tableau_json(mt),
+                "standard": a.to_json(),
+                "parabolic": b.to_json(),
+            }
+            break
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -172,39 +162,37 @@ def theoremC_check(
 class DecompositionTable:
     """One weight block of the decomposition data of P.
 
-    `order` fixes the Std labels; `L_in_Delta[j][i]` is the Laurent
-    coefficient of Delta at order[i] inside L at order[j], and `Delta_in_L`
-    is the exact integer inverse of its specialization at q = -1, so its
-    (i, j) entry is the multiplicity [Delta(order[j]) : L(order[i])].
+    `order` fixes the Std labels.  `L_cols[t]` is the solved dual canonical
+    element L(t) of `dcb_P` in Delta-coordinates; `Delta_cols[t]` expands
+    Delta(t) over the simple classes, so `Delta_cols[t][g]` is the
+    multiplicity [Delta(t) : L(g)].  `L_in_Delta[j][i]` and
+    `Delta_in_L[j][i]` are dense read-only views of the same columns at
+    t = order[j], g = order[i].
     """
 
     shape: SignedMultiPartition
     window: tuple[int, int]
     weight: dict[int, int]
     order: tuple[MultiTableau, ...]
-    L_in_Delta: tuple[tuple[LaurentPoly, ...], ...]
-    Delta_in_L: tuple[tuple[int, ...], ...]
+    L_cols: dict[MultiTableau, dict[MultiTableau, LaurentPoly]]
+    Delta_cols: dict[MultiTableau, dict[MultiTableau, int]]
+
+    @property
+    def L_in_Delta(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+        return tuple(tuple(self.L_cols[t].get(g, ZERO) for g in self.order) for t in self.order)
+
+    @property
+    def Delta_in_L(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(self.Delta_cols[t].get(g, 0) for g in self.order) for t in self.order)
 
     def to_json(self) -> dict:
-        l_sparse = [
-            [i, j, self.L_in_Delta[j][i].to_json()]
-            for j in range(len(self.order))
-            for i in range(len(self.order))
-            if self.L_in_Delta[j][i]
-        ]
-        d_sparse = [
-            [i, j, self.Delta_in_L[j][i]]
-            for j in range(len(self.order))
-            for i in range(len(self.order))
-            if self.Delta_in_L[j][i]
-        ]
         return {
             "shape": str(self.shape),
             "window": list(self.window),
             "weight": {str(a): c for a, c in sorted(self.weight.items())},
             "order": [bases.tableau_json(mt) for mt in self.order],
-            "L_in_Delta": l_sparse,
-            "Delta_in_L": d_sparse,
+            "L_in_Delta": bases.sparse_json(self.order, self.L_cols, LaurentPoly.to_json),
+            "Delta_in_L": bases.sparse_json(self.order, self.Delta_cols, int),
         }
 
     def to_csv(self) -> str:
@@ -213,53 +201,31 @@ class DecompositionTable:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["", *self.order])
-        for i, g in enumerate(self.order):
-            writer.writerow([g, *(self.Delta_in_L[j][i] for j in range(len(self.order)))])
+        for g in self.order:
+            writer.writerow([g, *(self.Delta_cols[t].get(g, 0) for t in self.order)])
         return buf.getvalue()
 
     def to_latex(self) -> str:
         """The integer multiplicity matrix as a LaTeX tabular."""
-        cols = "l|" + "r" * len(self.order)
-        lines = [f"\\begin{{tabular}}{{{cols}}}"]
-        lines.append(" & " + " & ".join(str(t) for t in self.order) + " \\\\ \\hline")
-        for i, g in enumerate(self.order):
-            cells = " & ".join(str(self.Delta_in_L[j][i]) for j in range(len(self.order)))
-            lines.append(f"{g} & {cells} \\\\")
-        lines.append("\\end{tabular}")
-        return "\n".join(lines)
-
-
-def _invert_unitriangular(m: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of an upper-unitriangular integer matrix by back
-    substitution; the inverse is again integral."""
-    n = len(m)
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for j in range(n):
-        for i in range(j - 1, -1, -1):
-            s = -sum(m[i][k] * inv[k][j] for k in range(i + 1, j + 1))
-            inv[i][j] = s
-    return inv
+        return bases.latex_table(self.order, self.Delta_cols, str)
 
 
 def decomposition_matrix(
     shape: SignedMultiPartition, window: tuple[int, int], weight: dict[int, int]
 ) -> DecompositionTable:
-    """The decomposition table of one weight block: L-in-Delta from the dual
-    canonical basis of P, Delta-in-L by exact inversion of its integer
-    specialization at q = -1."""
+    """The decomposition table of one weight block: L-in-Delta is the solved
+    dual canonical basis of P; Delta-in-L inverts its specialization at
+    q = -1 by back substitution over the block order,
+    Delta(t) = L(t) - sum_{g < t} L_in_Delta(t, g)|_{q=-1} Delta(g)."""
     blk = bases.dcb_P(shape, window, weight)
-    n = len(blk.order)
-    l_mat = tuple(
-        tuple(blk.canon[t].get(g, ZERO) for g in blk.order) for t in blk.order
-    )
-    spec = [
-        [eval_at_minus_one(l_mat[j][i]) for j in range(n)] for i in range(n)
-    ]
-    d_rows = _invert_unitriangular(spec)
-    d_mat = tuple(tuple(d_rows[i][j] for i in range(n)) for j in range(n))
-    return DecompositionTable(
-        shape, window, dict(weight), blk.order, l_mat, d_mat
-    )
+    delta_cols: dict = {}
+    for t in blk.order:
+        col = {t: 1}
+        for g, c in blk.canon[t].items():
+            if g != t:
+                add_into(col, delta_cols[g], -eval_at_minus_one(c))
+        delta_cols[t] = col
+    return DecompositionTable(shape, window, dict(weight), blk.order, blk.canon, delta_cols)
 
 
 def simple_character(
@@ -270,11 +236,12 @@ def simple_character(
     Verma-class expansion."""
     if not bfA.is_std():
         raise ValueError(f"simple_character requires a Std multi-tableau, got {bfA}")
+    lo, hi = window
+    if not all(lo <= a <= hi for a in bfA.row_reading()):
+        raise ValueError(f"simple_character: {bfA} has an entry outside the window {window}")
     shape = bfA.shape
     blk = bases.dcb_P(shape, window, bfA.weight_signed())
-    delta_exp = {
-        g: eval_at_minus_one(c) for g, c in blk.canon[bfA].items() if eval_at_minus_one(c)
-    }
+    delta_exp = add_into({}, ((g, eval_at_minus_one(c)) for g, c in blk.canon[bfA].items()))
     verma: dict = {}
     for g, c in delta_exp.items():
         add_into(verma, expand_standard(g).coeffs, c)

@@ -41,6 +41,20 @@ def in_P_plus(nu: dict[int, int]) -> bool:
     return True
 
 
+def weight_key(mu: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """Hashable normal form of a signed weight: its nonzero (a, c) pairs,
+    sorted.  Every weight filter and block key in the package is one."""
+    return tuple(sorted((a, c) for a, c in mu.items() if c))
+
+
+def wt_key(f: tuple[int, ...], signs: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
+    """Hashable form of the signed weight of a monomial."""
+    nu: dict[int, int] = {}
+    for v, s in zip(f, signs):
+        nu[v] = nu.get(v, 0) + (1 if s == "+" else -1)
+    return weight_key(nu)
+
+
 # ---------------------------------------------------------------------------
 # Partitions and signed multi-partitions.
 # ---------------------------------------------------------------------------
@@ -241,16 +255,7 @@ class MultiTableau:
         return nu
 
     def weight_signed(self) -> dict[int, int]:
-        return self.partial_weight(1)
-
-    def partial_weight(self, j: int) -> dict[int, int]:
-        """Signed weight of the components from the j-th one on (1-based)."""
-        if not 1 <= j <= len(self.components):
-            raise ValueError(f"component index {j} out of range")
-        nu: dict[int, int] = {}
-        for t in self.components[j - 1 :]:
-            add_into(nu, t.weight(), 1 if t.sign == "+" else -1)
-        return nu
+        return dict(wt_key(self.row_reading(), self.shape.sign_sequence()))
 
     def is_row(self) -> bool:
         return all(t.is_row() for t in self.components)
@@ -509,7 +514,6 @@ class PyramidReport:
     jordan_type: tuple[tuple[int, ...], tuple[int, ...]]
     e_support: tuple[tuple[str, str], ...]
     theta: tuple[int, ...]
-    theta_ok: bool
     refinement: Refinement
 
     def to_json(self) -> dict:
@@ -595,6 +599,5 @@ def pyramid_report(
         jordan_type=(ref.lam_plus, ref.lam_minus),
         e_support=tuple(e_support),
         theta=theta,
-        theta_ok=True,
         refinement=ref,
     )

@@ -107,11 +107,24 @@ class LaurentPoly:
                 self._hash = hash(tuple(sorted(terms.items())))
         return self._hash
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def __add__(self, other) -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, int):
+                return NotImplemented
+            other = constant(other)
         return LaurentPoly(add_into(dict(self.terms), other.terms))
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def __sub__(self, other) -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, int):
+                return NotImplemented
+            other = constant(other)
         return LaurentPoly(add_into(dict(self.terms), other.terms, -1))
+
+    __radd__ = __add__
+
+    def __rsub__(self, other) -> "LaurentPoly":
+        return (-self).__add__(other)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -c for e, c in self.terms.items()})

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
-from .combinatorics import bruhat_key, inversions, key_leq
+from .combinatorics import bruhat_key, inversions, key_leq, weight_key, wt_key
 from .laurent import (
     Element,
     LaurentPoly,
@@ -91,20 +91,6 @@ class TensorElement(Element):
                 for t in data["terms"]
             },
         )
-
-
-def weight_key(mu: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    """Hashable normal form of a signed weight: its nonzero (a, c) pairs,
-    sorted.  Every weight filter and block key in the package is one."""
-    return tuple(sorted((a, c) for a, c in mu.items() if c))
-
-
-def wt_key(f: tuple[int, ...], signs: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
-    """Hashable form of the signed weight of a monomial."""
-    nu: dict[int, int] = {}
-    for v, s in zip(f, signs):
-        nu[v] = nu.get(v, 0) + (1 if s == "+" else -1)
-    return weight_key(nu)
 
 
 # ---------------------------------------------------------------------------

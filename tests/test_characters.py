@@ -177,6 +177,11 @@ class TestDecompositionMatrix:
 
 
 class TestSimpleCharacter:
+    def test_label_outside_window_is_value_error(self):
+        shape = MP(((1,), "+"), ((1,), "+"))
+        with pytest.raises(ValueError, match=r"3 / 3.*\(1, 2\)"):
+            simple_character(MT(shape, (3, 3)), (1, 2))
+
     def test_minimal_label_is_standard(self):
         shape = MP(((1,), "+"), ((1,), "+"))
         mt = MT(shape, (1, 2))

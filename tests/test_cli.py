@@ -396,6 +396,17 @@ GOLDEN = [
         ["decompose", "--shape", "2,1:+", "--window", "1..4", "--format", "latex"],
         "2f7d721f7adb2b4b09117efbc648ce6394ea4d0b53b7d7d53443bb06b40d71e8",
     ),
+    # Recorded before the block and decomposition tables shared one sparse
+    # JSON writer and one LaTeX writer.
+    (
+        ["dcb", "--space", "s", "--shape", "2,1:+ / 1:+", "--window", "1..3",
+         "--format", "latex"],
+        "0e40402cb8e8c35426c18ef423ad7b73a6e2990934a9041735ad088ced73983f",
+    ),
+    (
+        ["decompose", "--shape", "2,1:+", "--window", "1..4", "--format", "csv"],
+        "f453e9edbe0cce494a2e906ecb6ad16800c333e0e9b83397d7c3275c5b6a7a60",
+    ),
 ]
 
 

@@ -157,3 +157,17 @@ def test_constant_hashes_like_its_int():
         assert hash(constant(c)) == hash(c)
     assert 1 in {ONE}
     assert ONE in {1}
+
+
+def test_int_operands_on_either_side():
+    p = q_power(1) + q_power(-1)
+    for c in (0, 1, -3):
+        assert p + c == p + constant(c) == c + p
+        assert p - c == p - constant(c)
+        assert c - p == constant(c) - p
+    assert ONE + 1 == 2 and 1 - ONE == ZERO
+    for bad in (1.0, "1", None):
+        with pytest.raises(TypeError):
+            ONE + bad
+        with pytest.raises(TypeError):
+            bad - ONE
