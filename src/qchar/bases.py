@@ -41,6 +41,7 @@ from .tensor_space import (
     by_weight,
     hecke_act_word,
     linear_extension,
+    monomials,
     of_weight,
     reduced_word,
     symmetrize,
@@ -251,9 +252,10 @@ def bar_S(x: SElement) -> SElement:
 
 
 def _reading(kind: str):
-    """The reading that orders and indexes a block of tableaux of `kind`:
-    column reading for Col tableaux, row reading for Row and Std ones."""
-    return MultiTableau.column_reading if kind == "col" else MultiTableau.row_reading
+    """The reading that orders and indexes a block of labels of `kind`:
+    column reading for Col tableaux, row reading for Row and Std ones, and
+    none for the monomials of kind "t", which are their own reading."""
+    return {"t": None, "col": MultiTableau.column_reading}.get(kind, MultiTableau.row_reading)
 
 
 def _block(
@@ -267,22 +269,26 @@ def _block(
 
 def _by_weight(
     shape: SignedMultiPartition, window: tuple[int, int], kind: str
-) -> dict[tuple, list[MultiTableau]]:
-    return by_weight(enumerate_tableaux(shape, kind, window), shape.sign_sequence(), _reading(kind))
+) -> dict[tuple, list]:
+    signs = shape.sign_sequence()
+    labels = monomials(signs, window) if kind == "t" else enumerate_tableaux(shape, kind, window)
+    return by_weight(labels, signs, _reading(kind))
 
 
 def block_weights(
     shape: SignedMultiPartition, window: tuple[int, int], kind: str
 ) -> list[tuple[tuple[int, int], ...]]:
-    """The sorted weight keys of the nonempty blocks of tableaux of a kind."""
+    """The sorted weight keys of the nonempty blocks of labels of a kind:
+    Row, Col or Std tableaux, or "t" for the monomials of the tensor module
+    of the shape's sign sequence."""
     return sorted(_by_weight(shape, window, kind))
 
 
 def weight_blocks(
     shape: SignedMultiPartition, window: tuple[int, int], kind: str
-) -> list[tuple[dict[int, int], list[MultiTableau]]]:
-    """Split the tableaux of a kind into signed-weight blocks in the order
-    of `block_weights`, each ordered by the fixed linear extension of the
+) -> list[tuple[dict[int, int], list]]:
+    """Split the labels of a kind into signed-weight blocks in the order of
+    `block_weights`, each ordered by the fixed linear extension of the
     Bruhat order on readings."""
     signs, reading = shape.sign_sequence(), _reading(kind)
     buckets = _by_weight(shape, window, kind)
@@ -315,6 +321,20 @@ def _eliminate(x: dict, order, rows: dict, pivot) -> tuple[dict, dict]:
         coords[t] = co
         add_into(y, row, -co)
     return coords, y
+
+
+def _bar_rows(block, basis: dict, reading, span: str, coord=None) -> dict:
+    """Expand the tensor bar image of each basis element over the basis by
+    leading-term elimination at `reading`, each coordinate passed through
+    `coord` when given.  A residual means the bar image leaves the span; it
+    raises a RuntimeError naming the label."""
+    rows = {}
+    for mt in block:
+        coords, rest = _eliminate(bar_involution(basis[mt]).coeffs, block, basis, reading)
+        if rest:
+            raise RuntimeError(f"bar image of {mt} leaves the {span}: {rest}")
+        rows[mt] = coords if coord is None else {g: coord(c) for g, c in coords.items()}
+    return rows
 
 
 def dcb_T(
@@ -367,13 +387,7 @@ def sym_ideal_dcb(
         )
         for mt in block
     }
-    bar_rows = {}
-    for mt in block:
-        bar_rows[mt], rest = _eliminate(
-            bar_involution(ideal[mt]).coeffs, block, ideal, MultiTableau.row_reading
-        )
-        if rest:
-            raise RuntimeError(f"element does not lie in the symmetrizer ideal: {rest}")
+    bar_rows = _bar_rows(block, ideal, MultiTableau.row_reading, "symmetrizer ideal")
     return dcb_solve(TriangularBlock("s", tuple(block), bar_rows))
 
 
@@ -527,14 +541,7 @@ def dcb_wedge(
     """
     block = _block(shape, window, "col", mu)
     kap = {mt: kappa(mt, window) for mt in block}
-    bar_rows = {}
-    for mt in block:
-        coords, rest = _eliminate(
-            bar_involution(kap[mt]).coeffs, block, kap, MultiTableau.column_reading
-        )
-        if rest:
-            raise RuntimeError(f"bar image leaves the kappa span: {rest}")
-        bar_rows[mt] = {g: mirror(c) for g, c in coords.items()}
+    bar_rows = _bar_rows(block, kap, MultiTableau.column_reading, "kappa span", mirror)
     return dcb_solve(TriangularBlock("wedge", tuple(block), bar_rows))
 
 

@@ -29,15 +29,11 @@ from .laurent import ONE, add_into, in_qinv_lattice
 from .tensor_space import (
     TensorElement,
     bar_involution,
-    by_weight,
     hecke_act,
     hecke_act_inverse,
-    monomials,
     of_weight,
     weight_key,
 )
-
-SUITES = ("hecke", "bar", "dcb", "xi", "theoremC", "sameDCB", "all")
 
 
 class UsageError(ValueError):
@@ -161,75 +157,63 @@ def _naming_block(shape, window: tuple[int, int], mu: dict[int, int]):
         ) from exc
 
 
-def _dcb_block(task):
-    shape_text, window, space, weight = task
-    shape = parse_shape(shape_text)
-    mu = dict(weight)
+# Each block command's solver, by the space it solves in: the kind of label
+# whose weights list the blocks, and the solve of one block.  The solvers
+# look their functions up in their modules when called.
+_SOLVERS = {
+    "t": ("t", lambda shape, window, mu: bases.dcb_T(shape.sign_sequence(), window, mu)),
+    "s": ("row", lambda shape, window, mu: bases.dcb_S(shape, window, mu)),
+    "p": ("std", lambda shape, window, mu: bases.dcb_P(shape, window, mu)),
+    "table": ("std", lambda shape, window, mu: characters.decomposition_matrix(shape, window, mu)),
+}
+
+
+def _solve_block(task):
+    space, shape, window, mu = task
     with _naming_block(shape, window, mu):
-        if space == "t":
-            blk = bases.dcb_T(shape.sign_sequence(), window, mu)
-        elif space == "s":
-            blk = bases.dcb_S(shape, window, mu)
-        else:
-            blk = bases.dcb_P(shape, window, mu)
-    data = blk.to_json()
-    data["weight"] = {str(a): c for a, c in sorted(mu.items())}
-    return data, blk.to_latex()
+        return _SOLVERS[space][1](shape, window, mu)
 
 
-def _run_blocks(tasks, jobs):
-    """Solve the blocks in order; a pool, never larger than the number of
-    blocks, only when more than one worker would have work."""
+def _solve_blocks(args, space: str, jobs: int = 1):
+    """Parse the shape and window and solve the blocks of the space, or the
+    --weight block alone, in weight order: the (weight, solved block) pairs
+    with the shape and window.  A pool, never larger than the number of
+    blocks, runs only when more than one worker would have work."""
+    shape = parse_shape(args.shape)
+    window = parse_window(args.window)
+    if args.weight is not None:
+        weights = [weight_key(parse_weight(args.weight))]
+    else:
+        weights = bases.block_weights(shape, window, _SOLVERS[space][0])
+    tasks = [(space, shape, window, dict(w)) for w in weights]
     workers = min(jobs, len(tasks))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_dcb_block, tasks))
-    return [_dcb_block(t) for t in tasks]
+            solved = list(pool.map(_solve_block, tasks))
+    else:
+        solved = [_solve_block(t) for t in tasks]
+    return shape, window, [(mu, blk) for (*_, mu), blk in zip(tasks, solved)]
 
 
 def cmd_dcb(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    shape = parse_shape(args.shape)
-    window = parse_window(args.window)
-    if args.weight is not None:
-        weights = [weight_key(parse_weight(args.weight))]
-    elif args.space == "t":
-        signs = shape.sign_sequence()
-        weights = sorted(by_weight(monomials(signs, window), signs))
-    else:
-        weights = bases.block_weights(shape, window, "row" if args.space == "s" else "std")
-    tasks = [(args.shape, window, args.space, w) for w in weights]
-    results = _run_blocks(tasks, args.jobs)
+    shape, window, solved = _solve_blocks(args, args.space, args.jobs)
     if args.format == "latex":
-        _emit("\n\n".join(latex for _, latex in results) + "\n", args.out)
+        _emit("\n\n".join(blk.to_latex() for _, blk in solved) + "\n", args.out)
     else:
-        _emit(
-            _json(
-                {
-                    "shape": str(shape),
-                    "window": list(window),
-                    "space": args.space,
-                    "blocks": [data for data, _ in results],
-                }
-            ),
-            args.out,
-        )
+        blocks = [
+            dict(blk.to_json(), weight={str(a): c for a, c in sorted(mu.items())})
+            for mu, blk in solved
+        ]
+        data = {"shape": str(shape), "window": list(window), "space": args.space, "blocks": blocks}
+        _emit(_json(data), args.out)
     return 0
 
 
 def cmd_decompose(args) -> int:
-    shape = parse_shape(args.shape)
-    window = parse_window(args.window)
-    if args.weight is not None:
-        weights = [weight_key(parse_weight(args.weight))]
-    else:
-        weights = bases.block_weights(shape, window, "std")
-    tables = []
-    for w in weights:
-        mu = dict(w)
-        with _naming_block(shape, window, mu):
-            tables.append(characters.decomposition_matrix(shape, window, mu))
+    _, _, blocks = _solve_blocks(args, "table")
+    tables = [t for _, t in blocks]
     if args.format == "csv":
         _emit("\n".join(t.to_csv() for t in tables), args.out)
     elif args.format == "latex":
@@ -289,70 +273,69 @@ def _random_element(signs, window, rng):
     return TensorElement(signs, window, add_into({}, terms))
 
 
-def _suite_hecke() -> tuple[bool, dict]:
+def _runs(signs):
+    """The i with H_i defined: positions i - 1, i inside one constant-sign run."""
+    return [i for i in range(1, len(signs)) if signs[i - 1] == signs[i]]
+
+
+def _suite_hecke():
     window = (1, 3)
     zeta = bases.LaurentPoly({-1: 1, 1: -1})  # q^-1 - q
     for signs in (("+", "+"), ("+", "-"), ("-", "+", "+"), ("+", "-", "+")):
+        runs = _runs(signs)
         for f in itertools.product(range(1, 4), repeat=len(signs)):
             x = TensorElement.monomial(signs, window, f)
-            # H_i is defined only inside a constant-sign run.
-            for i in range(1, len(signs)):
-                if signs[i - 1] != signs[i]:
-                    continue
+            for i in runs:
                 h = hecke_act(i, x)
                 # quadratic relation: H_i^2 = (q^-1 - q) H_i + 1
                 if hecke_act(i, h) != h.scale(zeta) + x:
-                    return False, {"signs": signs, "f": f, "relation": "quadratic", "i": i}
-            for i in range(1, len(signs) - 1):
-                if not signs[i - 1] == signs[i] == signs[i + 1]:
-                    continue
+                    yield {"signs": signs, "f": f, "relation": "quadratic", "i": i}
+            for i in (i for i in runs if i + 1 in runs):
                 lhs = hecke_act(i, hecke_act(i + 1, hecke_act(i, x)))
                 rhs = hecke_act(i + 1, hecke_act(i, hecke_act(i + 1, x)))
                 if lhs != rhs:
-                    return False, {"signs": signs, "f": f, "relation": "braid", "i": i}
-    return True, {}
+                    yield {"signs": signs, "f": f, "relation": "braid", "i": i}
 
 
-def _suite_bar() -> tuple[bool, dict]:
+def _suite_bar():
     rng = random.Random(20260824)
     window = (1, 3)
     for signs in (("+", "+"), ("+", "-"), ("-", "-", "+")):
         for _ in range(10):
             x = _random_element(signs, window, rng)
             if bar_involution(bar_involution(x)) != x:
-                return False, {"signs": signs, "property": "involution"}
-            for i in range(1, len(signs)):
-                if signs[i - 1] != signs[i]:
-                    continue
-                if bar_involution(hecke_act(i, x)) != hecke_act_inverse(
-                    i, bar_involution(x)
-                ):
-                    return False, {"signs": signs, "property": "hecke twist", "i": i}
-    return True, {}
+                yield {"signs": signs, "property": "involution"}
+            for i in _runs(signs):
+                if bar_involution(hecke_act(i, x)) != hecke_act_inverse(i, bar_involution(x)):
+                    yield {"signs": signs, "property": "hecke twist", "i": i}
 
 
-def _suite_dcb() -> tuple[bool, dict]:
-    for shape, window in [
+def _row_blocks(cases):
+    """Every (shape, window, weight) of the Row weight blocks of the cases."""
+    for shape, window in cases:
+        for w in bases.block_weights(shape, window, "row"):
+            yield shape, window, dict(w)
+
+
+def _suite_dcb():
+    for shape, window, mu in _row_blocks([
         (_sp(((1,), "+"), ((1,), "+")), (1, 2)),
         (_sp(((1, 1), "+")), (1, 3)),
         (_sp(((2,), "+"), ((1, 1), "-")), (1, 2)),
-    ]:
-        for mu, _ in bases.weight_blocks(shape, window, "row"):
-            blk = bases.dcb_S(shape, window, mu)
-            for t in blk.order:
-                canon = blk.canon[t]
-                if canon.get(t) != ONE:
-                    return False, {"shape": str(shape), "weight": mu, "property": "diagonal"}
-                for g, c in canon.items():
-                    if g != t and not in_qinv_lattice(c):
-                        return False, {"shape": str(shape), "weight": mu, "property": "lattice"}
-                elem = bases.SElement(shape, window, dict(canon))
-                if bases.bar_S(elem).coeffs != elem.coeffs:
-                    return False, {"shape": str(shape), "weight": mu, "property": "bar invariance"}
-    return True, {}
+    ]):
+        blk = bases.dcb_S(shape, window, mu)
+        for t in blk.order:
+            canon = blk.canon[t]
+            if canon.get(t) != ONE:
+                yield {"shape": str(shape), "weight": mu, "property": "diagonal"}
+            if any(g != t and not in_qinv_lattice(c) for g, c in canon.items()):
+                yield {"shape": str(shape), "weight": mu, "property": "lattice"}
+            elem = bases.SElement(shape, window, dict(canon))
+            if bases.bar_S(elem).coeffs != elem.coeffs:
+                yield {"shape": str(shape), "weight": mu, "property": "bar invariance"}
 
 
-def _suite_xi() -> tuple[bool, dict]:
+def _suite_xi():
     for shape, window in [
         (_sp(((2, 1), "+")), (1, 3)),
         (_sp(((2, 1), "-")), (1, 3)),
@@ -360,51 +343,51 @@ def _suite_xi() -> tuple[bool, dict]:
         images = bases.xi_wedge_images(shape, window)
         for mt, el in images.items():
             if (not el.is_zero()) != mt.is_std():
-                return False, {"shape": str(shape), "tableau": str(mt), "property": "nonvanishing"}
-    return True, {}
+                yield {"shape": str(shape), "tableau": str(mt), "property": "nonvanishing"}
 
 
-def _suite_theoremC() -> tuple[bool, dict]:
+def _suite_theoremC():
     for shape, window in [
         (_sp(((2, 1), "+"), ((2,), "-")), (0, 2)),
         (_sp(((1, 1), "+"), ((2,), "+")), (1, 3)),
     ]:
         rep = characters.theoremC_check(shape, window)
         if not rep["pass"]:
-            return False, rep
-    return True, {}
+            yield rep
 
 
-def _suite_sameDCB() -> tuple[bool, dict]:
-    for shape, window in [
+def _suite_sameDCB():
+    for shape, window, mu in _row_blocks([
         (_sp(((1, 1), "+")), (1, 2)),
         (_sp(((2,), "-")), (1, 2)),
         (_sp(((2, 1), "+")), (1, 3)),
         (_sp(((1,), "+"), ((1, 1), "-")), (1, 2)),
-    ]:
-        for mu, _ in bases.weight_blocks(shape, window, "row"):
-            a = bases.dcb_S(shape, window, mu)
-            b = bases.sym_ideal_dcb(shape, window, mu)
-            if a.order != b.order or a.canon != b.canon:
-                return False, {"shape": str(shape), "weight": mu, "property": "identification"}
-    return True, {}
+    ]):
+        a = bases.dcb_S(shape, window, mu)
+        b = bases.sym_ideal_dcb(shape, window, mu)
+        if a.order != b.order or a.canon != b.canon:
+            yield {"shape": str(shape), "weight": mu, "property": "identification"}
+
+
+# Every verification suite by name, in the order `verify --suite all` runs
+# them.  A suite is a generator of one detail dict per failure.
+SUITES = {
+    "hecke": _suite_hecke,
+    "bar": _suite_bar,
+    "dcb": _suite_dcb,
+    "xi": _suite_xi,
+    "theoremC": _suite_theoremC,
+    "sameDCB": _suite_sameDCB,
+}
 
 
 def cmd_verify(args) -> int:
-    runners = {
-        "hecke": _suite_hecke,
-        "bar": _suite_bar,
-        "dcb": _suite_dcb,
-        "xi": _suite_xi,
-        "theoremC": _suite_theoremC,
-        "sameDCB": _suite_sameDCB,
-    }
-    names = list(runners) if args.suite == "all" else [args.suite]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     failures = []
     for name in names:
-        ok, detail = runners[name]()
-        print(("PASS" if ok else "FAIL") + f" {name}")
-        if not ok:
+        detail = next(SUITES[name](), None)
+        print(("PASS" if detail is None else "FAIL") + f" {name}")
+        if detail is not None:
             failures.append({"suite": name, "detail": detail})
     if failures:
         print(json.dumps({"failures": failures}, sort_keys=True))
@@ -451,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("verify", help="run an invariant verification suite")
-    p.add_argument("--suite", choices=SUITES, default="all")
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("report", help="pyramid statistics and Levi data")

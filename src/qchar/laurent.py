@@ -130,7 +130,9 @@ class LaurentPoly:
         return LaurentPoly({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, int):
+                return NotImplemented
             return LaurentPoly({e: other * c for e, c in self.terms.items()})
         # The convolution accumulates freely; the constructor drops the terms
         # that cancelled.

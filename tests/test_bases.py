@@ -20,10 +20,12 @@ from qchar.laurent import (
     mirror,
     q_power,
 )
+import qchar.bases
 from qchar.bases import (
     SElement,
     TriangularBlock,
     bar_S,
+    block_weights,
     dcb_P,
     dcb_S,
     dcb_T,
@@ -344,6 +346,27 @@ class TestBlockOrder:
         for key in sorted(by_weight(monomials(signs, (1, 4)), signs)):
             h.update(f"t {key}: {weight_block(signs, (1, 4), dict(key))}\n".encode())
         assert h.hexdigest() == self.GOLDEN
+
+
+class TestWeightBlocks:
+    def test_tensor_kind_lists_the_monomial_blocks(self):
+        shape, window = MP(((2,), "+"), ((1,), "-")), (1, 3)
+        signs = shape.sign_sequence()
+        keys = sorted(by_weight(monomials(signs, window), signs))
+        assert block_weights(shape, window, "t") == keys
+        assert weight_blocks(shape, window, "t") == [
+            (dict(k), weight_block(signs, window, dict(k))) for k in keys
+        ]
+
+    @pytest.mark.parametrize("solve, span", [(sym_ideal_dcb, "symmetrizer ideal"), (dcb_wedge, "kappa span")])
+    def test_bar_residual_names_the_label(self, monkeypatch, solve, span):
+        # a stray monomial outside the block leaves a residual after elimination
+        real = qchar.bases.bar_involution
+        stray = TensorElement.monomial(("+", "+"), (1, 2), (1, 1))
+        monkeypatch.setattr(qchar.bases, "bar_involution", lambda x: real(x) + stray)
+        shape = MP(((1,), "+"), ((1,), "+"))
+        with pytest.raises(RuntimeError, match=rf"^bar image of 1 / 2 leaves the {span}: "):
+            solve(shape, (1, 2), {1: 1, 2: 1})
 
 
 class TestSerialization:

@@ -171,3 +171,14 @@ def test_int_operands_on_either_side():
             ONE + bad
         with pytest.raises(TypeError):
             bad - ONE
+
+
+def test_mul_rejects_foreign_operands():
+    p = q_power(1) + q_power(-1)
+    assert p * 2 == 2 * p == p + p
+    for bad in (1.5, "1", None, [1]):
+        assert p.__mul__(bad) is NotImplemented
+        with pytest.raises(TypeError):
+            p * bad
+        with pytest.raises(TypeError):
+            bad * p
