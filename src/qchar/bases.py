@@ -169,28 +169,29 @@ def latex_table(order, cols: dict, cell) -> str:
 def dcb_solve(block: TriangularBlock) -> TriangularBlock:
     """Solve for the dual canonical basis of a triangular block.
 
-    For each index t in increasing order, start from the standard basis
-    element, repeatedly cancel the maximal term of bar(X) - X with an
-    `antisym_solve` correction, and stop at the unique bar-invariant element
-    with unitriangular, strictly-lower q^-1-lattice coordinates.
+    For each index t in increasing order, start from X = e_t, keep its bar
+    defect d = bar(X) - X, cancel the top entry g of d with the
+    `antisym_solve` correction X[g] and add bar(X[g]) bar(e_g) - X[g] e_g to
+    d.  The labels below t are solved first, so bar(e_g) reaches only g and
+    lower labels: each is corrected once, top-down, ending at the unique
+    bar-invariant element with unitriangular, strictly-lower q^-1-lattice
+    coordinates.
     """
     pos = {t: i for i, t in enumerate(block.order)}
     canon: dict = {}
     for t in block.order:
         x = {t: ONE}
-        while True:
-            d: dict = {}
-            for g, c in x.items():
-                add_into(d, block.bar_rows[g], bar_q(c))
-            add_into(d, x, -1)
-            if not d:
-                break
-            g = max(d, key=lambda k: pos[k])
+        d = add_into(dict(block.bar_rows[t]), x, -1)
+        while d:
+            g = max(d, key=pos.__getitem__)
             if pos[g] >= pos[t]:
-                raise RuntimeError(
-                    f"bar matrix is not unitriangular at {t}: defect at {g}"
-                )
-            add_into(x, {g: antisym_solve(d[g])})
+                raise RuntimeError(f"bar matrix is not unitriangular at {t}: defect at {g}")
+            try:
+                x[g] = c = antisym_solve(d[g])
+            except ValueError as err:
+                raise ValueError(f"bar defect of {t} at {g}: {err}") from err
+            add_into(d, block.bar_rows[g], bar_q(c))
+            add_into(d, {g: c}, -1)
         canon[t] = x
     return TriangularBlock(block.space, block.order, block.bar_rows, canon)
 

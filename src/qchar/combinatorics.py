@@ -134,7 +134,6 @@ class Refinement(NamedTuple):
     ulam: "SignedMultiPartition"
     uep: tuple[Sign, ...]
     s: tuple[Sign, ...]
-    lam: tuple[int, ...]
     lam_plus: tuple[int, ...]
     lam_minus: tuple[int, ...]
 
@@ -144,22 +143,20 @@ def refine(mp: SignedMultiPartition) -> Refinement:
 
     Returns the refined signed multi-partition together with its sign
     sequence per part, the sign sequence per box, and the compositions made
-    of all parts / the plus parts / the minus parts in piece order.
+    of the plus parts and of the minus parts in piece order.
     """
     ulam_pieces = []
     uep = []
-    lam, lam_plus, lam_minus = [], [], []
+    lam_plus, lam_minus = [], []
     for p, s in mp.pieces:
         for part in p.parts:
             ulam_pieces.append((Partition((part,)), s))
             uep.append(s)
-            lam.append(part)
             (lam_plus if s == "+" else lam_minus).append(part)
     return Refinement(
         SignedMultiPartition(tuple(ulam_pieces)),
         tuple(uep),
         mp.sign_sequence(),
-        tuple(lam),
         tuple(lam_plus),
         tuple(lam_minus),
     )

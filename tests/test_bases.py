@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import json
 
 import pytest
 
@@ -46,6 +48,7 @@ from qchar.bases import (
     xi_V,
     xi_wedge_images,
 )
+from qchar.characters import decomposition_matrix
 from qchar.tensor_space import (
     TensorElement,
     bar_involution,
@@ -172,9 +175,61 @@ class TestSolver:
         assert resolved.canon == blk.canon
 
     def test_non_triangular_bar_matrix_rejected(self):
+        # the lower label's bar image reaches the upper label
         bad = TriangularBlock("t", ("a", "b"), {"a": {"b": ONE}, "b": {"b": ONE}})
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="^bar matrix is not unitriangular at a: defect at b$"):
             dcb_solve(bad)
+
+    def test_non_unit_diagonal_rejected(self):
+        bad = TriangularBlock("t", ("a", "b"), {"a": {"a": ONE}, "b": {"b": q_power(1)}})
+        with pytest.raises(RuntimeError, match="^bar matrix is not unitriangular at b: defect at b$"):
+            dcb_solve(bad)
+
+
+def pinned_blocks():
+    """Every dcb_T block of + - + - @ 1..4 and + + - - + @ 1..3, then every
+    dcb_S block of 2,1:+ / 1:+ and 3,1:+ / 1:- @ 1..4 (197 blocks)."""
+    for signs, window in [(("+", "-", "+", "-"), (1, 4)), (("+", "+", "-", "-", "+"), (1, 3))]:
+        for key in sorted(by_weight(monomials(signs, window), signs)):
+            yield dcb_T(signs, window, dict(key))
+    for shape in [MP(((2, 1), "+"), ((1,), "+")), MP(((3, 1), "+"), ((1,), "-"))]:
+        for key in block_weights(shape, (1, 4), "row"):
+            yield dcb_S(shape, (1, 4), dict(key))
+
+
+class TestSolverPinned:
+    # SHA-256 over to_json() of the pinned T/S blocks and of every
+    # decomposition table of 2,1:+ and 1:+ / 1:- / 1:+ @ 1..4, recorded with
+    # the fixed-point solver that rebuilt bar(X) - X after every correction.
+    GOLDEN = "73ad14acc614c555c99541d7193c15417ed5595645275784bc35a56f11b16f00"
+
+    def test_solved_blocks_match_the_recorded_digest(self):
+        h = hashlib.sha256()
+        tables = (
+            decomposition_matrix(shape, (1, 4), dict(key))
+            for shape in [MP(((2, 1), "+")), MP(((1,), "+"), ((1,), "-"), ((1,), "+"))]
+            for key in block_weights(shape, (1, 4), "std")
+        )
+        for solved in itertools.chain(pinned_blocks(), tables):
+            h.update(json.dumps(solved.to_json()).encode())
+            h.update(b"\n")
+        assert h.hexdigest() == self.GOLDEN
+
+    def test_one_bar_per_correction(self, monkeypatch):
+        calls = 0
+        real = qchar.bases.bar_q
+
+        def counted(c):
+            nonlocal calls
+            calls += 1
+            return real(c)
+
+        monkeypatch.setattr(qchar.bases, "bar_q", counted)
+        corrections = 0
+        for blk in pinned_blocks():
+            corrections += sum(len(col) - 1 for col in blk.canon.values())
+        assert corrections > 0
+        assert calls == corrections
 
 
 class TestDcbS:

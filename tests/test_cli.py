@@ -243,6 +243,12 @@ class TestComputationErrors:
         assert "Traceback" not in err
         assert err.startswith("error: shape 1,1:+ / 1:-, window 1..3, weight {2: 1}: ")
 
+    @pytest.mark.parametrize("command", [["dcb", "--space", "p"], ["decompose"]])
+    def test_solver_error_names_the_label_and_defect(self, capsys, command):
+        argv = command + ["--shape", "1,1:+ / 1:-", "--window", "1..3", "--weight", "2:1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "bar defect of 3|2 / 3 at 2|1 / 1: antisym_solve: " in err
 
     @pytest.mark.parametrize(
         "argv",
