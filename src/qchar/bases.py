@@ -42,7 +42,6 @@ from .tensor_space import (
     hecke_act_word,
     linear_extension,
     monomials,
-    of_weight,
     reduced_word,
     symmetrize,
     weight_block,
@@ -259,13 +258,42 @@ def _reading(kind: str):
     return {"t": None, "col": MultiTableau.column_reading}.get(kind, MultiTableau.row_reading)
 
 
+def tableaux_of_weight(
+    tableaux: list[MultiTableau], window: tuple[int, int], mu: dict[int, int]
+) -> list[MultiTableau]:
+    """The multi-tableaux of signed weight mu, in input order; all of them
+    must share one shape and have entries inside the window.
+
+    A signed weight is the sum of its pieces' signed weights.  Each weight is
+    coded as the integer sum of c * base^(a - lo) over its entries (a, c);
+    the base exceeds the number of boxes (the largest |c| of a tableau) plus
+    the largest |c| of mu, so the codes of a tableau and of mu are equal only
+    when their weights are.  A piece tableau shared across the product that
+    `enumerate_tableaux` builds is coded once, keyed by its id.
+    """
+    if not tableaux:
+        return []
+    lo, hi = window
+    if any(c and not lo <= a <= hi for a, c in mu.items()):
+        return []
+    boxes = sum(t.shape.size for t in tableaux[0].components)
+    base = boxes + max(map(abs, mu.values()), default=0) + 1
+    power = [base**i for i in range(hi - lo + 1)]
+    target = sum(c * power[a - lo] for a, c in mu.items() if c)
+    pieces = {id(t): t for mt in tableaux for t in mt.components}
+    codes = {
+        i: (1 if t.sign == "+" else -1) * sum(power[x - lo] for row in t.rows for x in row)
+        for i, t in pieces.items()
+    }
+    return [mt for mt in tableaux if sum(map(codes.__getitem__, map(id, mt.components))) == target]
+
+
 def _block(
     shape: SignedMultiPartition, window: tuple[int, int], kind: str, mu: dict[int, int]
 ) -> list[MultiTableau]:
     """The tableaux of one kind and signed weight mu, in block order."""
-    signs, reading = shape.sign_sequence(), _reading(kind)
-    block = of_weight(enumerate_tableaux(shape, kind, window), signs, mu, reading)
-    return linear_extension(block, signs, reading)
+    block = tableaux_of_weight(enumerate_tableaux(shape, kind, window), window, mu)
+    return linear_extension(block, shape.sign_sequence(), _reading(kind))
 
 
 def _by_weight(
@@ -555,10 +583,10 @@ def xi_wedge_images(
     images form the dual canonical basis of P inside S.
     """
     out: dict[MultiTableau, SElement] = {}
-    for mu, block in weight_blocks(shape, window, "col"):
-        solved = dcb_wedge(shape, window, mu)
-        images = {mt: xi_V(mt, window) for mt in block}
-        for mt in block:
+    for key in block_weights(shape, window, "col"):
+        solved = dcb_wedge(shape, window, dict(key))
+        images = {mt: xi_V(mt, window) for mt in solved.order}
+        for mt in solved.order:
             acc: dict = {}
             for g, c in solved.canon[mt].items():
                 add_into(acc, images[g].coeffs, c)

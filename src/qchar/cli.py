@@ -19,11 +19,11 @@ import sys
 
 from . import bases, characters
 from .combinatorics import (
-    MultiTableau,
     Partition,
     SignedMultiPartition,
     enumerate_tableaux,
     pyramid_report,
+    weight_key,
 )
 from .laurent import ONE, add_into, in_qinv_lattice
 from .tensor_space import (
@@ -31,8 +31,6 @@ from .tensor_space import (
     bar_involution,
     hecke_act,
     hecke_act_inverse,
-    of_weight,
-    weight_key,
 )
 
 
@@ -118,7 +116,7 @@ def cmd_enumerate(args) -> int:
     tableaux = enumerate_tableaux(shape, args.kind, window)
     if args.weight is not None:
         mu = parse_weight(args.weight)
-        tableaux = of_weight(tableaux, shape.sign_sequence(), mu, MultiTableau.row_reading)
+        tableaux = bases.tableaux_of_weight(tableaux, window, mu)
     rows = [
         {
             "tableau": bases.tableau_json(mt),

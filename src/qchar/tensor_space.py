@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
-from .combinatorics import bruhat_key, inversions, key_leq, weight_key, wt_key
+from .combinatorics import bruhat_key, inversions, key_leq, wt_key
 from .laurent import (
     Element,
     LaurentPoly,
@@ -451,15 +451,6 @@ def monomials(signs: tuple[str, ...], window: tuple[int, int]):
     return itertools.product(range(lo, hi + 1), repeat=len(signs))
 
 
-def of_weight(items, signs: tuple[str, ...], mu: dict[int, int], reading=None) -> list:
-    """The items whose reading (the item itself when `reading` is None) has
-    signed weight mu, in input order."""
-    target = weight_key(mu)
-    if reading is None:
-        return [f for f in items if wt_key(f, signs) == target]
-    return [x for x in items if wt_key(reading(x), signs) == target]
-
-
 def by_weight(items, signs: tuple[str, ...], reading=None) -> dict[tuple, list]:
     """Group items by the `weight_key` of their reading (the item itself when
     `reading` is None), keeping input order inside each group."""
@@ -496,5 +487,45 @@ def weight_block(
     signs: tuple[str, ...], window: tuple[int, int], mu: dict[int, int]
 ) -> list[tuple[int, ...]]:
     """All monomial indices in the window of signed weight mu, sorted by a
-    fixed linear extension of the Bruhat order."""
-    return linear_extension(of_weight(monomials(signs, window), signs, mu), signs)
+    fixed linear extension of the Bruhat order.
+
+    The weight is additive over positions, so the indices are generated
+    position by position, keeping the weight `need` that the remaining
+    positions must make up.  A prefix is cut as soon as the positive part of
+    `need` exceeds the number of "+" positions left; since the total of
+    `need` always equals the "+" positions left minus the "-" ones, the
+    negative part then fits the "-" positions too, and every prefix kept
+    completes.  The cost is the block's size times k times the window width.
+    """
+    lo, hi = window
+    steps = [1 if s == "+" else -1 for s in signs]
+    need = [0] * max(hi - lo + 1, 0)
+    for a, c in mu.items():
+        if c:
+            if not lo <= a <= hi:
+                return []
+            need[a - lo] = c
+    if sum(need) != sum(steps):
+        return []
+    plus_after = [steps[j + 1 :].count(1) for j in range(len(steps))]
+    out: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+
+    def walk(j: int, over: int) -> None:
+        """Extend `prefix` at position j; `over` is the positive part of `need`."""
+        if j == len(steps):
+            out.append(tuple(prefix))
+            return
+        s, room = steps[j], plus_after[j]
+        for i, c in enumerate(need):
+            after = over - (c > 0) if s == 1 else over + (c >= 0)
+            if after > room:
+                continue
+            need[i] = c - s
+            prefix.append(lo + i)
+            walk(j + 1, after)
+            prefix.pop()
+            need[i] = c
+
+    walk(0, sum(c for c in need if c > 0))
+    return linear_extension(out, signs)

@@ -12,6 +12,8 @@ from qchar.combinatorics import (
     column_stabilizer,
     enumerate_tableaux,
     multi_tableau_from_row_reading,
+    weight_key,
+    wt_key,
 )
 from qchar.laurent import (
     LaurentPoly,
@@ -43,6 +45,7 @@ from qchar.bases import (
     straighten,
     sym_ideal_dcb,
     tableau_json,
+    tableaux_of_weight,
     weight_blocks,
     xi_raw,
     xi_V,
@@ -54,6 +57,7 @@ from qchar.tensor_space import (
     bar_involution,
     by_weight,
     hecke_act,
+    linear_extension,
     monomials,
     weight_block,
 )
@@ -412,6 +416,42 @@ class TestWeightBlocks:
         assert weight_blocks(shape, window, "t") == [
             (dict(k), weight_block(signs, window, dict(k))) for k in keys
         ]
+
+    @pytest.mark.parametrize("window", [(1, 4), (0, 5)], ids=["1..4", "0..5"])
+    @pytest.mark.parametrize("kind", ["row", "col", "std"])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            MP(((2, 1), "-")),
+            MP(((2, 1), "+"), ((1,), "-")),
+            MP(((1, 1), "-"), ((2,), "+")),
+            MP(((1,), "+"), ((1,), "-"), ((1,), "+")),
+        ],
+        ids=str,
+    )
+    def test_block_matches_the_per_label_weight_filter(self, shape, kind, window):
+        signs, reading = shape.sign_sequence(), qchar.bases._reading(kind)
+        labels = enumerate_tableaux(shape, kind, window)
+        keys = [wt_key(mt.row_reading(), signs) for mt in labels]
+
+        def of_weight(mu):
+            key = weight_key(mu)
+            return [mt for mt, k in zip(labels, keys) if k == key]
+
+        weights = [dict(key) for key in block_weights(shape, window, kind)]
+        for mu in weights:
+            assert qchar.bases._block(shape, window, kind, mu) == linear_extension(of_weight(mu), signs, reading)
+        # A carry of b between the first two digits keeps a weight's code in
+        # base b, so a base too small for mu would list labels of another weight.
+        lo, hi = window
+        k = len(signs)
+        carried = [
+            {**mu, lo: mu.get(lo, 0) + b, lo + 1: mu.get(lo + 1, 0) - 1}
+            for mu in weights
+            for b in (k + 1, 2 * k + 1)
+        ]
+        for mu in carried + [{}, {lo - 1: 1, hi: 0}, {lo: k + 1}, {lo: 0, hi + 1: 0}]:
+            assert tableaux_of_weight(labels, window, mu) == of_weight(mu), mu
 
     @pytest.mark.parametrize("solve, span", [(sym_ideal_dcb, "symmetrizer ideal"), (dcb_wedge, "kappa span")])
     def test_bar_residual_names_the_label(self, monkeypatch, solve, span):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qchar.combinatorics import weight_key
 from qchar.laurent import (
     LaurentPoly,
     ONE,
@@ -421,6 +422,26 @@ class TestWeightBlock:
         signs = ("+", "+")
         out = linear_extension([(2, 1), (1, 2)], signs)
         assert out == [(1, 2), (2, 1)]
+
+    @pytest.mark.parametrize("window", [(0, 3), (2, 2), (3, 2)], ids=["0..3", "2..2", "3..2"])
+    def test_generated_blocks_match_the_filtered_product(self, window):
+        lo, hi = window
+        for k in range(5):
+            for signs in itertools.product("+-", repeat=k):
+                product = list(itertools.product(range(lo, hi + 1), repeat=k))
+                total = signs.count("+") - signs.count("-")
+                weights = [dict(key) for key in sorted({wt_key(f, signs) for f in product})]
+                # the same weights with explicit zero entries, in and outside the window
+                weights += [{**dict.fromkeys(range(lo - 1, hi + 2), 0), **mu} for mu in weights]
+                weights += [
+                    {},
+                    {hi + 1: 1, lo: total - 1},  # right total, an index outside the window
+                    {lo: total + 1},  # wrong total
+                ]
+                for mu in weights:
+                    key = weight_key(mu)
+                    oracle = linear_extension([f for f in product if wt_key(f, signs) == key], signs)
+                    assert weight_block(signs, window, mu) == oracle, (signs, mu)
 
 
 def _terms(coeffs):
