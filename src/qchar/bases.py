@@ -22,6 +22,7 @@ from .combinatorics import (
     enumerate_tableaux,
     inversions,
     multi_tableau_from_row_reading,
+    weight_key,
 )
 from .laurent import (
     Element,
@@ -259,40 +260,19 @@ def _reading(kind: str):
 
 
 def tableaux_of_weight(
-    tableaux: list[MultiTableau], window: tuple[int, int], mu: dict[int, int]
+    tableaux: tuple[MultiTableau, ...], mu: dict[int, int]
 ) -> list[MultiTableau]:
-    """The multi-tableaux of signed weight mu, in input order; all of them
-    must share one shape and have entries inside the window.
-
-    A signed weight is the sum of its pieces' signed weights.  Each weight is
-    coded as the integer sum of c * base^(a - lo) over its entries (a, c);
-    the base exceeds the number of boxes (the largest |c| of a tableau) plus
-    the largest |c| of mu, so the codes of a tableau and of mu are equal only
-    when their weights are.  A piece tableau shared across the product that
-    `enumerate_tableaux` builds is coded once, keyed by its id.
-    """
-    if not tableaux:
-        return []
-    lo, hi = window
-    if any(c and not lo <= a <= hi for a, c in mu.items()):
-        return []
-    boxes = sum(t.shape.size for t in tableaux[0].components)
-    base = boxes + max(map(abs, mu.values()), default=0) + 1
-    power = [base**i for i in range(hi - lo + 1)]
-    target = sum(c * power[a - lo] for a, c in mu.items() if c)
-    pieces = {id(t): t for mt in tableaux for t in mt.components}
-    codes = {
-        i: (1 if t.sign == "+" else -1) * sum(power[x - lo] for row in t.rows for x in row)
-        for i, t in pieces.items()
-    }
-    return [mt for mt in tableaux if sum(map(codes.__getitem__, map(id, mt.components))) == target]
+    """The multi-tableaux of signed weight mu, in input order, each compared
+    by its cached `signed_key`."""
+    key = weight_key(mu)
+    return [mt for mt in tableaux if mt.signed_key == key]
 
 
 def _block(
     shape: SignedMultiPartition, window: tuple[int, int], kind: str, mu: dict[int, int]
 ) -> list[MultiTableau]:
     """The tableaux of one kind and signed weight mu, in block order."""
-    block = tableaux_of_weight(enumerate_tableaux(shape, kind, window), window, mu)
+    block = tableaux_of_weight(enumerate_tableaux(shape, kind, window), mu)
     return linear_extension(block, shape.sign_sequence(), _reading(kind))
 
 
@@ -300,8 +280,12 @@ def _by_weight(
     shape: SignedMultiPartition, window: tuple[int, int], kind: str
 ) -> dict[tuple, list]:
     signs = shape.sign_sequence()
-    labels = monomials(signs, window) if kind == "t" else enumerate_tableaux(shape, kind, window)
-    return by_weight(labels, signs, _reading(kind))
+    if kind == "t":
+        return by_weight(monomials(signs, window), signs)
+    groups: dict[tuple, list] = {}
+    for mt in enumerate_tableaux(shape, kind, window):
+        groups.setdefault(mt.signed_key, []).append(mt)
+    return groups
 
 
 def block_weights(

@@ -116,7 +116,7 @@ def cmd_enumerate(args) -> int:
     tableaux = enumerate_tableaux(shape, args.kind, window)
     if args.weight is not None:
         mu = parse_weight(args.weight)
-        tableaux = bases.tableaux_of_weight(tableaux, window, mu)
+        tableaux = bases.tableaux_of_weight(tableaux, mu)
     rows = [
         {
             "tableau": bases.tableau_json(mt),

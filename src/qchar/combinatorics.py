@@ -13,6 +13,7 @@ import bisect
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .laurent import add_into
@@ -251,8 +252,13 @@ class MultiTableau:
             add_into(nu, t.weight())
         return nu
 
+    @cached_property
+    def signed_key(self) -> tuple[tuple[int, int], ...]:
+        """The `weight_key` of the signed weight, computed once per label."""
+        return wt_key(self.row_reading(), self.shape.sign_sequence())
+
     def weight_signed(self) -> dict[int, int]:
-        return dict(wt_key(self.row_reading(), self.shape.sign_sequence()))
+        return dict(self.signed_key)
 
     def is_row(self) -> bool:
         return all(t.is_row() for t in self.components)
@@ -338,17 +344,28 @@ def enumerate_tableaux(
     shape: SignedMultiPartition | tuple[Partition, Sign],
     kind: str,
     window: tuple[int, int],
-) -> list[MultiTableau]:
+) -> tuple[MultiTableau, ...]:
     """All Row/Col/Std multi-tableaux with entries inside the window.
 
     Output order is lexicographic on the row reading, which keeps listings
     and golden files deterministic: each piece's list is sorted by its
-    fixed-length row reading, so the product of the lists already is.
+    fixed-length row reading, so the product of the lists already is.  The
+    result is memoized per (shape, kind, window) in a bounded LRU, so every
+    block of a sweep reads one shared, immutable listing.
     """
     if isinstance(shape, tuple):
         shape = SignedMultiPartition((shape,))
+    return _tableaux(shape, kind, tuple(window))
+
+
+@lru_cache(maxsize=64)
+def _tableaux(shape: SignedMultiPartition, kind: str, window: tuple[int, int]) -> tuple:
     per_piece = [enumerate_component(p, s, kind, window) for p, s in shape.pieces]
-    return [MultiTableau(combo) for combo in itertools.product(*per_piece)]
+    return tuple(MultiTableau(combo) for combo in itertools.product(*per_piece))
+
+
+enumerate_tableaux.cache_info = _tableaux.cache_info
+enumerate_tableaux.cache_clear = _tableaux.cache_clear
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ stored mappings.  All solver-support primitives (`antisym_solve`,
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import cache
+from functools import lru_cache
 
 
 def add_into(acc: dict, terms, scale=None) -> dict:
@@ -244,13 +244,13 @@ def exact_divide(p: LaurentPoly, r: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(quot)
 
 
-@cache
+@lru_cache(maxsize=64)
 def quantum_integer(r: int) -> LaurentPoly:
     """[r] = (q^r - q^-r)/(q - q^-1) = q^{r-1} + q^{r-3} + ... + q^{1-r}."""
     return LaurentPoly({r - 1 - 2 * i: 1 for i in range(r)})
 
 
-@cache
+@lru_cache(maxsize=64)
 def quantum_factorial(r: int) -> LaurentPoly:
     """[r]! = [1][2]...[r]."""
     out = ONE

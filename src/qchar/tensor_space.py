@@ -14,9 +14,9 @@ import collections
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 
-from .combinatorics import bruhat_key, inversions, key_leq, wt_key
+from .combinatorics import bruhat_key, key_leq, wt_key
 from .laurent import (
     Element,
     LaurentPoly,
@@ -263,15 +263,6 @@ def reduced_word(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed(word))
 
 
-@cache
-def symmetric_group(k: int) -> tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]:
-    """All permutations of 1..k with inversion number and a reduced word."""
-    return tuple(
-        (p, inversions(p), reduced_word(p))
-        for p in itertools.permutations(range(1, k + 1))
-    )
-
-
 def _symmetrizer_act(x: TensorElement, start: int, k: int, anti: bool) -> TensorElement:
     """Right-multiply by Sym_k (or Ant_k) on positions start..start+k-1.
 
@@ -392,7 +383,7 @@ def _check_zeta(si: str, sj: str, z: LaurentPoly) -> bool:
     return True
 
 
-@cache
+@lru_cache(maxsize=1)
 def zeta_constants() -> dict[tuple[str, str], LaurentPoly]:
     """Derive the pairwise quasi-R constants, one per ordered sign pair.
 

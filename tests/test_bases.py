@@ -67,6 +67,15 @@ def MP(*pieces):
     return SignedMultiPartition(tuple((Partition(p), s) for p, s in pieces))
 
 
+# Shapes whose blocks are checked against the per-label weight filter.
+FILTER_SHAPES = [
+    MP(((2, 1), "-")),
+    MP(((2, 1), "+"), ((1,), "-")),
+    MP(((1, 1), "-"), ((2,), "+")),
+    MP(((1,), "+"), ((1,), "-"), ((1,), "+")),
+]
+
+
 def MT(shape, reading):
     return multi_tableau_from_row_reading(shape, tuple(reading))
 
@@ -419,16 +428,7 @@ class TestWeightBlocks:
 
     @pytest.mark.parametrize("window", [(1, 4), (0, 5)], ids=["1..4", "0..5"])
     @pytest.mark.parametrize("kind", ["row", "col", "std"])
-    @pytest.mark.parametrize(
-        "shape",
-        [
-            MP(((2, 1), "-")),
-            MP(((2, 1), "+"), ((1,), "-")),
-            MP(((1, 1), "-"), ((2,), "+")),
-            MP(((1,), "+"), ((1,), "-"), ((1,), "+")),
-        ],
-        ids=str,
-    )
+    @pytest.mark.parametrize("shape", FILTER_SHAPES, ids=str)
     def test_block_matches_the_per_label_weight_filter(self, shape, kind, window):
         signs, reading = shape.sign_sequence(), qchar.bases._reading(kind)
         labels = enumerate_tableaux(shape, kind, window)
@@ -441,8 +441,8 @@ class TestWeightBlocks:
         weights = [dict(key) for key in block_weights(shape, window, kind)]
         for mu in weights:
             assert qchar.bases._block(shape, window, kind, mu) == linear_extension(of_weight(mu), signs, reading)
-        # A carry of b between the first two digits keeps a weight's code in
-        # base b, so a base too small for mu would list labels of another weight.
+        # Weights one carry of b away from a block weight: a positional code
+        # of the weight in base b would not tell them from it.
         lo, hi = window
         k = len(signs)
         carried = [
@@ -451,7 +451,15 @@ class TestWeightBlocks:
             for b in (k + 1, 2 * k + 1)
         ]
         for mu in carried + [{}, {lo - 1: 1, hi: 0}, {lo: k + 1}, {lo: 0, hi + 1: 0}]:
-            assert tableaux_of_weight(labels, window, mu) == of_weight(mu), mu
+            assert tableaux_of_weight(labels, mu) == of_weight(mu), mu
+
+    @pytest.mark.parametrize("shape", FILTER_SHAPES, ids=str)
+    def test_cached_key_is_the_signed_weight_key(self, shape):
+        signs = shape.sign_sequence()
+        for kind, window in itertools.product(("row", "col", "std"), ((1, 4), (0, 5))):
+            for mt in enumerate_tableaux(shape, kind, window):
+                assert mt.signed_key == wt_key(mt.row_reading(), signs)
+                assert mt.signed_key == weight_key(mt.weight_signed())
 
     @pytest.mark.parametrize("solve, span", [(sym_ideal_dcb, "symmetrizer ideal"), (dcb_wedge, "kappa span")])
     def test_bar_residual_names_the_label(self, monkeypatch, solve, span):
@@ -462,6 +470,28 @@ class TestWeightBlocks:
         shape = MP(((1,), "+"), ((1,), "+"))
         with pytest.raises(RuntimeError, match=rf"^bar image of 1 / 2 leaves the {span}: "):
             solve(shape, (1, 2), {1: 1, 2: 1})
+
+
+class TestTableauMemo:
+    def solve_all(self):
+        """Every dcb_S block of one shape and every Delta block of another,
+        as (labels, JSON) per block."""
+        out = []
+        shape = MP(((2, 1), "+"), ((1,), "+"))
+        for key in block_weights(shape, (1, 4), "row"):
+            blk = dcb_S(shape, (1, 4), dict(key))
+            out.append((blk.order, blk.to_json()))
+        shape = MP(((2, 1), "+"), ((1,), "-"))
+        for key in block_weights(shape, (1, 3), "std"):
+            block, deltas = delta_block(shape, (1, 3), dict(key))
+            out.append((tuple(block), [deltas[mt].to_json() for mt in block]))
+        return out
+
+    def test_cold_and_warm_runs_agree(self):
+        enumerate_tableaux.cache_clear()
+        cold = self.solve_all()
+        assert enumerate_tableaux.cache_info().currsize == 2
+        assert self.solve_all() == cold
 
 
 class TestSerialization:

@@ -270,6 +270,15 @@ class TestEnumeration:
             readings = [t.row_reading() for t in tabs]
             assert readings and readings == sorted(readings), kind
 
+    def test_memo_returns_one_shared_tuple(self):
+        shape = MP(((2, 1), "+"), ((1,), "-"))
+        tabs = enumerate_tableaux(shape, "row", (0, 2))
+        assert isinstance(tabs, tuple)
+        assert enumerate_tableaux(shape, "row", (0, 2)) is tabs
+        assert enumerate_tableaux(shape, "row", [0, 2]) is tabs
+        enumerate_tableaux.cache_clear()
+        assert enumerate_tableaux(shape, "row", [0, 2]) == tabs
+
     def test_multi_round_trip(self):
         shape = MP(((2, 1), "+"), ((2,), "-"))
         for mt in enumerate_tableaux(shape, "row", (0, 2)):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qchar.combinatorics import weight_key
+from qchar.combinatorics import inversions, weight_key
 from qchar.laurent import (
     LaurentPoly,
     ONE,
@@ -32,15 +32,19 @@ from qchar.tensor_space import (
     hecke_act_inverse,
     hecke_act_word,
     hecke_act_word_inverse,
-    inversions,
     linear_extension,
     reduced_word,
-    symmetric_group,
     symmetrize,
     weight_block,
     wt_key,
     zeta_constants,
 )
+
+
+def symmetric_group(k):
+    """All permutations of 1..k with inversion number and a reduced word:
+    the word-sum oracle of the symmetrizer tests."""
+    return [(p, inversions(p), reduced_word(p)) for p in itertools.permutations(range(1, k + 1))]
 
 
 def mono(signs, window, f, coeff=ONE):
