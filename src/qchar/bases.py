@@ -39,13 +39,12 @@ from .tensor_space import (
     TensorElement,
     antisymmetrize,
     bar_involution,
-    by_weight,
     hecke_act_word,
     linear_extension,
-    monomials,
     reduced_word,
     symmetrize,
     weight_block,
+    weight_keys,
 )
 
 class RouteDisagreement(RuntimeError):
@@ -136,7 +135,7 @@ class TriangularBlock:
 
     def to_latex(self) -> str:
         """The canonical matrix as a LaTeX tabular, rows and columns in order."""
-        return latex_table(self.order, self.canon, "${}$".format)
+        return latex_table(self.order, self.canon, latex_poly)
 
 
 def sparse_json(order, cols: dict, cell) -> list:
@@ -149,6 +148,14 @@ def sparse_json(order, cols: dict, cell) -> list:
         for j, t in enumerate(order)
         for g, c in sorted(cols.get(t, {}).items(), key=lambda kv: pos[kv[0]])
     ]
+
+
+def latex_poly(c) -> str:
+    """A Laurent coefficient, or 0, in math mode, in the `str` form of
+    `LaurentPoly` with every exponent braced: TeX sets `q^{-1}` whole, but
+    `q^-1` as q^- followed by 1."""
+    terms = sorted(c.terms.items(), reverse=True) if c else ()
+    return "$" + (" + ".join(f"{v}*q^{{{e}}}" for e, v in terms) or "0") + "$"
 
 
 def latex_table(order, cols: dict, cell) -> str:
@@ -253,10 +260,9 @@ def bar_S(x: SElement) -> SElement:
 
 
 def _reading(kind: str):
-    """The reading that orders and indexes a block of labels of `kind`:
-    column reading for Col tableaux, row reading for Row and Std ones, and
-    none for the monomials of kind "t", which are their own reading."""
-    return {"t": None, "col": MultiTableau.column_reading}.get(kind, MultiTableau.row_reading)
+    """The reading that orders and indexes a block of tableaux of `kind`:
+    column reading for Col tableaux, row reading for Row and Std ones."""
+    return MultiTableau.column_reading if kind == "col" else MultiTableau.row_reading
 
 
 def tableaux_of_weight(
@@ -270,44 +276,35 @@ def tableaux_of_weight(
 
 def _block(
     shape: SignedMultiPartition, window: tuple[int, int], kind: str, mu: dict[int, int]
-) -> list[MultiTableau]:
-    """The tableaux of one kind and signed weight mu, in block order."""
-    block = tableaux_of_weight(enumerate_tableaux(shape, kind, window), mu)
-    return linear_extension(block, shape.sign_sequence(), _reading(kind))
-
-
-def _by_weight(
-    shape: SignedMultiPartition, window: tuple[int, int], kind: str
-) -> dict[tuple, list]:
+) -> list:
+    """The labels of one kind and signed weight mu, in block order: Row, Col
+    or Std tableaux, or "t" for the monomials of the tensor module of the
+    shape's sign sequence."""
     signs = shape.sign_sequence()
     if kind == "t":
-        return by_weight(monomials(signs, window), signs)
-    groups: dict[tuple, list] = {}
-    for mt in enumerate_tableaux(shape, kind, window):
-        groups.setdefault(mt.signed_key, []).append(mt)
-    return groups
+        return weight_block(signs, window, mu)
+    block = tableaux_of_weight(enumerate_tableaux(shape, kind, window), mu)
+    return linear_extension(block, signs, _reading(kind))
 
 
 def block_weights(
     shape: SignedMultiPartition, window: tuple[int, int], kind: str
 ) -> list[tuple[tuple[int, int], ...]]:
-    """The sorted weight keys of the nonempty blocks of labels of a kind:
-    Row, Col or Std tableaux, or "t" for the monomials of the tensor module
-    of the shape's sign sequence."""
-    return sorted(_by_weight(shape, window, kind))
+    """The sorted weight keys of the nonempty blocks of labels of a kind, as
+    `_block` lists them."""
+    if kind == "t":
+        return sorted(weight_keys(shape.sign_sequence(), window))
+    return sorted({mt.signed_key for mt in enumerate_tableaux(shape, kind, window)})
 
 
 def weight_blocks(
     shape: SignedMultiPartition, window: tuple[int, int], kind: str
 ) -> list[tuple[dict[int, int], list]]:
-    """Split the labels of a kind into signed-weight blocks in the order of
-    `block_weights`, each ordered by the fixed linear extension of the
-    Bruhat order on readings."""
-    signs, reading = shape.sign_sequence(), _reading(kind)
-    buckets = _by_weight(shape, window, kind)
+    """Every block of labels of a kind with its weight, in the order of
+    `block_weights`."""
     return [
-        (dict(key), linear_extension(buckets[key], signs, reading))
-        for key in sorted(buckets)
+        (dict(k), _block(shape, window, kind, dict(k)))
+        for k in block_weights(shape, window, kind)
     ]
 
 

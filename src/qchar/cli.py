@@ -28,6 +28,8 @@ from .combinatorics import (
 from .laurent import ONE, add_into, in_qinv_lattice
 from .tensor_space import (
     TensorElement,
+    act_E,
+    act_F,
     bar_involution,
     hecke_act,
     hecke_act_inverse,
@@ -297,15 +299,22 @@ def _suite_hecke():
 
 def _suite_bar():
     rng = random.Random(20260824)
-    window = (1, 3)
+    lo, hi = window = (1, 3)
     for signs in (("+", "+"), ("+", "-"), ("-", "-", "+")):
         for _ in range(10):
             x = _random_element(signs, window, rng)
-            if bar_involution(bar_involution(x)) != x:
+            bx = bar_involution(x)
+            if bar_involution(bx) != x:
                 yield {"signs": signs, "property": "involution"}
             for i in _runs(signs):
-                if bar_involution(hecke_act(i, x)) != hecke_act_inverse(i, bar_involution(x)):
+                if bar_involution(hecke_act(i, x)) != hecke_act_inverse(i, bx):
                     yield {"signs": signs, "property": "hecke twist", "i": i}
+            # psi commutes with E_a and F_a; a < hi keeps every image inside
+            # the window
+            for a in range(lo, hi):
+                for name, act in (("E", act_E), ("F", act_F)):
+                    if bar_involution(act(a, x)) != act(a, bx):
+                        yield {"signs": signs, "property": f"{name} commutation", "a": a}
 
 
 def _row_blocks(cases):
@@ -321,7 +330,8 @@ def _suite_dcb():
         (_sp(((1, 1), "+")), (1, 3)),
         (_sp(((2,), "+"), ((1, 1), "-")), (1, 2)),
     ]):
-        blk = bases.dcb_S(shape, window, mu)
+        with _naming_block(shape, window, mu):
+            blk = bases.dcb_S(shape, window, mu)
         for t in blk.order:
             canon = blk.canon[t]
             if canon.get(t) != ONE:
@@ -361,14 +371,16 @@ def _suite_sameDCB():
         (_sp(((2, 1), "+")), (1, 3)),
         (_sp(((1,), "+"), ((1, 1), "-")), (1, 2)),
     ]):
-        a = bases.dcb_S(shape, window, mu)
-        b = bases.sym_ideal_dcb(shape, window, mu)
+        with _naming_block(shape, window, mu):
+            a = bases.dcb_S(shape, window, mu)
+            b = bases.sym_ideal_dcb(shape, window, mu)
         if a.order != b.order or a.canon != b.canon:
             yield {"shape": str(shape), "weight": mu, "property": "identification"}
 
 
 # Every verification suite by name, in the order `verify --suite all` runs
-# them.  A suite is a generator of one detail dict per failure.
+# them.  A suite is a generator of one detail dict per failure; a suite that
+# raises fails with the error as its detail, and the next suite still runs.
 SUITES = {
     "hecke": _suite_hecke,
     "bar": _suite_bar,
@@ -383,7 +395,10 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failures = []
     for name in names:
-        detail = next(SUITES[name](), None)
+        try:
+            detail = next(SUITES[name](), None)
+        except (ValueError, RuntimeError) as exc:
+            detail = {"error": str(exc)}
         print(("PASS" if detail is None else "FAIL") + f" {name}")
         if detail is not None:
             failures.append({"suite": name, "detail": detail})

@@ -9,7 +9,6 @@ stored mappings.  All solver-support primitives (`antisym_solve`,
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import lru_cache
 
 
 def add_into(acc: dict, terms, scale=None) -> dict:
@@ -82,11 +81,6 @@ class LaurentPoly:
         self.terms = {e: c for e, c in (terms or {}).items() if c}
         self._hash: int | None = None
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "LaurentPoly":
-        """Build from an iterable of (exponent, coefficient) pairs."""
-        return cls(add_into({}, pairs))
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -158,10 +152,6 @@ class LaurentPoly:
         """JSON form: [exponent, coefficient-as-decimal-string] pairs, descending exponent."""
         return [[e, str(c)] for e, c in sorted(self.terms.items(), reverse=True)]
 
-    @classmethod
-    def from_json(cls, data) -> "LaurentPoly":
-        return cls({int(e): int(c) for e, c in data})
-
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
@@ -179,11 +169,6 @@ def q_power(e: int, c: int = 1) -> LaurentPoly:
 def bar(p: LaurentPoly) -> LaurentPoly:
     """The bar involution q -> q^-1: negate every exponent."""
     return LaurentPoly({-e: c for e, c in p.terms.items()})
-
-
-def eval_at_one(p: LaurentPoly) -> int:
-    """Specialize q to 1, i.e. sum the coefficients."""
-    return sum(p.terms.values())
 
 
 def eval_at_minus_one(p: LaurentPoly) -> int:
@@ -243,17 +228,3 @@ def exact_divide(p: LaurentPoly, r: LaurentPoly) -> LaurentPoly:
         add_into(num, {e + shift: ce for e, ce in r.terms.items()}, -c)
     return LaurentPoly(quot)
 
-
-@lru_cache(maxsize=64)
-def quantum_integer(r: int) -> LaurentPoly:
-    """[r] = (q^r - q^-r)/(q - q^-1) = q^{r-1} + q^{r-3} + ... + q^{1-r}."""
-    return LaurentPoly({r - 1 - 2 * i: 1 for i in range(r)})
-
-
-@lru_cache(maxsize=64)
-def quantum_factorial(r: int) -> LaurentPoly:
-    """[r]! = [1][2]...[r]."""
-    out = ONE
-    for k in range(2, r + 1):
-        out = out * quantum_integer(k)
-    return out

@@ -23,9 +23,7 @@ from .laurent import (
     ONE,
     add_into,
     bar,
-    exact_divide,
     q_power,
-    quantum_factorial,
 )
 
 
@@ -59,38 +57,9 @@ class TensorElement(Element):
     ) -> "TensorElement":
         return cls(signs, window, {f: coeff})
 
-    def weight(self) -> dict[int, int]:
-        if self.is_zero():
-            raise ValueError("the zero element has no single weight")
-        weights = by_weight(self.coeffs, self.signs)
-        if len(weights) > 1:
-            raise ValueError("element is not weight-homogeneous")
-        return dict(next(iter(weights)))
-
     def __repr__(self) -> str:
         body = " + ".join(f"({c})*M{f}" for f, c in sorted(self.coeffs.items()))
         return body or "0"
-
-    def to_json(self) -> dict:
-        return {
-            "signs": "".join(self.signs),
-            "window": list(self.window),
-            "terms": [
-                {"f": list(f), "coeff": self.coeffs[f].to_json()}
-                for f in sorted(self.coeffs)
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "TensorElement":
-        return cls(
-            tuple(data["signs"]),
-            tuple(data["window"]),
-            {
-                tuple(t["f"]): LaurentPoly.from_json(t["coeff"])
-                for t in data["terms"]
-            },
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -171,24 +140,6 @@ def act_F(a: int, x: TensorElement) -> TensorElement:
     return _act_raise_lower(a, x, "F", conjugate=False)
 
 
-def _divided_power(act, a: int, r: int, x: TensorElement) -> TensorElement:
-    """act(a, -)^r / [r]!; non-exact division signals an integrality bug."""
-    for _ in range(r):
-        x = act(a, x)
-    fact = quantum_factorial(r)
-    return x.map_coeffs(lambda c: exact_divide(c, fact))
-
-
-def act_E_divided(a: int, r: int, x: TensorElement) -> TensorElement:
-    """The divided power E_a^{(r)} = E_a^r / [r]!."""
-    return _divided_power(act_E, a, r, x)
-
-
-def act_F_divided(a: int, r: int, x: TensorElement) -> TensorElement:
-    """The divided power F_a^{(r)} = F_a^r / [r]!."""
-    return _divided_power(act_F, a, r, x)
-
-
 # ---------------------------------------------------------------------------
 # Hecke action.
 # ---------------------------------------------------------------------------
@@ -233,13 +184,6 @@ def hecke_act_word(word, x: TensorElement) -> TensorElement:
     """Right action of H_{i_1} ... H_{i_t} for the sequence `word`."""
     for i in word:
         x = hecke_act(i, x)
-    return x
-
-
-def hecke_act_word_inverse(word, x: TensorElement) -> TensorElement:
-    """Right action of (H_{i_1} ... H_{i_t})^{-1} = H_{i_t}^{-1} ... H_{i_1}^{-1}."""
-    for i in reversed(word):
-        x = hecke_act_inverse(i, x)
     return x
 
 
@@ -435,20 +379,11 @@ def bar_involution(x: TensorElement) -> TensorElement:
 # ---------------------------------------------------------------------------
 
 
-def monomials(signs: tuple[str, ...], window: tuple[int, int]):
-    """Every monomial index of the tensor module in the window, in
-    lexicographic order."""
+def weight_keys(signs: tuple[str, ...], window: tuple[int, int]) -> set[tuple]:
+    """The `wt_key` of every monomial index of the window: the weights of
+    the nonempty blocks of the tensor module."""
     lo, hi = window
-    return itertools.product(range(lo, hi + 1), repeat=len(signs))
-
-
-def by_weight(items, signs: tuple[str, ...], reading=None) -> dict[tuple, list]:
-    """Group items by the `weight_key` of their reading (the item itself when
-    `reading` is None), keeping input order inside each group."""
-    groups: dict[tuple, list] = {}
-    for x in items:
-        groups.setdefault(wt_key(x if reading is None else reading(x), signs), []).append(x)
-    return groups
+    return {wt_key(f, signs) for f in itertools.product(range(lo, hi + 1), repeat=len(signs))}
 
 
 def linear_extension(items, signs: tuple[str, ...], reading=None) -> list:

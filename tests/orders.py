@@ -1,0 +1,80 @@
+"""Reference orders for the tests: the dominance cone, the Bruhat order on
+vectors and the tableau orders, written from their definitions on top of
+the library's `bruhat_key`/`key_leq`, which they serve as oracles of."""
+
+import itertools
+from typing import NamedTuple, Sequence
+
+from qchar.combinatorics import MultiTableau, Tableau, bruhat_key, key_leq
+
+
+def in_P_plus(nu: dict[int, int]) -> bool:
+    """Membership of the cone spanned by delta_a - delta_{a+1} over N.
+
+    Characterized by total coefficient sum zero together with nonnegative
+    prefix sums over increasing a; `key_leq` tests the same prefix sums on
+    cumulative counts.
+    """
+    if sum(nu.values()) != 0:
+        return False
+    prefix = 0
+    for a in sorted(nu):
+        prefix += nu[a]
+        if prefix < 0:
+            return False
+    return True
+
+
+class IntVector(NamedTuple):
+    """An integer vector together with its ambient (n|m)-sign sequence."""
+
+    values: tuple[int, ...]
+    signs: tuple[str, ...]
+
+
+def _keys_at(g: Sequence[int], f: Sequence[int], signs: Sequence[str], starts) -> tuple[list, list]:
+    """The Bruhat keys of g and f on thresholds covering both, cut to the
+    rows of the suffixes that begin at the positions `starts`."""
+    thresholds = sorted({*g, *f})
+    keys = (bruhat_key(v, signs, thresholds) for v in (g, f))
+    return tuple([key[j] for j in starts] for key in keys)
+
+
+def _segment_starts(lengths) -> list[int]:
+    """The first position of each run of consecutive positions of the given lengths."""
+    return [0, *itertools.accumulate(lengths)][:-1]
+
+
+def bruhat_leq(g: IntVector, f: IntVector) -> bool:
+    """The Bruhat order on vectors of one length and sign sequence."""
+    if g.signs != f.signs or len(g.values) != len(f.values):
+        raise ValueError("vectors must share length and sign sequence")
+    return key_leq(*_keys_at(g.values, f.values, g.signs, range(len(g.values))))
+
+
+def tableau_leq_T(A2: Tableau, A1: Tableau, ep: str) -> bool:
+    """A2 <= A1 iff the weights agree and every bottom-truncation weight
+    difference ep*(wt(A1, rows r..l) - wt(A2, rows r..l)) is dominant: the
+    Bruhat comparison of the row readings, every entry signed ep, at the
+    first position of each row."""
+    if A2.shape != A1.shape or A2.sign != A1.sign:
+        raise ValueError("tableaux must share shape and sign")
+    starts = _segment_starts(len(row) for row in A1.rows)
+    return key_leq(*_keys_at(A2.row_reading(), A1.row_reading(), (ep,) * A1.shape.size, starts))
+
+
+def multi_leq_T(bfA2: MultiTableau, bfA1: MultiTableau) -> bool:
+    """The multi-tableau order: equal total signed weight, dominant partial
+    weight differences (the Bruhat comparison of the row readings at the
+    first position of each component), and componentwise comparison when
+    every partial weight agrees."""
+    if bfA2.shape != bfA1.shape:
+        raise ValueError("multi-tableaux must share the signed multi-partition")
+    starts = _segment_starts(t.shape.size for t in bfA1.components)
+    k2, k1 = _keys_at(bfA2.row_reading(), bfA1.row_reading(), bfA1.shape.sign_sequence(), starts)
+    if k2 == k1:
+        return all(
+            tableau_leq_T(t2, t1, t1.sign)
+            for t2, t1 in zip(bfA2.components, bfA1.components)
+        )
+    return key_leq(k2, k1)

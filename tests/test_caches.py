@@ -22,8 +22,6 @@ def test_every_memo_is_bounded_and_clearable():
     found = memos()
     assert {
         "qchar.combinatorics.enumerate_tableaux",
-        "qchar.laurent.quantum_integer",
-        "qchar.laurent.quantum_factorial",
         "qchar.tensor_space.zeta_constants",
         "qchar.tensor_space._psi_monomial",
     } <= set(found)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import qchar.cli
+from qchar import tensor_space
 from qchar.cli import (
     UsageError,
     main,
@@ -12,6 +13,21 @@ from qchar.cli import (
     parse_weight,
     parse_window,
 )
+
+
+@pytest.fixture
+def negated_zeta(monkeypatch):
+    """Negate the derived quasi-R constant of one sign pair for the test;
+    the psi memo is cleared on the way in and out."""
+
+    def negate(si, sj):
+        table = dict(tensor_space.zeta_constants())
+        table[si, sj] = -table[si, sj]
+        monkeypatch.setattr(tensor_space, "zeta_constants", lambda: table)
+        tensor_space._psi_monomial.cache_clear()
+
+    yield negate
+    tensor_space._psi_monomial.cache_clear()
 
 
 def run(capsys, *argv):
@@ -288,6 +304,22 @@ class TestVerify:
         assert code == 0
         assert out.strip() == "PASS theoremC"
 
+    def test_bar_suite_checks_E_and_F_commutation(self, negated_zeta):
+        negated_zeta("+", "+")
+        details = list(qchar.cli.SUITES["bar"]())
+        assert {"E commutation", "F commutation"} <= {d["property"] for d in details}
+        # a runs over 1..2 inside the window 1..3, so no action leaves it
+        assert {d["a"] for d in details if "a" in d} == {1, 2}
+
+    def test_a_raising_suite_fails_and_the_rest_run(self, capsys, negated_zeta):
+        negated_zeta("-", "-")
+        code, out = run(capsys, "verify", "--suite", "all")
+        assert code == 1
+        *lines, report = out.strip().splitlines()
+        assert [line.split()[1] for line in lines] == list(qchar.cli.SUITES)
+        (dcb,) = [f["detail"] for f in json.loads(report)["failures"] if f["suite"] == "dcb"]
+        assert dcb["error"].startswith("shape 2:+ / 1,1:-, window 1..2, weight ")
+
 
 class TestReport:
     SHAPE = "3,3,1:+ / 4,2:+ / 2:- / 3,1:-"
@@ -402,12 +434,13 @@ GOLDEN = [
         ["decompose", "--shape", "2,1:+", "--window", "1..4", "--format", "latex"],
         "2f7d721f7adb2b4b09117efbc648ce6394ea4d0b53b7d7d53443bb06b40d71e8",
     ),
-    # Recorded before the block and decomposition tables shared one sparse
-    # JSON writer and one LaTeX writer.
+    # Recorded when block LaTeX cells began to brace their exponents
+    # (q^{-1}, not q^-1); the output is otherwise the one of the shared
+    # sparse JSON and LaTeX writers.
     (
         ["dcb", "--space", "s", "--shape", "2,1:+ / 1:+", "--window", "1..3",
          "--format", "latex"],
-        "0e40402cb8e8c35426c18ef423ad7b73a6e2990934a9041735ad088ced73983f",
+        "199a13543193d04ef1c463b9960461eb830c8adfc12095658bd71493675a9b46",
     ),
     (
         ["decompose", "--shape", "2,1:+", "--window", "1..4", "--format", "csv"],

@@ -2,23 +2,19 @@ import itertools
 
 import pytest
 
+from orders import IntVector, bruhat_leq, in_P_plus, multi_leq_T, tableau_leq_T
 from qchar.combinatorics import (
-    IntVector,
     MultiTableau,
     Partition,
     SignedMultiPartition,
     Tableau,
-    bruhat_leq,
     column_stabilizer,
     enumerate_component,
     enumerate_tableaux,
-    in_P_plus,
-    multi_leq_T,
     multi_tableau_from_row_reading,
     pyramid_report,
     refine,
     tableau_from_row_reading,
-    tableau_leq_T,
 )
 
 

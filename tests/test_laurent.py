@@ -5,20 +5,23 @@ from qchar.laurent import (
     LaurentPoly,
     ONE,
     ZERO,
+    add_into,
     antisym_solve,
     bar,
     constant,
-    eval_at_one,
     exact_divide,
     in_qinv_lattice,
     q_power,
-    quantum_factorial,
-    quantum_integer,
 )
 
 
 def poly(*pairs):
-    return LaurentPoly.from_pairs(pairs)
+    """The Laurent polynomial summing the (exponent, coefficient) pairs."""
+    return LaurentPoly(add_into({}, pairs))
+
+
+# The quantum integer [2] = q + q^-1.
+QUANTUM_2 = LaurentPoly({1: 1, -1: 1})
 
 
 laurent_polys = st.builds(
@@ -39,7 +42,7 @@ def test_mul_examples():
     p = poly((4, 2), (0, -7))
     assert p * ONE == p
     # [2]^2 expanded by hand.
-    assert quantum_integer(2) * quantum_integer(2) == poly((2, 1), (0, 2), (-2, 1))
+    assert QUANTUM_2 * QUANTUM_2 == poly((2, 1), (0, 2), (-2, 1))
 
 
 def test_bar_examples():
@@ -47,12 +50,6 @@ def test_bar_examples():
     assert bar(ZERO) == ZERO
     sym = poly((1, 1), (-1, 1))
     assert bar(sym) == sym
-
-
-def test_eval_at_one_examples():
-    assert eval_at_one(poly((1, 1), (-1, 1))) == 2
-    assert eval_at_one(q_power(-1)) == 1
-    assert eval_at_one(poly((2, 1), (0, -2), (-2, 1))) == 0
 
 
 def test_in_qinv_lattice_examples():
@@ -78,11 +75,11 @@ def test_antisym_solve_rejects_non_antisymmetric():
 
 
 def test_exact_divide_examples():
-    assert exact_divide(poly((2, 1), (-2, -1)), poly((1, 1), (-1, -1))) == quantum_integer(2)
+    assert exact_divide(poly((2, 1), (-2, -1)), poly((1, 1), (-1, -1))) == QUANTUM_2
     p = poly((5, 3), (-2, 4))
     assert exact_divide(p, ONE) == p
     with pytest.raises(ValueError):
-        exact_divide(ONE, quantum_integer(2))
+        exact_divide(ONE, QUANTUM_2)
 
 
 def test_canonical_text_form():
@@ -94,13 +91,7 @@ def test_json_round_trip():
     p = poly((3, 12345678901234567890), (-2, -4))
     data = p.to_json()
     assert data == [[3, "12345678901234567890"], [-2, "-4"]]
-    assert LaurentPoly.from_json(data) == p
-
-
-def test_quantum_factorial():
-    assert quantum_factorial(1) == ONE
-    assert quantum_factorial(2) == quantum_integer(2)
-    assert quantum_factorial(3) == quantum_integer(2) * quantum_integer(3)
+    assert LaurentPoly({int(e): int(c) for e, c in data}) == p
 
 
 @given(laurent_polys)
@@ -110,14 +101,13 @@ def test_bar_is_an_involution(p):
 
 @given(laurent_polys)
 def test_eval_at_one_is_bar_invariant(p):
-    assert eval_at_one(bar(p)) == eval_at_one(p)
+    # q = 1 is fixed by q -> q^-1, so the coefficient sum is too
+    assert sum(bar(p).terms.values()) == sum(p.terms.values())
 
 
 @given(st.dictionaries(st.integers(1, 6), st.integers(-9, 9), max_size=4))
 def test_antisym_solve_postconditions(upper):
-    d = LaurentPoly.from_pairs(
-        [(k, c) for k, c in upper.items()] + [(-k, -c) for k, c in upper.items()]
-    )
+    d = poly(*upper.items(), *((-k, -c) for k, c in upper.items()))
     c = antisym_solve(d)
     assert in_qinv_lattice(c)
     assert bar(c) - c == -d

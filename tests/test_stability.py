@@ -5,7 +5,7 @@ Math. J. 2008)."""
 
 from qchar.bases import block_weights, dcb_S, dcb_T
 from qchar.combinatorics import Partition, SignedMultiPartition
-from qchar.tensor_space import by_weight, monomials
+from qchar.tensor_space import weight_keys
 
 WINDOW = (1, 3)
 
@@ -23,7 +23,7 @@ def test_tensor_blocks_are_window_stable():
     checked = 0
     for text in ("+-", "++-", "+-+", "-++", "++--"):
         signs = tuple(text)
-        for key in sorted(by_weight(monomials(signs, WINDOW), signs)):
+        for key in sorted(weight_keys(signs, WINDOW)):
             mu = dict(key)
             small = dcb_T(signs, WINDOW, mu)
             for wide_window in ((0, 4), (1, 4)):

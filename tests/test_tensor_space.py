@@ -4,14 +4,15 @@ import random
 
 import pytest
 
+from orders import IntVector, bruhat_leq
 from qchar.combinatorics import inversions, weight_key
 from qchar.laurent import (
     LaurentPoly,
     ONE,
     ZERO,
     bar,
+    exact_divide,
     q_power,
-    quantum_integer,
 )
 from qchar.tensor_space import (
     Q_MINUS_QINV,
@@ -20,9 +21,7 @@ from qchar.tensor_space import (
     _act_raise_lower,
     _psi_monomial,
     act_E,
-    act_E_divided,
     act_F,
-    act_F_divided,
     act_K,
     act_K_inv,
     act_K_pair,
@@ -31,7 +30,6 @@ from qchar.tensor_space import (
     hecke_act,
     hecke_act_inverse,
     hecke_act_word,
-    hecke_act_word_inverse,
     linear_extension,
     reduced_word,
     symmetrize,
@@ -45,6 +43,10 @@ def symmetric_group(k):
     """All permutations of 1..k with inversion number and a reduced word:
     the word-sum oracle of the symmetrizer tests."""
     return [(p, inversions(p), reduced_word(p)) for p in itertools.permutations(range(1, k + 1))]
+
+
+# The quantum integer [2] = q + q^-1.
+QUANTUM_2 = LaurentPoly({1: 1, -1: 1})
 
 
 def mono(signs, window, f, coeff=ONE):
@@ -73,12 +75,6 @@ class TestElementBasics:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             TensorElement(("+", "-"), (0, 2), {(1,): ONE})
-
-    def test_json_round_trip(self):
-        x = mono("+-", (0, 3), (2, 1), q_power(-2, 5)) + mono("+-", (0, 3), (0, 0))
-        data = x.to_json()
-        assert data["signs"] == "+-"
-        assert TensorElement.from_json(data) == x
 
     def test_hecke_word_validation(self):
         # A word is a plain sequence; hecke_act rejects a generator that
@@ -125,23 +121,25 @@ class TestGeneratorActions:
             act_F(2, mono("+", (0, 2), (2,)))
 
     def test_divided_power(self):
+        # E_a^2 and F_a^2 are divisible by [2]; the divided squares move
+        # both entries of a two-factor monomial.
+        def divided_square(act, x):
+            return act(0, act(0, x)).map_coeffs(lambda c: exact_divide(c, QUANTUM_2))
+
         x = mono("++", (0, 1), (1, 1))
-        y = act_E_divided(0, 2, x)
-        assert y == mono("++", (0, 1), (0, 0))
-        assert act_E_divided(0, 1, x) == act_E(0, x)
-        assert act_E_divided(0, 2, mono("++", (0, 1), (0, 1))).is_zero()
-        z = act_F_divided(0, 2, mono("++", (0, 1), (0, 0)))
-        assert z == mono("++", (0, 1), (1, 1))
+        assert divided_square(act_E, x) == mono("++", (0, 1), (0, 0))
+        assert divided_square(act_E, mono("++", (0, 1), (0, 1))).is_zero()
+        assert divided_square(act_F, mono("++", (0, 1), (0, 0))) == x
 
     def test_serre_relations_on_module(self):
         rng = random.Random(7)
         for signs in ("+++", "+-+", "--+"):
             x = random_element(rng, signs, (0, 4))
             lhs = act_E(1, act_E(1, act_E(2, x))) + act_E(2, act_E(1, act_E(1, x)))
-            rhs = act_E(1, act_E(2, act_E(1, x))).scale(quantum_integer(2))
+            rhs = act_E(1, act_E(2, act_E(1, x))).scale(QUANTUM_2)
             assert lhs == rhs
             lhs = act_F(1, act_F(1, act_F(2, x))) + act_F(2, act_F(1, act_F(1, x)))
-            rhs = act_F(1, act_F(2, act_F(1, x))).scale(quantum_integer(2))
+            rhs = act_F(1, act_F(2, act_F(1, x))).scale(QUANTUM_2)
             assert lhs == rhs
 
     def test_EF_commutator(self):
@@ -204,8 +202,11 @@ class TestHeckeAction:
             x = mono("++", w, f)
             assert hecke_act_inverse(1, hecke_act(1, x)) == x
             assert hecke_act(1, hecke_act_inverse(1, x)) == x
-        y = mono("+++", w, (2, 0, 1))
-        assert hecke_act_word_inverse((1, 2), hecke_act_word((1, 2), y)) == y
+        # (H_1 H_2)^-1 = H_2^-1 H_1^-1
+        z = hecke_act_word((1, 2), mono("+++", w, (2, 0, 1)))
+        for i in (2, 1):
+            z = hecke_act_inverse(i, z)
+        assert z == mono("+++", w, (2, 0, 1))
 
     def test_commutes_with_quantum_group(self):
         rng = random.Random(3)
@@ -234,7 +235,7 @@ class TestSymmetrizers:
         # Sym_2 = q*1 + H_1, so M_{(a,a)} Sym_2 = (q + q^{-1}) M_{(a,a)}.
         w = (0, 2)
         x = mono("++", w, (1, 1))
-        assert symmetrize(x, [(1, 2)]) == x.scale(quantum_integer(2))
+        assert symmetrize(x, [(1, 2)]) == x.scale(QUANTUM_2)
         y = mono("++", w, (2, 1))
         assert symmetrize(y, [(1, 2)]) == y.scale(q_power(1)) + mono("++", w, (1, 2))
 
@@ -364,8 +365,6 @@ class TestBarInvolution:
 
     @pytest.mark.parametrize("signs", ["++", "+-", "-+", "++-", "+-+"])
     def test_triangularity(self, signs):
-        from qchar.combinatorics import IntVector, bruhat_leq
-
         w = (0, 2)
         s = tuple(signs)
         for x in self._all_monomials(signs, w):
@@ -406,8 +405,6 @@ class TestWeightBlock:
         assert set(block) == {(0, 0), (1, 1)}
 
     def test_linear_extension_respects_order(self):
-        from qchar.combinatorics import IntVector, bruhat_leq
-
         signs = ("+", "+", "+")
         block = weight_block(signs, (0, 2), {0: 1, 1: 1, 2: 1})
         assert len(block) == 6
