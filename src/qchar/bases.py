@@ -20,8 +20,7 @@ from .combinatorics import (
     MultiTableau,
     SignedMultiPartition,
     enumerate_tableaux,
-    inversions,
-    multi_tableau_from_row_reading,
+    row_normal_form,
     weight_key,
 )
 from .laurent import (
@@ -233,17 +232,11 @@ def straighten(x: TensorElement, shape: SignedMultiPartition) -> SElement:
     """
     if x.signs != shape.sign_sequence():
         raise ValueError("sign sequence of the element does not match the shape")
-    segs = row_segments(shape)
 
     def terms():
         for f, c in x.coeffs.items():
-            inv = 0
-            sorted_f = list(f)
-            for start, length, s in segs:
-                seg = f[start : start + length]
-                inv += inversions(seg if s == "+" else [-v for v in seg])
-                sorted_f[start : start + length] = sorted(seg, reverse=(s == "-"))
-            yield multi_tableau_from_row_reading(shape, tuple(sorted_f)), c * q_power(inv)
+            mt, inv = row_normal_form(shape, f)
+            yield mt, c * q_power(inv)
 
     return SElement(shape, x.window, add_into({}, terms()))
 
@@ -428,16 +421,9 @@ def kappa(bfA: MultiTableau, window: tuple[int, int]) -> TensorElement:
 def shuffle_permutation(shape_piece) -> tuple[int, ...]:
     """One-line permutation whose j-th row-reading position holds the j-th
     column-reading box of the pyramid."""
-    lengths = shape_piece.row_lengths()
-    ids, k = {}, 0
-    for j in range(shape_piece.num_cols):
-        for i in range(shape_piece.length):
-            if lengths[i] > j:
-                k += 1
-                ids[(i, j)] = k
-    return tuple(
-        ids[(i, j)] for i in range(shape_piece.length) for j in range(lengths[i])
-    )
+    boxes = shape_piece.column_boxes()
+    ids = {box: k for k, box in enumerate(boxes, start=1)}
+    return tuple(ids[box] for box in sorted(boxes))
 
 
 def _braiding_word_apply(bfA: MultiTableau, x: TensorElement) -> TensorElement:

@@ -22,11 +22,11 @@ from . import bases
 from .combinatorics import (
     MultiTableau,
     SignedMultiPartition,
-    Tableau,
     box_labels,
     column_perms,
     column_stabilizer,
     enumerate_tableaux,
+    row_normal_form,
     tableau_from_columns,
 )
 from .laurent import Element, LaurentPoly, ZERO, add_into, eval_at_minus_one
@@ -67,13 +67,7 @@ class VermaSum(Element):
 def normalize_verma(B: MultiTableau) -> MultiTableau:
     """Row-normalize a filling: sort each row weakly increasing on + pieces
     and weakly decreasing on - pieces.  No sign is attached."""
-    comps = []
-    for t in B.components:
-        rows = tuple(
-            tuple(sorted(row, reverse=(t.sign == "-"))) for row in t.rows
-        )
-        comps.append(Tableau(t.shape, t.sign, rows))
-    return MultiTableau(tuple(comps))
+    return row_normal_form(B.shape, B.row_reading())[0]
 
 
 # ---------------------------------------------------------------------------

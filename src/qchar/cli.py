@@ -146,14 +146,16 @@ def cmd_enumerate(args) -> int:
 
 
 @contextlib.contextmanager
-def _naming_block(shape, window: tuple[int, int], mu: dict[int, int]):
+def _naming_block(shape, window: tuple[int, int], mu: dict[int, int] | None):
     """Re-raise a computation's ValueError or RuntimeError (a route
-    disagreement included) with the block it failed on."""
+    disagreement included) with the block it failed on; a computation over
+    every weight of the window passes `mu` None and names no weight."""
     try:
         yield
     except (ValueError, RuntimeError) as exc:
+        weight = "" if mu is None else f", weight {mu}"
         raise RuntimeError(
-            f"shape {shape}, window {window[0]}..{window[1]}, weight {mu}: {exc}"
+            f"shape {shape}, window {window[0]}..{window[1]}{weight}: {exc}"
         ) from exc
 
 
@@ -348,7 +350,8 @@ def _suite_xi():
         (_sp(((2, 1), "+")), (1, 3)),
         (_sp(((2, 1), "-")), (1, 3)),
     ]:
-        images = bases.xi_wedge_images(shape, window)
+        with _naming_block(shape, window, None):
+            images = bases.xi_wedge_images(shape, window)
         for mt, el in images.items():
             if (not el.is_zero()) != mt.is_std():
                 yield {"shape": str(shape), "tableau": str(mt), "property": "nonvanishing"}
@@ -359,7 +362,8 @@ def _suite_theoremC():
         (_sp(((2, 1), "+"), ((2,), "-")), (0, 2)),
         (_sp(((1, 1), "+"), ((2,), "+")), (1, 3)),
     ]:
-        rep = characters.theoremC_check(shape, window)
+        with _naming_block(shape, window, None):
+            rep = characters.theoremC_check(shape, window)
         if not rep["pass"]:
             yield rep
 

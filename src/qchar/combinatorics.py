@@ -76,6 +76,14 @@ class Partition:
         """Row lengths top to bottom: row i from the top has length parts[l-i]."""
         return tuple(reversed(self.parts))
 
+    def column_boxes(self) -> tuple[tuple[int, int], ...]:
+        """The 0-based (row, column) boxes in column-reading order: down each
+        column, leftmost column first."""
+        lengths = self.row_lengths()
+        return tuple(
+            (i, j) for j in range(self.num_cols) for i, length in enumerate(lengths) if length > j
+        )
+
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
 
@@ -162,10 +170,6 @@ class Tableau:
     def __post_init__(self):
         if tuple(len(r) for r in self.rows) != self.shape.row_lengths():
             raise ValueError(f"filling {self.rows} does not fit shape {self.shape}")
-
-    @property
-    def length(self) -> int:
-        return self.shape.length
 
     def columns(self) -> list[tuple[int, ...]]:
         """Column contents top to bottom, leftmost column first."""
@@ -270,6 +274,7 @@ def tableau_from_row_reading(shape: Partition, sign: Sign, values: Sequence[int]
 def multi_tableau_from_row_reading(
     mp: SignedMultiPartition, values: Sequence[int]
 ) -> MultiTableau:
+    """The inverse of `MultiTableau.row_reading`: the rows are not sorted."""
     comps, pos = [], 0
     for p, s in mp.pieces:
         comps.append(tableau_from_row_reading(p, s, values[pos : pos + p.size]))
@@ -277,6 +282,26 @@ def multi_tableau_from_row_reading(
     if pos != len(values):
         raise ValueError("row reading length does not match the shape")
     return MultiTableau(tuple(comps))
+
+
+def row_normal_form(
+    shape: SignedMultiPartition, reading: Sequence[int]
+) -> tuple[MultiTableau, int]:
+    """Sort each pyramid row of a row reading, weakly increasing on + pieces
+    and weakly decreasing on - pieces: the row-normalized multi-tableau and
+    the number of strict within-row inversions the sort undoes."""
+    comps, inv, pos = [], 0, 0
+    for p, s in shape.pieces:
+        rows = []
+        for length in p.row_lengths():
+            row = reading[pos : pos + length]
+            inv += inversions(row if s == "+" else [-v for v in row])
+            rows.append(tuple(sorted(row, reverse=(s == "-"))))
+            pos += length
+        comps.append(Tableau(p, s, tuple(rows)))
+    if pos != len(reading):
+        raise ValueError("row reading length does not match the shape")
+    return MultiTableau(tuple(comps)), inv
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +349,7 @@ def enumerate_component(
 
 
 def enumerate_tableaux(
-    shape: SignedMultiPartition | tuple[Partition, Sign],
-    kind: str,
-    window: tuple[int, int],
+    shape: SignedMultiPartition, kind: str, window: tuple[int, int]
 ) -> tuple[MultiTableau, ...]:
     """All Row/Col/Std multi-tableaux with entries inside the window.
 
@@ -336,8 +359,6 @@ def enumerate_tableaux(
     result is memoized per (shape, kind, window) in a bounded LRU, so every
     block of a sweep reads one shared, immutable listing.
     """
-    if isinstance(shape, tuple):
-        shape = SignedMultiPartition((shape,))
     return _tableaux(shape, kind, tuple(window))
 
 
@@ -408,14 +429,10 @@ def column_perms(col: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
 
 
 def tableau_from_columns(shape: Partition, sign: Sign, cols) -> Tableau:
-    """Rebuild a tableau from its column contents, leftmost column first."""
-    lengths = shape.row_lengths()
-    rows = [[0] * length for length in lengths]
-    for j, col in enumerate(cols):
-        members = [i for i, length in enumerate(lengths) if length > j]
-        for pos, i in enumerate(members):
-            rows[i][j] = col[pos]
-    return Tableau(shape, sign, tuple(tuple(r) for r in rows))
+    """Rebuild a tableau from its column contents, leftmost column first:
+    sorted (row, column) boxes are in row-reading order."""
+    at = dict(zip(shape.column_boxes(), itertools.chain.from_iterable(cols), strict=True))
+    return tableau_from_row_reading(shape, sign, [at[box] for box in sorted(at)])
 
 
 def column_stabilizer(bfA: MultiTableau) -> Iterator[tuple[MultiTableau, int]]:
@@ -483,14 +500,11 @@ def box_labels(mp: SignedMultiPartition) -> dict[tuple[int, int, int], str]:
     labels: dict[tuple[int, int, int], str] = {}
     counters = {"+": 0, "-": 0}
     for k, (p, s) in enumerate(mp.pieces, start=1):
-        lengths = p.row_lengths()
-        for j in range(1, p.num_cols + 1):
-            for i in range(1, p.length + 1):
-                if lengths[i - 1] >= j:
-                    counters[s] += 1
-                    labels[(k, i, j)] = (
-                        str(counters[s]) if s == "+" else f"bar{counters[s]}"
-                    )
+        for i, j in p.column_boxes():
+            counters[s] += 1
+            labels[(k, i + 1, j + 1)] = (
+                str(counters[s]) if s == "+" else f"bar{counters[s]}"
+            )
     return labels
 
 

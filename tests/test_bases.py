@@ -41,6 +41,7 @@ from qchar.bases import (
     pi_monomial,
     row_ranges,
     row_segments,
+    shuffle_permutation,
     straighten,
     sym_ideal_dcb,
     tableau_json,
@@ -324,6 +325,22 @@ class TestKappaAndXi:
                 rhs[key] = rhs.get(key, 0) + (-1) ** inv
             rhs = {k: v for k, v in rhs.items() if v}
             assert lhs == rhs
+
+    @pytest.mark.parametrize(
+        "parts, perm",
+        [
+            ((1,), (1,)),
+            ((2, 1), (1, 2, 3)),
+            ((2, 2), (1, 3, 2, 4)),
+            ((3, 1), (1, 2, 3, 4)),
+            ((2, 2, 1), (1, 2, 4, 3, 5)),
+            ((3, 2), (1, 3, 2, 4, 5)),
+            ((3, 2, 1), (1, 2, 4, 3, 5, 6)),
+        ],
+    )
+    def test_shuffle_permutation_hand_values(self, parts, perm):
+        # row-reading position j holds the number of its box in column reading
+        assert shuffle_permutation(Partition(parts)) == perm
 
     def test_mirror_normalization(self):
         shape, window = MP(((1, 1), "+")), (1, 3)

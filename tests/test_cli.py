@@ -317,8 +317,9 @@ class TestVerify:
         assert code == 1
         *lines, report = out.strip().splitlines()
         assert [line.split()[1] for line in lines] == list(qchar.cli.SUITES)
-        (dcb,) = [f["detail"] for f in json.loads(report)["failures"] if f["suite"] == "dcb"]
-        assert dcb["error"].startswith("shape 2:+ / 1,1:-, window 1..2, weight ")
+        details = {f["suite"]: f["detail"] for f in json.loads(report)["failures"]}
+        assert details["dcb"]["error"].startswith("shape 2:+ / 1,1:-, window 1..2, weight ")
+        assert details["xi"]["error"].startswith("shape 2,1:-, window 1..3: ")
 
 
 class TestReport:

@@ -14,6 +14,7 @@ from qchar.combinatorics import (
     multi_tableau_from_row_reading,
     pyramid_report,
     refine,
+    row_normal_form,
     tableau_from_row_reading,
 )
 
@@ -219,7 +220,7 @@ class TestRefine:
 class TestEnumeration:
     def test_window_singleton(self):
         for kind in ("row", "col", "std"):
-            tabs = enumerate_tableaux((Partition((1,)), "+"), kind, (5, 5))
+            tabs = enumerate_tableaux(MP(((1,), "+")), kind, (5, 5))
             assert len(tabs) == 1
             assert tabs[0].row_reading() == (5,)
 
@@ -279,6 +280,51 @@ class TestEnumeration:
         shape = MP(((2, 1), "+"), ((2,), "-"))
         for mt in enumerate_tableaux(shape, "row", (0, 2)):
             assert multi_tableau_from_row_reading(shape, mt.row_reading()) == mt
+
+
+def brute_row_normal_form(shape, reading):
+    """Each row `sorted` on its own, with the strict inversions counted pair
+    by pair."""
+    out, inv, pos = [], 0, 0
+    for p, s in shape.pieces:
+        for length in p.row_lengths():
+            row = reading[pos : pos + length]
+            pos += length
+            inv += sum(a > b if s == "+" else a < b for a, b in itertools.combinations(row, 2))
+            out.extend(sorted(row, reverse=(s == "-")))
+    return multi_tableau_from_row_reading(shape, tuple(out)), inv
+
+
+class TestRowNormalForm:
+    SHAPES = [MP(((2, 1), "+"), ((1,), "-")), MP(((2,), "-"), ((1, 1), "+"))]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_matches_brute_force(self, shape):
+        size = len(shape.sign_sequence())
+        for reading in itertools.product(range(1, 4), repeat=size):
+            assert row_normal_form(shape, reading) == brute_row_normal_form(shape, reading)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_row_labels_are_fixed(self, shape):
+        for mt in enumerate_tableaux(shape, "row", (1, 3)):
+            assert row_normal_form(shape, mt.row_reading()) == (mt, 0)
+
+    def test_rejects_a_reading_of_the_wrong_length(self):
+        with pytest.raises(ValueError):
+            row_normal_form(self.SHAPES[0], (1, 2, 3, 1, 2))
+
+
+class TestColumnBoxes:
+    @pytest.mark.parametrize(
+        "shape", [MP(((2, 1), "+"), ((1,), "-")), MP(((2, 2), "+"), ((1, 1), "-"))], ids=str
+    )
+    def test_matches_the_columns_of_every_col_tableau(self, shape):
+        for mt in enumerate_tableaux(shape, "col", (1, 4)):
+            for t in mt.components:
+                boxes = t.shape.column_boxes()
+                cols = t.columns()
+                assert [t.rows[i][j] for i, j in boxes] == [x for col in cols for x in col]
+                assert [j for _, j in boxes] == [j for j, col in enumerate(cols) for _ in col]
 
 
 class TestColumnStabilizer:

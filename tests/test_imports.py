@@ -1,13 +1,22 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every
+top-level function or class of the library is named somewhere else: in the
+library, the benchmark, the tests or the README."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 import qchar
 
 MODULES = sorted(pathlib.Path(qchar.__file__).parent.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+READERS = [
+    *sorted((ROOT / "perfbench").glob("*.py")),
+    *sorted((ROOT / "tests").glob("*.py")),
+    ROOT / "README.md",
+]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,6 +40,23 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def unnamed_definitions(source: str, others: list[str]) -> list[str]:
+    """The top-level functions and classes of the module that no text names:
+    neither the module outside the definition itself (decorators, body and
+    docstring included) nor any of `others`."""
+    lines = source.splitlines()
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        start = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+        rest = "\n".join(lines[: start - 1] + lines[node.end_lineno :])
+        word = re.compile(rf"\b{re.escape(node.name)}\b")
+        if not any(word.search(text) for text in [rest, *others]):
+            out.append(f"{node.name} (line {node.lineno})")
+    return out
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
@@ -39,3 +65,18 @@ def test_no_unused_import(path):
 def test_the_guard_sees_an_unused_import():
     source = "from functools import lru_cache, partial\nimport os.path\n__all__ = ['partial']\n"
     assert unused_imports(source) == ["lru_cache (line 1)", "os (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_definition_is_named_elsewhere(path):
+    others = [p.read_text() for p in [*MODULES, *READERS] if p != path]
+    assert unnamed_definitions(path.read_text(), others) == []
+
+
+def test_the_guard_sees_an_unnamed_definition():
+    source = (
+        "def used():\n    return 1\n\n\n"
+        "@staticmethod\ndef lonely():\n    \"\"\"lonely\"\"\"\n    return used()\n\n\n"
+        "class Named:\n    pass\n"
+    )
+    assert unnamed_definitions(source, ["x = Named()"]) == ["lonely (line 6)"]
