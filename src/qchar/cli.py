@@ -125,7 +125,7 @@ def cmd_enumerate(args) -> int:
             "display": str(mt),
             "row_reading": list(mt.row_reading()),
             "column_reading": list(mt.column_reading()),
-            "weight": {str(a): c for a, c in sorted(mt.weight().items())},
+            "weight": {str(a): c for a, c in mt.signed_key},
         }
         for mt in tableaux
     ]
@@ -238,20 +238,20 @@ def cmd_report(args) -> int:
     except ValueError as exc:  # a theta of the wrong length or order
         raise UsageError(str(exc)) from exc
     if args.format == "json":
-        _emit(_json(rep.to_json()), args.out)
+        _emit(_json(rep), args.out)
     else:
-        ref = rep.refinement
+        refined = zip(rep["refined_ulam"], rep["refined_uep"])
         lines = [
-            f"shape: {shape}",
-            "g(0) = " + "⊕".join(rep.g0),
-            f"q^+ = {list(rep.q_plus)}",
-            f"q^- = {list(rep.q_minus)}",
-            f"jordan type: ({','.join(map(str, rep.jordan_type[0]))}|{','.join(map(str, rep.jordan_type[1]))})",
-            f"levi blocks: {list(rep.levi_blocks)}",
-            f"theta: {list(rep.theta)}",
-            f"refined shape: {ref.ulam}",
-            f"refined signs: {''.join(ref.uep)}",
-            f"sign sequence: {''.join(ref.s)}",
+            f"shape: {rep['shape']}",
+            "g(0) = " + "⊕".join(rep["g0"]),
+            f"q^+ = {rep['q_plus']}",
+            f"q^- = {rep['q_minus']}",
+            "jordan type: ({}|{})".format(*(",".join(map(str, t)) for t in rep["jordan_type"])),
+            f"levi blocks: {rep['levi_blocks']}",
+            f"theta: {rep['theta']}",
+            "refined shape: " + " / ".join(f"{part}:{s}" for (part,), s in refined),
+            f"refined signs: {rep['refined_uep']}",
+            f"sign sequence: {rep['sign_sequence']}",
         ]
         _emit("\n".join(lines) + "\n", args.out)
     return 0

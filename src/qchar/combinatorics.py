@@ -14,9 +14,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, NamedTuple, Sequence
-
-from .laurent import add_into
+from typing import Iterator, Sequence
 
 Sign = str  # "+" or "-"
 
@@ -120,37 +118,10 @@ class SignedMultiPartition:
         return " / ".join(f"{p}:{s}" for p, s in self.pieces)
 
 
-class Refinement(NamedTuple):
-    """The one-row-pieces refinement of a signed multi-partition."""
-
-    ulam: "SignedMultiPartition"
-    uep: tuple[Sign, ...]
-    s: tuple[Sign, ...]
-    lam_plus: tuple[int, ...]
-    lam_minus: tuple[int, ...]
-
-
-def refine(mp: SignedMultiPartition) -> Refinement:
-    """Split every piece into one-row pieces, keeping piece order.
-
-    Returns the refined signed multi-partition together with its sign
-    sequence per part, the sign sequence per box, and the compositions made
-    of the plus parts and of the minus parts in piece order.
-    """
-    ulam_pieces = []
-    uep = []
-    lam_plus, lam_minus = [], []
-    for p, s in mp.pieces:
-        for part in p.parts:
-            ulam_pieces.append((Partition((part,)), s))
-            uep.append(s)
-            (lam_plus if s == "+" else lam_minus).append(part)
-    return Refinement(
-        SignedMultiPartition(tuple(ulam_pieces)),
-        tuple(uep),
-        mp.sign_sequence(),
-        tuple(lam_plus),
-        tuple(lam_minus),
+def refine(mp: SignedMultiPartition) -> SignedMultiPartition:
+    """Split every piece into one-row pieces, keeping piece order."""
+    return SignedMultiPartition(
+        tuple((Partition((part,)), s) for p, s in mp.pieces for part in p.parts)
     )
 
 
@@ -185,12 +156,6 @@ class Tableau:
     def row_reading(self) -> tuple[int, ...]:
         """Entries read along the rows, top row first, left to right."""
         return tuple(x for row in self.rows for x in row)
-
-    def weight(self) -> dict[int, int]:
-        nu: dict[int, int] = {}
-        for x in self.row_reading():
-            nu[x] = nu.get(x, 0) + 1
-        return nu
 
     def is_row(self) -> bool:
         inc = self.sign == "+"
@@ -232,12 +197,6 @@ class MultiTableau:
 
     def column_reading(self) -> tuple[int, ...]:
         return tuple(x for t in self.components for x in t.column_reading())
-
-    def weight(self) -> dict[int, int]:
-        nu: dict[int, int] = {}
-        for t in self.components:
-            add_into(nu, t.weight())
-        return nu
 
     @cached_property
     def signed_key(self) -> tuple[tuple[int, int], ...]:
@@ -459,39 +418,6 @@ def column_stabilizer(bfA: MultiTableau) -> Iterator[tuple[MultiTableau, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PyramidReport:
-    """Column lengths, Levi data, nilpotent support, and the refinement of a
-    signed multi-pyramid."""
-
-    shape: SignedMultiPartition
-    column_lengths: tuple[tuple[int, ...], ...]  # q_j^(k) per piece
-    q_plus: tuple[int, ...]
-    q_minus: tuple[int, ...]
-    g0: tuple[str, ...]
-    levi_blocks: tuple[int, ...]
-    jordan_type: tuple[tuple[int, ...], tuple[int, ...]]
-    e_support: tuple[tuple[str, str], ...]
-    theta: tuple[int, ...]
-    refinement: Refinement
-
-    def to_json(self) -> dict:
-        return {
-            "shape": str(self.shape),
-            "column_lengths": [list(c) for c in self.column_lengths],
-            "q_plus": list(self.q_plus),
-            "q_minus": list(self.q_minus),
-            "g0": list(self.g0),
-            "levi_blocks": list(self.levi_blocks),
-            "jordan_type": [list(self.jordan_type[0]), list(self.jordan_type[1])],
-            "e_support": [list(p) for p in self.e_support],
-            "theta": list(self.theta),
-            "refined_ulam": [list(p.parts) for p, _ in self.refinement.ulam.pieces],
-            "refined_uep": "".join(self.refinement.uep),
-            "sign_sequence": "".join(self.refinement.s),
-        }
-
-
 def box_labels(mp: SignedMultiPartition) -> dict[tuple[int, int, int], str]:
     """Label every box (piece k, row i, column j; all 1-based) column-wise in
     a color-block-wise fashion: plus pieces get "1".."n" and minus pieces get
@@ -508,10 +434,12 @@ def box_labels(mp: SignedMultiPartition) -> dict[tuple[int, int, int], str]:
     return labels
 
 
-def pyramid_report(
-    mp: SignedMultiPartition, theta: tuple[int, ...] | None = None
-) -> PyramidReport:
-    """Assemble the pyramid statistics of a signed multi-partition.
+def pyramid_report(mp: SignedMultiPartition, theta: tuple[int, ...] | None = None) -> dict:
+    """The pyramid statistics of a signed multi-partition as JSON data: the
+    column lengths q_j^(k) per piece, the column counts q^+ and q^- and the
+    Levi subalgebra g(0) they give, the Levi blocks, the Jordan type of e
+    and its support (the label pairs of horizontally adjacent boxes), theta,
+    and the refinement into one-row pieces.
 
     `theta` takes one integer per piece (constant on rows of the same color);
     monotonicity requires strictly decreasing values in piece order, and a
@@ -526,34 +454,29 @@ def pyramid_report(
     if any(theta[i] <= theta[i + 1] for i in range(r - 1)):
         raise ValueError(f"theta must strictly decrease in piece order: {theta}")
 
-    column_lengths = tuple(p.transpose() for p, _ in mp.pieces)
-    num_cols = max(p.num_cols for p, _ in mp.pieces)
-    q = {"+": [0] * num_cols, "-": [0] * num_cols}
-    for (p, s), cols in zip(mp.pieces, column_lengths):
-        for j, h in enumerate(cols):
-            q[s][j] += h
-    g0 = []
-    for a, b in zip(q["+"], q["-"]):
-        g0.append(f"gl_{{{a}|{b}}}" if a and b else f"gl_{a or b}")
-
     labels = box_labels(mp)
-    e_support = []
-    for k, (p, _) in enumerate(mp.pieces, start=1):
-        lengths = p.row_lengths()
-        for i in range(1, p.length + 1):
-            for j in range(1, lengths[i - 1]):
-                e_support.append((labels[(k, i, j)], labels[(k, i, j + 1)]))
-
-    ref = refine(mp)
-    return PyramidReport(
-        shape=mp,
-        column_lengths=column_lengths,
-        q_plus=tuple(q["+"]),
-        q_minus=tuple(q["-"]),
-        g0=tuple(g0),
-        levi_blocks=tuple(p.size for p, _ in mp.pieces),
-        jordan_type=(ref.lam_plus, ref.lam_minus),
-        e_support=tuple(e_support),
-        theta=theta,
-        refinement=ref,
-    )
+    num_cols = max(j for _, _, j in labels)
+    q = {"+": [0] * num_cols, "-": [0] * num_cols}
+    for k, _, j in labels:
+        q[mp.pieces[k - 1][1]][j - 1] += 1
+    refined = refine(mp)
+    return {
+        "shape": str(mp),
+        "column_lengths": [list(p.transpose()) for p, _ in mp.pieces],
+        "q_plus": q["+"],
+        "q_minus": q["-"],
+        "g0": [f"gl_{{{a}|{b}}}" if a and b else f"gl_{a or b}" for a, b in zip(q["+"], q["-"])],
+        "levi_blocks": [p.size for p, _ in mp.pieces],
+        "jordan_type": [
+            [part for p, s in mp.pieces if s == sign for part in p.parts] for sign in "+-"
+        ],
+        "e_support": [
+            [labels[k, i, j], labels[k, i, j + 1]]
+            for k, i, j in sorted(labels)
+            if (k, i, j + 1) in labels
+        ],
+        "theta": list(theta),
+        "refined_ulam": [list(p.parts) for p, _ in refined.pieces],
+        "refined_uep": "".join(s for _, s in refined.pieces),
+        "sign_sequence": "".join(mp.sign_sequence()),
+    }

@@ -335,7 +335,7 @@ class TestCriterion12PaperVectors:
     def test_refinement_vector(self):
         shape = MP(((3, 3, 1), "+"), ((4, 2), "-"), ((2,), "+"), ((3, 1), "-"))
         ref = refine(shape)
-        assert [p.parts for p, _ in ref.ulam.pieces] == [
+        assert [p.parts for p, _ in ref.pieces] == [
             (3,),
             (3,),
             (1,),
@@ -345,8 +345,8 @@ class TestCriterion12PaperVectors:
             (3,),
             (1,),
         ]
-        assert "".join(ref.uep) == "+++--+--"
-        assert "".join(ref.s) == "+" * 7 + "-" * 6 + "+" * 2 + "-" * 4
+        assert "".join(s for _, s in ref.pieces) == "+++--+--"
+        assert "".join(ref.sign_sequence()) == "+" * 7 + "-" * 6 + "+" * 2 + "-" * 4
 
     def test_g0_signatures_both_sign_sequences(self, capsys):
         cases = [

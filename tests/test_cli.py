@@ -100,6 +100,19 @@ class TestEnumerate:
         code, _ = run(capsys, "enumerate", "--shape", "3,,2:+", "--window", "1..2")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "shape,window,weight",
+        [("1:+ / 1:-", "1..2", "1:1,2:-1"), ("2,1:+ / 1:-", "1..3", "1:1,2:1")],
+    )
+    def test_rows_print_the_selected_signed_weight(self, capsys, shape, window, weight):
+        argv = ["enumerate", "--shape", shape, "--window", window, "--kind", "row"]
+        code, out = run(capsys, *argv, "--weight", weight)
+        assert code == 0
+        rows = json.loads(out)["tableaux"]
+        assert rows
+        expected = {a: int(c) for a, c in (chunk.split(":") for chunk in weight.split(","))}
+        assert all(r["weight"] == expected for r in rows)
+
 
 class TestOptions:
     # Each command takes only the options and formats it reads; anything
@@ -401,15 +414,19 @@ GOLDEN = [
         ["decompose", "--shape", "1:+ / 1:+", "--window", "1..2"],
         "ac9a5e8c76faec45e9160adb38448f9e19aa69bba67cd2619a08abb06ba7d8c5",
     ),
+    # Re-recorded when each row's "weight" became the signed weight: the
+    # 2:- piece counts -1 per entry, as --weight and the blocks count it.
     (
         ["enumerate", "--shape", "2,1:+ / 2:-", "--kind", "std", "--window", "0..2"],
-        "6827a0159a67917367cd5bb99f0cb4c2cb4d11782c466cd78b86d3eb347c737a",
+        "7d4f065d09c0e4def69826bf8b60b58088e0b3abb5cc5a322cd18f0b978ede49",
     ),
-    # Recorded before weight selection and grouping moved into tensor_space.
+    # Recorded before weight selection and grouping moved into tensor_space;
+    # re-recorded when each row's "weight" became the signed weight, which
+    # is now the --weight 1:1,2:1 the rows were selected by.
     (
         ["enumerate", "--shape", "2,1:+ / 1:-", "--kind", "row", "--window", "1..3",
          "--weight", "1:1,2:1"],
-        "507cd21ff50525c37943bbbe257bb84ceb9e623d0d54d5317abe3433d62c3f2a",
+        "5851839b4a1257a02372b67562c3f36a9d48c0e96560d3abb094b34bc45d152b",
     ),
     (
         ["enumerate", "--shape", "2,1:+ / 1:-", "--kind", "col", "--window", "1..3",
@@ -446,6 +463,24 @@ GOLDEN = [
     (
         ["decompose", "--shape", "2,1:+", "--window", "1..4", "--format", "csv"],
         "f453e9edbe0cce494a2e906ecb6ad16800c333e0e9b83397d7c3275c5b6a7a60",
+    ),
+    # Recorded before the pyramid report became its own JSON data: both the
+    # JSON and the text view read that one dict.
+    (
+        ["report", "--shape", "3,3,1:+ / 4,2:- / 2:+ / 3,1:-"],
+        "32c8a7a7af581378d5b0eebf30324bd0c3bc262a616fc1a464f0504539a9eb75",
+    ),
+    (
+        ["report", "--shape", "3,3,1:+ / 4,2:- / 2:+ / 3,1:-", "--format", "text"],
+        "b32a7952fec35fd3efbba2337655ae75e2ade047d96bbdd2cb8c203c38c4edd6",
+    ),
+    (
+        ["report", "--shape", "3,3,1:+ / 4,2:+ / 2:- / 3,1:-", "--theta", "9,5,2,0"],
+        "17e8ab39454fb113337bca1b4e4cc95eac58ad97c7a3fb3dbd4dd0e60a3707be",
+    ),
+    (
+        ["report", "--shape", "4:- / 2,2:+", "--format", "text"],
+        "f0e26a9ee7e89a31a8ac34145346fb36bdb26179726dcc5d6254f36f0ca64872",
     ),
 ]
 

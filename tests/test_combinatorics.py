@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -8,6 +9,7 @@ from qchar.combinatorics import (
     Partition,
     SignedMultiPartition,
     Tableau,
+    box_labels,
     column_stabilizer,
     enumerate_component,
     enumerate_tableaux,
@@ -69,11 +71,12 @@ class TestReadingsAndWeights:
         assert t.row_reading() == (7,)
 
     def test_weight(self):
-        assert STD_PLUS.weight() == {0: 2, 1: 1, 2: 2, 3: 1, 6: 1}
+        assert MultiTableau((STD_PLUS,)).weight_signed() == {0: 2, 1: 1, 2: 2, 3: 1, 6: 1}
 
     def test_signed_weight_flips_sign(self):
         mt = MultiTableau((STD_MINUS,))
-        assert mt.weight_signed() == {a: -c for a, c in STD_MINUS.weight().items()}
+        counts = collections.Counter(STD_MINUS.row_reading())
+        assert mt.weight_signed() == {a: -c for a, c in counts.items()}
 
     def test_row_reading_round_trip(self):
         rebuilt = tableau_from_row_reading(STD_PLUS.shape, "+", STD_PLUS.row_reading())
@@ -195,26 +198,25 @@ class TestRefine:
 
     def test_refined_pieces(self):
         ref = refine(self.EXAMPLE)
-        assert [p.parts for p, _ in ref.ulam.pieces] == [
+        assert [p.parts for p, _ in ref.pieces] == [
             (3,), (3,), (1,), (4,), (2,), (2,), (3,), (1,),
         ]
-        assert ref.uep == ("+", "+", "+", "-", "-", "+", "-", "-")
+        assert tuple(s for _, s in ref.pieces) == ("+", "+", "+", "-", "-", "+", "-", "-")
 
     def test_box_sign_sequence(self):
         ref = refine(self.EXAMPLE)
-        assert "".join(ref.s) == "+" * 7 + "-" * 6 + "+" * 2 + "-" * 4
+        assert "".join(ref.sign_sequence()) == "+" * 7 + "-" * 6 + "+" * 2 + "-" * 4
 
     def test_plus_minus_compositions(self):
-        ref = refine(self.EXAMPLE)
-        assert ref.lam_plus == (3, 3, 1, 2)
-        assert ref.lam_minus == (4, 2, 3, 1)
+        report = pyramid_report(self.EXAMPLE)
+        assert report["jordan_type"] == [[3, 3, 1, 2], [4, 2, 3, 1]]
         assert (self.EXAMPLE.n, self.EXAMPLE.m) == (9, 10)
 
     def test_single_piece(self):
         ref = refine(MP(((4,), "+")))
-        assert [p.parts for p, _ in ref.ulam.pieces] == [(4,)]
-        assert ref.uep == ("+",)
-        assert ref.s == ("+",) * 4
+        assert [p.parts for p, _ in ref.pieces] == [(4,)]
+        assert tuple(s for _, s in ref.pieces) == ("+",)
+        assert ref.sign_sequence() == ("+",) * 4
 
 
 class TestEnumeration:
@@ -326,6 +328,24 @@ class TestColumnBoxes:
                 assert [t.rows[i][j] for i, j in boxes] == [x for col in cols for x in col]
                 assert [j for _, j in boxes] == [j for j, col in enumerate(cols) for _ in col]
 
+    @pytest.mark.parametrize(
+        "shape,labels",
+        [
+            (
+                MP(((2, 1), "+"), ((1,), "-")),
+                {(1, 1, 1): "1", (1, 2, 1): "2", (1, 2, 2): "3", (2, 1, 1): "bar1"},
+            ),
+            (
+                MP(((1, 1), "-"), ((2,), "+")),
+                {(1, 1, 1): "bar1", (1, 2, 1): "bar2", (2, 1, 1): "1", (2, 1, 2): "2"},
+            ),
+        ],
+        ids=["2,1:+ / 1:-", "1,1:- / 2:+"],
+    )
+    def test_box_labels(self, shape, labels):
+        # (piece, row, column), 1-based; each sign numbered down the columns.
+        assert box_labels(shape) == labels
+
 
 class TestColumnStabilizer:
     def test_single_column_of_height_two(self):
@@ -356,30 +376,30 @@ class TestPyramidReport:
 
     def test_g0_signature_plus_plus_minus_minus(self):
         report = pyramid_report(self._mp("++--"))
-        assert report.g0 == ("gl_{5|3}", "gl_{4|2}", "gl_{3|1}", "gl_1")
+        assert report["g0"] == ["gl_{5|3}", "gl_{4|2}", "gl_{3|1}", "gl_1"]
 
     def test_g0_signature_alternating(self):
         report = pyramid_report(self._mp("+-+-"))
-        assert report.g0 == ("gl_{4|4}", "gl_{3|3}", "gl_{2|2}", "gl_1")
+        assert report["g0"] == ["gl_{4|4}", "gl_{3|3}", "gl_{2|2}", "gl_1"]
 
     def test_trivial_piece(self):
         report = pyramid_report(MP(((1,), "+")))
-        assert report.g0 == ("gl_1",)
-        assert report.e_support == ()
+        assert report["g0"] == ["gl_1"]
+        assert report["e_support"] == []
 
     def test_column_length_identities(self):
         mp = self._mp("+-+-")
         report = pyramid_report(mp)
-        for (p, _), cols in zip(mp.pieces, report.column_lengths):
+        for (p, _), cols in zip(mp.pieces, report["column_lengths"]):
             assert sum(cols) == p.size
-        assert sum(report.q_plus) + sum(report.q_minus) == mp.n + mp.m
+        assert sum(report["q_plus"]) + sum(report["q_minus"]) == mp.n + mp.m
 
     def test_e_support_counts(self):
         # One pair per horizontal domino: |lam| - (number of rows) per piece.
         mp = self._mp("++--")
         report = pyramid_report(mp)
         expected = sum(p.size - p.length for p, _ in mp.pieces)
-        assert len(report.e_support) == expected
+        assert len(report["e_support"]) == expected
 
     def test_theta_rejected_when_not_decreasing(self):
         with pytest.raises(ValueError):
@@ -387,4 +407,4 @@ class TestPyramidReport:
 
     def test_theta_accepted_when_decreasing(self):
         report = pyramid_report(self._mp("++--"), theta=(9, 5, 2, 0))
-        assert report.theta == (9, 5, 2, 0)
+        assert report["theta"] == [9, 5, 2, 0]

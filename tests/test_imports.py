@@ -1,6 +1,7 @@
-"""Every name a library module imports is used in that module, and every
-top-level function or class of the library is named somewhere else: in the
-library, the benchmark, the tests or the README."""
+"""Every name a library module imports is used in that module, every
+top-level function or class of the library is named somewhere else, and
+every method or property of a library class is named as an attribute
+somewhere else: in the library, the benchmark, the tests or the README."""
 
 import ast
 import pathlib
@@ -40,20 +41,45 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def _outside(lines: list[str], node: ast.AST) -> str:
+    """The module text without the definition of `node`, decorators, body
+    and docstring included."""
+    start = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+    return "\n".join(lines[: start - 1] + lines[node.end_lineno :])
+
+
 def unnamed_definitions(source: str, others: list[str]) -> list[str]:
     """The top-level functions and classes of the module that no text names:
-    neither the module outside the definition itself (decorators, body and
-    docstring included) nor any of `others`."""
+    neither the module outside the definition itself nor any of `others`."""
     lines = source.splitlines()
     out = []
     for node in ast.parse(source).body:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
-        start = min([node.lineno, *(d.lineno for d in node.decorator_list)])
-        rest = "\n".join(lines[: start - 1] + lines[node.end_lineno :])
         word = re.compile(rf"\b{re.escape(node.name)}\b")
-        if not any(word.search(text) for text in [rest, *others]):
+        if not any(word.search(text) for text in [_outside(lines, node), *others]):
             out.append(f"{node.name} (line {node.lineno})")
+    return out
+
+
+def unnamed_members(source: str, others: list[str]) -> list[str]:
+    """The methods and properties of the module's classes that no text names
+    as an attribute `.name`: neither the module outside the member's own
+    definition nor any of `others`.  Dunder methods, which Python calls by
+    protocol, are exempt."""
+    lines = source.splitlines()
+    out = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
+                continue
+            attr = re.compile(rf"\.{re.escape(node.name)}\b")
+            if not any(attr.search(text) for text in [_outside(lines, node), *others]):
+                out.append(f"{cls.name}.{node.name} (line {node.lineno})")
     return out
 
 
@@ -80,3 +106,20 @@ def test_the_guard_sees_an_unnamed_definition():
         "class Named:\n    pass\n"
     )
     assert unnamed_definitions(source, ["x = Named()"]) == ["lonely (line 6)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_member_is_named_elsewhere(path):
+    others = [p.read_text() for p in [*MODULES, *READERS] if p != path]
+    assert unnamed_members(path.read_text(), others) == []
+
+
+def test_the_guard_sees_an_unnamed_member():
+    source = (
+        "class Box:\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    @property\n    def size(self):\n        return self.used()\n\n"
+        "    def used(self):\n        return 1\n\n"
+        "    def lonely(self):\n        return self.lonely()\n"
+    )
+    assert unnamed_members(source, ["Box().size"]) == ["Box.lonely (line 12)"]
