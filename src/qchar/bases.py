@@ -181,25 +181,36 @@ def dcb_solve(block: TriangularBlock) -> TriangularBlock:
     d.  The labels below t are solved first, so bar(e_g) reaches only g and
     lower labels: each is corrected once, top-down, ending at the unique
     bar-invariant element with unitriangular, strictly-lower q^-1-lattice
-    coordinates.
+    coordinates.  The solve runs on the labels' positions in `order`; the
+    bar rows are re-keyed once and `canon` is keyed by labels again.
     """
-    pos = {t: i for i, t in enumerate(block.order)}
+    order = block.order
+    pos = {t: i for i, t in enumerate(order)}
+    rows = []
+    for t in order:
+        row = {}
+        for g, c in block.bar_rows[t].items():
+            i = pos.get(g)
+            if i is None:
+                raise RuntimeError(f"bar image of {t} leaves the block at {g}")
+            row[i] = c
+        rows.append(row)
     canon: dict = {}
-    for t in block.order:
-        x = {t: ONE}
-        d = add_into(dict(block.bar_rows[t]), x, -1)
+    for j, t in enumerate(order):
+        x = {j: ONE}
+        d = add_into(dict(rows[j]), x, -1)
         while d:
-            g = max(d, key=pos.__getitem__)
-            if pos[g] >= pos[t]:
-                raise RuntimeError(f"bar matrix is not unitriangular at {t}: defect at {g}")
+            i = max(d)
+            if i >= j:
+                raise RuntimeError(f"bar matrix is not unitriangular at {t}: defect at {order[i]}")
             try:
-                x[g] = c = antisym_solve(d[g])
+                x[i] = c = antisym_solve(d[i])
             except ValueError as err:
-                raise ValueError(f"bar defect of {t} at {g}: {err}") from err
-            add_into(d, block.bar_rows[g], bar_q(c))
-            add_into(d, {g: c}, -1)
-        canon[t] = x
-    return TriangularBlock(block.space, block.order, block.bar_rows, canon)
+                raise ValueError(f"bar defect of {t} at {order[i]}: {err}") from err
+            add_into(d, rows[i], bar_q(c))
+            add_into(d, {i: c}, -1)
+        canon[t] = {order[i]: c for i, c in x.items()}
+    return TriangularBlock(block.space, order, block.bar_rows, canon)
 
 
 # ---------------------------------------------------------------------------

@@ -119,28 +119,29 @@ def cmd_enumerate(args) -> int:
     if args.weight is not None:
         mu = parse_weight(args.weight)
         tableaux = bases.tableaux_of_weight(tableaux, mu)
-    rows = [
-        {
-            "tableau": bases.tableau_json(mt),
-            "display": str(mt),
-            "row_reading": list(mt.row_reading()),
-            "column_reading": list(mt.column_reading()),
-            "weight": {str(a): c for a, c in mt.signed_key},
-        }
-        for mt in tableaux
-    ]
+    # Each format builds only the fields it prints.
     if args.format == "json":
+        rows = [
+            {
+                "tableau": bases.tableau_json(mt),
+                "display": str(mt),
+                "row_reading": list(mt.row_reading()),
+                "column_reading": list(mt.column_reading()),
+                "weight": {str(a): c for a, c in mt.signed_key},
+            }
+            for mt in tableaux
+        ]
         _emit(_json({"shape": str(shape), "window": list(window), "kind": args.kind, "tableaux": rows}), args.out)
     elif args.format == "csv":
         lines = ["tableau,row_reading,column_reading"]
-        for r in rows:
+        for mt in tableaux:
             lines.append(
-                f"\"{r['display']}\",\"{' '.join(map(str, r['row_reading']))}\","
-                f"\"{' '.join(map(str, r['column_reading']))}\""
+                f"\"{mt}\",\"{' '.join(map(str, mt.row_reading()))}\","
+                f"\"{' '.join(map(str, mt.column_reading()))}\""
             )
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        lines = [r["display"] for r in rows]
+        lines = [str(mt) for mt in tableaux]
         _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
     return 0
 

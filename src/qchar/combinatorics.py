@@ -188,6 +188,19 @@ class MultiTableau:
 
     components: tuple[Tableau, ...]
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.components)
+
+    def __hash__(self) -> int:
+        # Equal components compare equal (the generated __eq__), so they hash alike.
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between interpreters: a pickle (a worker's
+        # solved block) carries the components, never a cached hash.
+        return MultiTableau, (self.components,)
+
     @property
     def shape(self) -> SignedMultiPartition:
         return SignedMultiPartition(tuple((t.shape, t.sign) for t in self.components))

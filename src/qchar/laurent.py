@@ -81,6 +81,15 @@ class LaurentPoly:
         self.terms = {e: c for e, c in (terms or {}).items() if c}
         self._hash: int | None = None
 
+    @classmethod
+    def _of(cls, terms: dict[int, int]) -> "LaurentPoly":
+        """Wrap, without copying or filtering, a term dict that the caller
+        has just built with no zero coefficient."""
+        p = object.__new__(cls)
+        p.terms = terms
+        p._hash = None
+        return p
+
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -106,14 +115,14 @@ class LaurentPoly:
             if not isinstance(other, int):
                 return NotImplemented
             other = constant(other)
-        return LaurentPoly(add_into(dict(self.terms), other.terms))
+        return LaurentPoly._of(add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             if not isinstance(other, int):
                 return NotImplemented
             other = constant(other)
-        return LaurentPoly(add_into(dict(self.terms), other.terms, -1))
+        return LaurentPoly._of(add_into(dict(self.terms), other.terms, -1))
 
     __radd__ = __add__
 
@@ -121,18 +130,27 @@ class LaurentPoly:
         return (-self).__add__(other)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
+        return LaurentPoly._of({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
+        a = self.terms
         if not isinstance(other, LaurentPoly):
             if not isinstance(other, int):
                 return NotImplemented
-            return LaurentPoly({e: other * c for e, c in self.terms.items()})
+            if not other:
+                return ZERO
+            return LaurentPoly._of({e: other * c for e, c in a.items()})
+        b = other.terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:  # a monomial: shift and scale the other operand
+            ((ea, ca),) = a.items()
+            return LaurentPoly._of({ea + e: ca * c for e, c in b.items()})
         # The convolution accumulates freely; the constructor drops the terms
         # that cancelled.
         out: dict[int, int] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
+        for ea, ca in a.items():
+            for eb, cb in b.items():
                 e = ea + eb
                 out[e] = out.get(e, 0) + ca * cb
         return LaurentPoly(out)
@@ -163,12 +181,12 @@ def constant(c: int) -> LaurentPoly:
 
 def q_power(e: int, c: int = 1) -> LaurentPoly:
     """The monomial c*q^e."""
-    return LaurentPoly({e: c})
+    return LaurentPoly._of({e: c}) if c else ZERO
 
 
 def bar(p: LaurentPoly) -> LaurentPoly:
     """The bar involution q -> q^-1: negate every exponent."""
-    return LaurentPoly({-e: c for e, c in p.terms.items()})
+    return LaurentPoly._of({-e: c for e, c in p.terms.items()})
 
 
 def eval_at_minus_one(p: LaurentPoly) -> int:

@@ -192,6 +192,27 @@ class TestSolver:
         with pytest.raises(RuntimeError, match="^bar matrix is not unitriangular at a: defect at b$"):
             dcb_solve(bad)
 
+    def test_bar_image_leaving_the_block_rejected(self):
+        bad = TriangularBlock("t", ("a",), {"a": {"a": ONE, "z": ONE}})
+        with pytest.raises(RuntimeError, match="^bar image of a leaves the block at z$"):
+            dcb_solve(bad)
+
+    def test_canon_is_keyed_by_labels(self):
+        # the solver runs on positions; what it returns is keyed by labels
+        shape = MP(((2, 1), "+"))
+        blocks = [
+            dcb_T(("+", "-", "+"), (1, 3), {1: 1, 2: -1, 3: 1}),
+            dcb_S(shape, (1, 3), {1: 1, 2: 1, 3: 1}),
+            dcb_P(shape, (1, 3), {1: 1, 2: 1, 3: 1}),
+        ]
+        for blk in blocks:
+            labels = set(blk.order)
+            assert len(labels) > 1
+            for t in blk.order:
+                assert blk.canon[t][t] == ONE
+                assert not any(isinstance(g, int) for g in blk.canon[t])
+                assert set(blk.canon[t]) <= labels
+
     def test_non_unit_diagonal_rejected(self):
         bad = TriangularBlock("t", ("a", "b"), {"a": {"a": ONE}, "b": {"b": q_power(1)}})
         with pytest.raises(RuntimeError, match="^bar matrix is not unitriangular at b: defect at b$"):

@@ -433,6 +433,13 @@ GOLDEN = [
          "--weight", "2:1,3:1", "--format", "csv"],
         "ace1eed55cebd3269c0c5d5325113079c106d83ae161a80db9cd75298ee4de84",
     ),
+    # Recorded before each enumerate format began to build only the fields
+    # it prints (648 rows).
+    (
+        ["enumerate", "--shape", "2,2:+ / 2,1:-", "--kind", "row", "--window", "1..3",
+         "--format", "text"],
+        "88a8de87b54cd63e2509fe66cb17588523c8054895a6d33b0488985f9157bb37",
+    ),
     (
         ["dcb", "--space", "t", "--shape", "1:+ / 1:- / 1:+", "--window", "1..3"],
         "73f30447be446e0e6a40929b64c0be20720133f0bca018bba92021dfa82045fd",

@@ -1,7 +1,14 @@
 import collections
 import itertools
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
 
 import pytest
+
+import qchar
 
 from orders import IntVector, bruhat_leq, in_P_plus, multi_leq_T, tableau_leq_T
 from qchar.combinatorics import (
@@ -282,6 +289,45 @@ class TestEnumeration:
         shape = MP(((2, 1), "+"), ((2,), "-"))
         for mt in enumerate_tableaux(shape, "row", (0, 2)):
             assert multi_tableau_from_row_reading(shape, mt.row_reading()) == mt
+
+
+class TestLabelHash:
+    SHAPE = MP(((2, 1), "+"), ((1,), "-"))
+
+    def test_one_label_built_three_ways(self):
+        labels = enumerate_tableaux(self.SHAPE, "row", (1, 3))
+        assert labels
+        for mt in labels:
+            reading = mt.row_reading()
+            normal, inv = row_normal_form(self.SHAPE, reading)
+            rebuilt = multi_tableau_from_row_reading(self.SHAPE, reading)
+            assert inv == 0
+            built = (mt, normal, rebuilt)
+            entries = [{x: i} for i, x in enumerate(built)]
+            for a, b in itertools.permutations(range(3), 2):
+                assert built[a] is not built[b]
+                assert built[a] == built[b] and hash(built[a]) == hash(built[b])
+                assert entries[a][built[b]] == a
+
+    def test_a_pickled_label_hashes_like_a_fresh_one_under_another_seed(self):
+        # a worker process may run under another string-hash seed than the
+        # process that reads its pickled results
+        mt = enumerate_tableaux(self.SHAPE, "row", (1, 3))[-1]
+        blob = pickle.dumps({mt: "found"})
+        code = (
+            "import pickle, sys\n"
+            "from qchar.combinatorics import Partition, SignedMultiPartition, "
+            "multi_tableau_from_row_reading\n"
+            "shape = SignedMultiPartition(((Partition((2, 1)), '+'), (Partition((1,)), '-')))\n"
+            f"fresh = multi_tableau_from_row_reading(shape, {mt.row_reading()!r})\n"
+            "print(pickle.loads(sys.stdin.buffer.read()).get(fresh))\n"
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(pathlib.Path(qchar.__file__).parent.parent))
+        out = subprocess.run(
+            [sys.executable, "-c", code], input=blob, env=env, capture_output=True, check=True
+        ).stdout
+        assert out == b"found\n"
 
 
 def brute_row_normal_form(shape, reading):

@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 top-level function or class of the library is named somewhere else, and
 every method or property of a library class is named as an attribute
-somewhere else: in the library, the benchmark, the tests or the README."""
+somewhere else: in the library, the benchmark, the tests or the README.
+The unchecked Laurent constructor `_of` is named nowhere but in the kernel."""
 
 import ast
 import pathlib
@@ -123,3 +124,29 @@ def test_the_guard_sees_an_unnamed_member():
         "    def lonely(self):\n        return self.lonely()\n"
     )
     assert unnamed_members(source, ["Box().size"]) == ["Box.lonely (line 12)"]
+
+
+# `LaurentPoly._of` trusts its caller to hand it a zero-free term dict; only
+# the kernel, which builds those dicts, may call it.
+UNCHECKED = re.compile(r"\b_of\b")
+KERNEL = pathlib.Path(qchar.__file__).parent / "laurent.py"
+
+
+def lines_naming_the_unchecked_constructor(source: str) -> list[int]:
+    return [n for n, line in enumerate(source.splitlines(), 1) if UNCHECKED.search(line)]
+
+
+def test_only_the_kernel_names_its_unchecked_constructor():
+    this = pathlib.Path(__file__).resolve()
+    offenders = [
+        f"{path.name}:{n}"
+        for path in [*MODULES, *READERS]
+        if path not in (KERNEL, this)
+        for n in lines_naming_the_unchecked_constructor(path.read_text())
+    ]
+    assert offenders == []
+
+
+def test_the_guard_sees_the_unchecked_constructor():
+    source = "x = LaurentPoly._of({0: 0})\nsize_of = 1  # one of two\ny = (_of)\n"
+    assert lines_naming_the_unchecked_constructor(source) == [1, 3]

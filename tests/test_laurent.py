@@ -134,11 +134,44 @@ def test_no_zero_coefficient_is_stored():
         p * -3,
         0 * p,
         poly((2, 3), (2, -3), (1, 4), (0, 0), (1, -4), (5, 1)),
+        q_power(2, -3) * p,
+        p * q_power(-1, 4),
+        q_power(2, -3) * q_power(-2, 5),
+        q_power(4, 0),
+        q_power(1, 2) * 0,
+        bar(p),
+        -p,
     ]
     for x in results:
         assert 0 not in x.terms.values()
-    assert p * 0 == p - p == ZERO
+    assert p * 0 == p - p == q_power(4, 0) == ZERO
+    assert q_power(2, -3) * p == p * q_power(2, -3) == poly((5, -6), (2, 3), (0, -15))
     assert poly((2, 3), (2, -3), (1, 4), (0, 0), (1, -4), (5, 1)).terms == {5: 1}
+
+
+def convolution(a, b):
+    """The product of two Laurent polynomials, term by term."""
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+monomials = st.builds(q_power, st.integers(-6, 6), st.integers(-9, 9).filter(bool))
+
+
+@given(monomials, laurent_polys)
+def test_monomial_product_is_the_convolution(m, p):
+    assert (m * p).terms == (p * m).terms == convolution(m, p)
+
+
+@given(laurent_polys, laurent_polys, monomials, st.integers(-3, 3))
+def test_no_result_shares_an_operands_terms(p, r, m, c):
+    results = [p + r, p - r, p * r, p * m, m * p, p * c, c * p, p + c, c - p, -p, bar(p)]
+    for x in results:
+        for operand in (p, r, m):
+            assert x.terms is not operand.terms
 
 
 def test_constant_hashes_like_its_int():
