@@ -32,7 +32,9 @@ from .laurent import (
     bar as bar_q,
     exact_divide,
     mirror,
+    pack,
     q_power,
+    unpack,
 )
 from .tensor_space import (
     TensorElement,
@@ -182,35 +184,83 @@ def dcb_solve(block: TriangularBlock) -> TriangularBlock:
     lower labels: each is corrected once, top-down, ending at the unique
     bar-invariant element with unitriangular, strictly-lower q^-1-lattice
     coordinates.  The solve runs on the labels' positions in `order`; the
-    bar rows are re-keyed once and `canon` is keyed by labels again.
+    bar rows are re-keyed once, dropping zero entries, and `canon` is keyed
+    by labels again.
+
+    The defect is kept packed (`laurent.pack`): every bar entry and defect
+    entry is one int at the block's lowest exponent `lo` (at most 0) and a
+    digit width `bits`, and each correction at g adds
+    pack(bar(X[g]), 0, bits) times packed row g and subtracts
+    pack(X[g], lo, bits) at g, all as int arithmetic.  Only the top defect
+    entry is unpacked, for `antisym_solve`.  Every coefficient of a column's
+    defect is at most the sum of ||c||_1 * (height of row g + 1) over its
+    corrections c at g, counting e_t as the correction 1 at t, where ||c||_1
+    sums the absolute coefficients and a row's height is its largest
+    absolute coefficient.  That bound must stay below 2^(bits-1), half a
+    digit, until the column is finished, since it is what makes each
+    unpacked entry and each zero test of the defect exact; if it does not,
+    the block is solved again at twice the width, so the result is exact
+    over Z at any coefficient size.
     """
     order = block.order
     pos = {t: i for i, t in enumerate(order)}
-    rows = []
+    rows, heights, lo = [], [], 0
     for t in order:
-        row = {}
+        row, height = {}, 0
         for g, c in block.bar_rows[t].items():
+            if not c:
+                continue
             i = pos.get(g)
             if i is None:
                 raise RuntimeError(f"bar image of {t} leaves the block at {g}")
             row[i] = c
+            e, h = min(c.terms), max(map(abs, c.terms.values()))
+            if e < lo:
+                lo = e
+            if h > height:
+                height = h
         rows.append(row)
-    canon: dict = {}
+        heights.append(height + 1)
+    bits = _PACK_BITS
+    while (cols := _solve_packed(order, rows, heights, lo, bits)) is None:
+        bits *= 2
+    canon = {t: {order[i]: c for i, c in x.items()} for t, x in zip(order, cols)}
+    return TriangularBlock(block.space, order, block.bar_rows, canon)
+
+
+# The digit width at which `dcb_solve` first packs a block.  The column
+# bounds of the benchmark workloads' blocks stay below 2^8, so those blocks
+# solve at this width; wider coefficients cost one re-solve per doubling.
+_PACK_BITS = 16
+
+
+def _solve_packed(order, rows, heights, lo, bits):
+    """The solved columns of `dcb_solve`, position-keyed, with every defect
+    packed at (lo, bits); `heights[i]` is row i's height + 1.  None when a
+    column's coefficient bound reaches half a digit."""
+    half = 1 << (bits - 1)
+    packed = [{i: pack(c, lo, bits) for i, c in row.items()} for row in rows]
+    unit = pack(ONE, lo, bits)
+    cols = []
     for j, t in enumerate(order):
         x = {j: ONE}
-        d = add_into(dict(rows[j]), x, -1)
-        while d:
+        d = add_into(dict(packed[j]), {j: unit}, -1)
+        bound = heights[j]
+        while bound < half and d:
             i = max(d)
             if i >= j:
                 raise RuntimeError(f"bar matrix is not unitriangular at {t}: defect at {order[i]}")
             try:
-                x[i] = c = antisym_solve(d[i])
+                x[i] = c = antisym_solve(unpack(d[i], lo, bits))
             except ValueError as err:
                 raise ValueError(f"bar defect of {t} at {order[i]}: {err}") from err
-            add_into(d, rows[i], bar_q(c))
-            add_into(d, {i: c}, -1)
-        canon[t] = {order[i]: c for i, c in x.items()}
-    return TriangularBlock(block.space, order, block.bar_rows, canon)
+            add_into(d, packed[i], pack(bar_q(c), 0, bits))
+            add_into(d, {i: pack(c, lo, bits)}, -1)
+            bound += sum(map(abs, c.terms.values())) * heights[i]
+        if bound >= half:
+            return None
+        cols.append(x)
+    return cols
 
 
 # ---------------------------------------------------------------------------

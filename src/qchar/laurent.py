@@ -4,6 +4,16 @@ A Laurent polynomial is stored as a mapping from integer exponent to nonzero
 arbitrary-precision integer coefficient, so equal values always have equal
 stored mappings.  All solver-support primitives (`antisym_solve`,
 `exact_divide`, the q^-1-lattice test) live here as well.
+
+A Laurent polynomial p also has a packed form, one Python int (Kronecker
+substitution): `pack(p, lo, bits)` is p(2^bits) * 2^(-bits*lo), so the
+coefficient at q^e is the digit at place e - lo in base 2^bits, read as a
+balanced digit in [-2^(bits-1), 2^(bits-1)).  Packed forms at the same
+(lo, bits) add as ints, and pack(a, lo, bits) * pack(b, 0, bits) is
+pack(a*b, lo, bits) for b with no negative exponent.  `unpack` inverts
+`pack` when every exponent is >= lo and every |coefficient| < 2^(bits-1);
+keeping that precondition is the caller's part.  `pack` and `unpack` are the
+only code that knows this digit format.
 """
 
 from __future__ import annotations
@@ -218,6 +228,40 @@ def antisym_solve(d: LaurentPoly) -> LaurentPoly:
     if bar(d) != -d:
         raise ValueError(f"antisym_solve: input is not bar-antisymmetric: {d}")
     return LaurentPoly({-e: -c for e, c in d.terms.items() if e > 0})
+
+
+def pack(p: LaurentPoly, lo: int, bits: int) -> int:
+    """The packed form p(2^bits) * 2^(-bits*lo) of p: the coefficient at q^e
+    is the balanced base-2^bits digit at place e - lo.  Every exponent of p
+    must be >= lo; `unpack` recovers p when also every |coefficient| is below
+    2^(bits-1)."""
+    n = 0
+    for e, c in p.terms.items():
+        n += c << bits * (e - lo)
+    return n
+
+
+def unpack(n: int, lo: int, bits: int) -> LaurentPoly:
+    """The Laurent polynomial whose `pack` at (lo, bits) is n, read as
+    balanced base-2^bits digits from place 0 (exponent lo) up.  Exact when
+    the packed polynomial had every exponent >= lo and every |coefficient|
+    below 2^(bits-1)."""
+    terms: dict[int, int] = {}
+    if n:
+        base = 1 << bits
+        half, mask = base >> 1, base - 1
+        skip = ((n & -n).bit_length() - 1) // bits  # zero digits below the lowest term
+        n >>= skip * bits
+        e = lo + skip
+        while n:
+            c = n & mask
+            if c >= half:
+                c -= base
+            if c:
+                terms[e] = c
+            n = (n - c) >> bits
+            e += 1
+    return LaurentPoly._of(terms)
 
 
 def exact_divide(p: LaurentPoly, r: LaurentPoly) -> LaurentPoly:

@@ -213,9 +213,49 @@ class TestSolver:
                 assert not any(isinstance(g, int) for g in blk.canon[t])
                 assert set(blk.canon[t]) <= labels
 
+    def test_zero_bar_entry_is_dropped(self):
+        rows = {"a": {"a": ONE}, "b": {"b": ONE}}
+        plain = dcb_solve(TriangularBlock("t", ("a", "b"), rows))
+        with_zero = dcb_solve(TriangularBlock("t", ("a", "b"), {**rows, "b": {"b": ONE, "a": ZERO}}))
+        assert with_zero.canon == plain.canon == {"a": {"a": ONE}, "b": {"b": ONE}}
+        assert with_zero.to_json()["canonical"] == [[0, 0, [[0, "1"]]], [1, 1, [[0, "1"]]]]
+
+    def test_coefficients_past_the_first_digit_width(self):
+        # bar(e_b) = e_b + m (q - q^-1) e_a, solved by -m q^-1 at a
+        m = 3**200
+        rows = {"a": {"a": ONE}, "b": {"b": ONE, "a": q_power(1, m) - q_power(-1, m)}}
+        blk = dcb_solve(TriangularBlock("t", ("a", "b"), rows))
+        assert blk.canon["b"] == {"b": ONE, "a": q_power(-1, -m)}
+
+    def test_conjugated_blocks_scale_entrywise(self):
+        # Conjugating the bar matrix by diag(N^position) scales each canonical
+        # entry at (g, t) by N^(p_t - p_g); at N = 2^40 the entries pass
+        # hundreds of bits.
+        N = 2**40
+        signs, window = ("+", "-", "+", "-"), (1, 4)
+        for key in sorted(weight_keys(signs, window)):
+            blk = dcb_T(signs, window, dict(key))
+            pos = {t: i for i, t in enumerate(blk.order)}
+
+            def conjugate(cols):
+                return {
+                    t: {g: c * N ** (pos[t] - pos[g]) for g, c in col.items()}
+                    for t, col in cols.items()
+                }
+
+            wide = dcb_solve(TriangularBlock("t", blk.order, conjugate(blk.bar_rows)))
+            assert wide.canon == conjugate(blk.canon)
+
     def test_non_unit_diagonal_rejected(self):
         bad = TriangularBlock("t", ("a", "b"), {"a": {"a": ONE}, "b": {"b": q_power(1)}})
         with pytest.raises(RuntimeError, match="^bar matrix is not unitriangular at b: defect at b$"):
+            dcb_solve(bad)
+
+    def test_defect_that_packs_to_zero_rejected(self):
+        # At lo = -1 and 16-bit digits, 2^16 q^-1 and q^-1 pack to the same
+        # int, so the diagonal defect is nonzero but its packed form is 0.
+        bad = TriangularBlock("t", ("a",), {"a": {"a": q_power(-1, 2**16)}})
+        with pytest.raises(RuntimeError, match="^bar matrix is not unitriangular at a: defect at a$"):
             dcb_solve(bad)
 
 

@@ -11,7 +11,9 @@ from qchar.laurent import (
     constant,
     exact_divide,
     in_qinv_lattice,
+    pack,
     q_power,
+    unpack,
 )
 
 
@@ -24,9 +26,12 @@ def poly(*pairs):
 QUANTUM_2 = LaurentPoly({1: 1, -1: 1})
 
 
+# Small coefficients, and coefficients past the machine word.
+coefficients = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
+
 laurent_polys = st.builds(
     LaurentPoly,
-    st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=5),
+    st.dictionaries(st.integers(-6, 6), coefficients, max_size=5),
 )
 
 
@@ -158,7 +163,7 @@ def convolution(a, b):
     return {e: c for e, c in out.items() if c}
 
 
-monomials = st.builds(q_power, st.integers(-6, 6), st.integers(-9, 9).filter(bool))
+monomials = st.builds(q_power, st.integers(-6, 6), coefficients.filter(bool))
 
 
 @given(monomials, laurent_polys)
@@ -175,7 +180,7 @@ def test_no_result_shares_an_operands_terms(p, r, m, c):
 
 
 def test_constant_hashes_like_its_int():
-    for c in (0, 1, -3):
+    for c in (0, 1, -3, 2**70, -(2**70)):
         assert constant(c) == c
         assert hash(constant(c)) == hash(c)
     assert 1 in {ONE}
@@ -205,3 +210,50 @@ def test_mul_rejects_foreign_operands():
             p * bad
         with pytest.raises(TypeError):
             bad * p
+
+
+# Packed forms: coefficients far past the machine word, exponents -20..20.
+wide_polys = st.builds(
+    LaurentPoly,
+    st.dictionaries(st.integers(-20, 20), st.integers(-(2**200), 2**200), max_size=6),
+)
+nonnegative_wide_polys = st.builds(
+    LaurentPoly,
+    st.dictionaries(st.integers(0, 20), st.integers(-(2**200), 2**200), max_size=6),
+)
+
+
+def fitting_bits(p):
+    """The least digit width that holds every coefficient of p."""
+    return max((abs(c).bit_length() for c in p.terms.values()), default=0) + 1
+
+
+def test_pack_examples():
+    # 3 - q^2 at lo = -1, 4-bit digits: 3 at place 1, -1 at place 3
+    p = poly((0, 3), (2, -1))
+    assert pack(p, -1, 4) == (3 << 4) - (1 << 12)
+    assert unpack(pack(p, -1, 4), -1, 4) == p
+    assert pack(ONE, -2, 8) == 1 << 16
+
+
+@given(wide_polys, st.integers(0, 8), st.integers(0, 5))
+def test_pack_round_trips_at_any_width_that_fits(p, extra, below):
+    lo = min(p.terms, default=0) - below
+    bits = fitting_bits(p) + extra
+    for x in (p, -p):
+        assert unpack(pack(x, lo, bits), lo, bits) == x
+
+
+@given(wide_polys, nonnegative_wide_polys, st.integers(0, 3))
+def test_packed_product_is_the_packed_product(a, b, extra):
+    lo = min(a.terms, default=0)
+    bits = fitting_bits(a * b) + extra
+    packed = pack(a, lo, bits) * pack(b, 0, bits)
+    assert packed == pack(a * b, lo, bits)
+    assert unpack(packed, lo, bits) == a * b
+
+
+@given(st.integers(-20, 20), st.integers(1, 64))
+def test_zero_packs_to_zero(lo, bits):
+    assert pack(ZERO, lo, bits) == 0
+    assert unpack(0, lo, bits) == ZERO
