@@ -182,16 +182,17 @@ def dcb_solve(block: TriangularBlock) -> TriangularBlock:
     `antisym_solve` correction X[g] and add bar(X[g]) bar(e_g) - X[g] e_g to
     d.  The labels below t are solved first, so bar(e_g) reaches only g and
     lower labels: each is corrected once, top-down, ending at the unique
-    bar-invariant element with unitriangular, strictly-lower q^-1-lattice
-    coordinates.  The solve runs on the labels' positions in `order`; the
-    bar rows are re-keyed once, dropping zero entries, and `canon` is keyed
-    by labels again.
+    bar-invariant element unitriangular in the lattice of
+    `laurent.LATTICE_SIGN`.  The solve runs on label positions in `order`;
+    bar rows are re-keyed once, zero entries dropped (from the returned rows
+    too), and `canon` is keyed by labels again.
 
     The defect is kept packed (`laurent.pack`): every bar entry and defect
     entry is one int at the block's lowest exponent `lo` (at most 0) and a
     digit width `bits`, and each correction at g adds
     pack(bar(X[g]), 0, bits) times packed row g and subtracts
-    pack(X[g], lo, bits) at g, all as int arithmetic.  Only the top defect
+    pack(X[g], lo, bits) at g, all as int arithmetic (exact only because
+    the convention keeps every exponent of X[g] <= -1).  Only the top defect
     entry is unpacked, for `antisym_solve`.  Every coefficient of a column's
     defect is at most the sum of ||c||_1 * (height of row g + 1) over its
     corrections c at g, counting e_t as the correction 1 at t, where ||c||_1
@@ -204,11 +205,12 @@ def dcb_solve(block: TriangularBlock) -> TriangularBlock:
     """
     order = block.order
     pos = {t: i for i, t in enumerate(order)}
-    rows, heights, lo = [], [], 0
+    rows, heights, lo, bar_rows = [], [], 0, block.bar_rows
     for t in order:
         row, height = {}, 0
         for g, c in block.bar_rows[t].items():
             if not c:
+                bar_rows = None  # hand back the zero-free rows built here
                 continue
             i = pos.get(g)
             if i is None:
@@ -225,7 +227,9 @@ def dcb_solve(block: TriangularBlock) -> TriangularBlock:
     while (cols := _solve_packed(order, rows, heights, lo, bits)) is None:
         bits *= 2
     canon = {t: {order[i]: c for i, c in x.items()} for t, x in zip(order, cols)}
-    return TriangularBlock(block.space, order, block.bar_rows, canon)
+    if bar_rows is None:
+        bar_rows = {t: {order[i]: c for i, c in x.items()} for t, x in zip(order, rows)}
+    return TriangularBlock(block.space, order, bar_rows, canon)
 
 
 # The digit width at which `dcb_solve` first packs a block.  The column
@@ -502,8 +506,8 @@ def _braiding_word_apply(bfA: MultiTableau, x: TensorElement) -> TensorElement:
 
 def xi_raw(bfA: MultiTableau, window: tuple[int, int]) -> SElement:
     """The unnormalized intertwiner image: straighten the braiding word
-    applied to kappa(A).  Coefficients live in the q-lattice; `xi_V` rescales
-    them through the mirror involution."""
+    applied to kappa(A).  `xi_V` rescales its coefficients through the
+    mirror involution."""
     return straighten(_braiding_word_apply(bfA, kappa(bfA, window)), bfA.shape)
 
 
@@ -511,9 +515,9 @@ def xi_V(bfA: MultiTableau, window: tuple[int, int]) -> SElement:
     """V_A for a Col multi-tableau: the braided image of K_A in S, with every
     Pi-coordinate rewritten by the mirror involution q -> -q^-1.
 
-    The mirror rewrite normalizes V_A to a unitriangular q^-1-lattice
-    element over Std leading terms; the classical specialization of the
-    alternating-sum identity then sits at q = -1.
+    The mirror rewrite normalizes V_A to a unitriangular element over Std
+    leading terms in the convention's lattice (`laurent.LATTICE_SIGN`), at
+    whose specialization the classical alternating-sum identity sits.
     """
     return xi_raw(bfA, window).map_coeffs(mirror)
 

@@ -7,8 +7,8 @@ by row-normalized multi-tableaux.  `expand_standard` and `expand_N` are two
 independent signed expansions of the same standard class — one grouped by
 piece, one grouped by global column — and `theoremC_check` compares them
 exhaustively.  Decomposition numbers come from the dual canonical basis of P
-specialized at q = -1, which is where the q^-1-normalized triangular entries
-turn into nonnegative multiplicities.
+at the specialization of `laurent.LATTICE_SIGN`, expected to be nonnegative
+there; known to fail on `2:+ / 1:+` at 1..2, weight 1:1,2:2 (one entry is -1).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .combinatorics import (
     row_normal_form,
     tableau_from_columns,
 )
-from .laurent import Element, LaurentPoly, ZERO, add_into, eval_at_minus_one
+from .laurent import Element, LaurentPoly, ZERO, add_into, specialize
 
 __all__ = [
     "VermaSum",
@@ -208,16 +208,16 @@ def decomposition_matrix(
     shape: SignedMultiPartition, window: tuple[int, int], weight: dict[int, int]
 ) -> DecompositionTable:
     """The decomposition table of one weight block: L-in-Delta is the solved
-    dual canonical basis of P; Delta-in-L inverts its specialization at
-    q = -1 by back substitution over the block order,
-    Delta(t) = L(t) - sum_{g < t} L_in_Delta(t, g)|_{q=-1} Delta(g)."""
+    dual canonical basis of P; Delta-in-L inverts its `specialize` image by
+    back substitution over the block order,
+    Delta(t) = L(t) - sum_{g < t} specialize(L_in_Delta(t, g)) Delta(g)."""
     blk = bases.dcb_P(shape, window, weight)
     delta_cols: dict = {}
     for t in blk.order:
         col = {t: 1}
         for g, c in blk.canon[t].items():
             if g != t:
-                add_into(col, delta_cols[g], -eval_at_minus_one(c))
+                add_into(col, delta_cols[g], -specialize(c))
         delta_cols[t] = col
     return DecompositionTable(shape, window, dict(weight), blk.order, blk.canon, delta_cols)
 
@@ -226,8 +226,8 @@ def simple_character(
     bfA: MultiTableau, window: tuple[int, int]
 ) -> tuple[dict[MultiTableau, int], VermaSum]:
     """The character of the simple class [L(bfA)]: its integer expansion over
-    standard classes (the q = -1 column of L-in-Delta) and the composed
-    Verma-class expansion."""
+    standard classes (its L-in-Delta column through `specialize`) and the
+    composed Verma-class expansion."""
     if not bfA.is_std():
         raise ValueError(f"simple_character requires a Std multi-tableau, got {bfA}")
     lo, hi = window
@@ -235,7 +235,7 @@ def simple_character(
         raise ValueError(f"simple_character: {bfA} has an entry outside the window {window}")
     shape = bfA.shape
     blk = bases.dcb_P(shape, window, bfA.weight_signed())
-    delta_exp = add_into({}, ((g, eval_at_minus_one(c)) for g, c in blk.canon[bfA].items()))
+    delta_exp = add_into({}, ((g, specialize(c)) for g, c in blk.canon[bfA].items()))
     verma: dict = {}
     for g, c in delta_exp.items():
         add_into(verma, expand_standard(g).coeffs, c)

@@ -25,7 +25,7 @@ from .combinatorics import (
     pyramid_report,
     weight_key,
 )
-from .laurent import ONE, add_into, in_qinv_lattice
+from .laurent import ONE, add_into, in_lattice
 from .tensor_space import (
     TensorElement,
     act_E,
@@ -337,13 +337,14 @@ def _suite_dcb():
             blk = bases.dcb_S(shape, window, mu)
         for t in blk.order:
             canon = blk.canon[t]
+            where = {"shape": str(shape), "window": list(window), "weight": mu, "label": str(t)}
             if canon.get(t) != ONE:
-                yield {"shape": str(shape), "weight": mu, "property": "diagonal"}
-            if any(g != t and not in_qinv_lattice(c) for g, c in canon.items()):
-                yield {"shape": str(shape), "weight": mu, "property": "lattice"}
+                yield {**where, "property": "diagonal"}
+            if any(g != t and not in_lattice(c) for g, c in canon.items()):
+                yield {**where, "property": "lattice"}
             elem = bases.SElement(shape, window, dict(canon))
             if bases.bar_S(elem).coeffs != elem.coeffs:
-                yield {"shape": str(shape), "weight": mu, "property": "bar invariance"}
+                yield {**where, "property": "bar invariance"}
 
 
 def _suite_xi():

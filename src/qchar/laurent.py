@@ -3,7 +3,7 @@
 A Laurent polynomial is stored as a mapping from integer exponent to nonzero
 arbitrary-precision integer coefficient, so equal values always have equal
 stored mappings.  All solver-support primitives (`antisym_solve`,
-`exact_divide`, the q^-1-lattice test) live here as well.
+`exact_divide`, the lattice test) and the lattice convention live here too.
 
 A Laurent polynomial p also has a packed form, one Python int (Kronecker
 substitution): `pack(p, lo, bits)` is p(2^bits) * 2^(-bits*lo), so the
@@ -199,11 +199,6 @@ def bar(p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._of({-e: c for e, c in p.terms.items()})
 
 
-def eval_at_minus_one(p: LaurentPoly) -> int:
-    """Specialize q to -1: sum coefficients with the parity sign of the exponent."""
-    return sum(c if e % 2 == 0 else -c for e, c in p.terms.items())
-
-
 def mirror(p: LaurentPoly) -> LaurentPoly:
     """The ring involution q -> -q^-1 (substitute and renormalize signs).
 
@@ -213,21 +208,31 @@ def mirror(p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly({-e: (c if e % 2 == 0 else -c) for e, c in p.terms.items()})
 
 
-def in_qinv_lattice(p: LaurentPoly) -> bool:
-    """True iff every nonzero term has exponent <= -1 (membership in q^-1*Z[q^-1])."""
-    return all(e <= -1 for e in p.terms)
+# The one lattice convention s: strictly-lower dual canonical coordinates lie
+# in q^s Z[q^s] and specialize at q = s.  `bases.dcb_solve` needs s = -1: it
+# packs bar(c) at offset 0, right only while each correction c has e <= -1.
+LATTICE_SIGN = -1
+
+
+def in_lattice(p: LaurentPoly) -> bool:
+    """True iff p lies in the convention's lattice q^s Z[q^s]."""
+    return all(e * LATTICE_SIGN >= 1 for e in p.terms)
+
+
+def specialize(p: LaurentPoly) -> int:
+    """p at the convention's specialization point q = s."""
+    return sum(c if e % 2 == 0 else LATTICE_SIGN * c for e, c in p.terms.items())
 
 
 def antisym_solve(d: LaurentPoly) -> LaurentPoly:
-    """Solve bar(c) - c = -d with all exponents of c at most -1.
+    """Solve bar(c) - c = -d with c in the convention's lattice.
 
-    The input must be bar-antisymmetric, bar(d) = -d, so that
-    d = sum_{k>0} m_k (q^k - q^-k); the unique solution in the q^-1-lattice
-    is c = -sum_{k>0} m_k q^-k.
+    The input must be bar-antisymmetric, bar(d) = -d; then d = c - bar(c)
+    for the unique solution c, the part of d inside the lattice.
     """
     if bar(d) != -d:
         raise ValueError(f"antisym_solve: input is not bar-antisymmetric: {d}")
-    return LaurentPoly({-e: -c for e, c in d.terms.items() if e > 0})
+    return LaurentPoly._of({e: c for e, c in d.terms.items() if e * LATTICE_SIGN > 0})
 
 
 def pack(p: LaurentPoly, lo: int, bits: int) -> int:

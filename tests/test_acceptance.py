@@ -36,7 +36,7 @@ from qchar.laurent import (
     LaurentPoly,
     ONE,
     bar as bar_q,
-    in_qinv_lattice,
+    in_lattice,
     q_power,
 )
 from qchar.tensor_space import (
@@ -162,7 +162,7 @@ class TestCriterion5SolverCharacterization:
                 assert canon[t] == ONE
                 for g, c in canon.items():
                     if g != t:
-                        assert in_qinv_lattice(c)
+                        assert in_lattice(c)
                 x = TensorElement(signs, window)
                 for g, c in canon.items():
                     x = x + TensorElement.monomial(signs, window, g, c)
@@ -245,7 +245,7 @@ class TestCriterion7XiValidation:
                 assert d.coeffs[mt] == ONE
                 for g, c in d.coeffs.items():
                     if g != mt:
-                        assert in_qinv_lattice(c)
+                        assert in_lattice(c)
 
     def test_classical_limit_identity(self):
         for lam, sign in self.SHAPES:

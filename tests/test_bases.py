@@ -5,10 +5,8 @@ import json
 import pytest
 
 from qchar.combinatorics import (
-    MultiTableau,
     Partition,
     SignedMultiPartition,
-    Tableau,
     column_stabilizer,
     enumerate_tableaux,
     multi_tableau_from_row_reading,
@@ -16,10 +14,9 @@ from qchar.combinatorics import (
     wt_key,
 )
 from qchar.laurent import (
-    LaurentPoly,
     ONE,
     ZERO,
-    in_qinv_lattice,
+    in_lattice,
     mirror,
     q_power,
 )
@@ -169,7 +166,7 @@ class TestSolver:
             assert canon[t] == ONE
             for g, c in canon.items():
                 if g != t:
-                    assert in_qinv_lattice(c)
+                    assert in_lattice(c)
             # bar invariance in tensor coordinates
             x = TensorElement(("+", "+", "+"), (1, 3))
             for g, c in canon.items():
@@ -219,6 +216,15 @@ class TestSolver:
         with_zero = dcb_solve(TriangularBlock("t", ("a", "b"), {**rows, "b": {"b": ONE, "a": ZERO}}))
         assert with_zero.canon == plain.canon == {"a": {"a": ONE}, "b": {"b": ONE}}
         assert with_zero.to_json()["canonical"] == [[0, 0, [[0, "1"]]], [1, 1, [[0, "1"]]]]
+
+    def test_zero_bar_entry_is_left_out_of_the_bar_output(self):
+        rows = {"a": {"a": ONE}, "b": {"b": ONE, "a": ZERO}}
+        blk = dcb_solve(TriangularBlock("t", ("a", "b"), rows))
+        assert blk.bar_rows == {"a": {"a": ONE}, "b": {"b": ONE}}
+        assert blk.to_json()["bar"] == [[0, 0, [[0, "1"]]], [1, 1, [[0, "1"]]]]
+        # zero-free rows, as the library builds them, are handed back as given
+        plain = {"a": {"a": ONE}, "b": {"b": ONE}}
+        assert dcb_solve(TriangularBlock("t", ("a", "b"), plain)).bar_rows is plain
 
     def test_coefficients_past_the_first_digit_width(self):
         # bar(e_b) = e_b + m (q - q^-1) e_a, solved by -m q^-1 at a
@@ -360,7 +366,7 @@ class TestKappaAndXi:
                 assert d.coeffs[mt] == ONE
                 for g, c in d.coeffs.items():
                     if g != mt:
-                        assert in_qinv_lattice(c)
+                        assert in_lattice(c)
 
     def test_delta_rejects_non_std(self):
         # 1 over 1 in a single column is Row but not Col, hence not Std.
@@ -425,7 +431,7 @@ class TestWedge:
             assert blk.canon[t][t] == ONE
             for g, c in blk.canon[t].items():
                 if g != t:
-                    assert in_qinv_lattice(c)
+                    assert in_lattice(c)
 
 
 class TestDcbP:
@@ -445,7 +451,7 @@ class TestDcbP:
                     assert blk.canon[t][t] == ONE
                     for g, c in blk.canon[t].items():
                         if g != t:
-                            assert in_qinv_lattice(c)
+                            assert in_lattice(c)
 
     def test_bar_matrix_involutive(self):
         shape, window = MP(((1, 1), "+"), ((1,), "+")), (1, 3)

@@ -1,7 +1,6 @@
 import pytest
 
 from qchar.characters import (
-    DecompositionTable,
     VermaSum,
     decomposition_matrix,
     expand_N,
@@ -143,7 +142,7 @@ class TestDecompositionMatrix:
         # On a fully refined shape (single-row pieces) the standard basis is
         # the monomial basis, so the table specializes dcb_S directly.
         from qchar.bases import dcb_S
-        from qchar.laurent import ZERO, eval_at_minus_one
+        from qchar.laurent import ZERO
 
         shape = MP(((2,), "+"), ((1,), "+"))
         window = (1, 2)

@@ -13,6 +13,7 @@ from qchar.cli import (
     parse_weight,
     parse_window,
 )
+from qchar.laurent import q_power
 
 
 @pytest.fixture
@@ -323,6 +324,34 @@ class TestVerify:
         assert {"E commutation", "F commutation"} <= {d["property"] for d in details}
         # a runs over 1..2 inside the window 1..3, so no action leaves it
         assert {d["a"] for d in details if "a" in d} == {1, 2}
+
+    def test_a_lattice_failure_names_its_window_and_label(self, capsys, monkeypatch):
+        solve = qchar.bases.dcb_S
+
+        def off_lattice(shape, window, mu):
+            # a q-lattice entry above the diagonal of every block of two or more
+            blk = solve(shape, window, mu)
+            if len(blk.order) > 1:
+                blk.canon[blk.order[1]][blk.order[0]] = q_power(1)
+            return blk
+
+        monkeypatch.setattr(qchar.bases, "dcb_S", off_lattice)
+        code, out = run(capsys, "verify", "--suite", "dcb")
+        assert code == 1
+        line, report = out.strip().splitlines()
+        assert line == "FAIL dcb"
+        assert json.loads(report)["failures"] == [
+            {
+                "suite": "dcb",
+                "detail": {
+                    "shape": "1:+ / 1:+",
+                    "window": [1, 2],
+                    "weight": {"1": 1, "2": 1},
+                    "label": "2 / 1",
+                    "property": "lattice",
+                },
+            }
+        ]
 
     def test_a_raising_suite_fails_and_the_rest_run(self, capsys, negated_zeta):
         negated_zeta("-", "-")

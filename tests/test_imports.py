@@ -1,4 +1,4 @@
-"""Every name a library module imports is used in that module, every
+"""Every name a library or test module imports is used in that module, every
 top-level function or class of the library is named somewhere else, and
 every method or property of a library class is named as an attribute
 somewhere else: in the library, the benchmark, the tests or the README.
@@ -14,11 +14,8 @@ import qchar
 
 MODULES = sorted(pathlib.Path(qchar.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-READERS = [
-    *sorted((ROOT / "perfbench").glob("*.py")),
-    *sorted((ROOT / "tests").glob("*.py")),
-    ROOT / "README.md",
-]
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+READERS = [*sorted((ROOT / "perfbench").glob("*.py")), *TESTS, ROOT / "README.md"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -84,7 +81,7 @@ def unnamed_members(source: str, others: list[str]) -> list[str]:
     return out
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*MODULES, *TESTS], ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 

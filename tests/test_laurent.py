@@ -10,9 +10,10 @@ from qchar.laurent import (
     bar,
     constant,
     exact_divide,
-    in_qinv_lattice,
+    in_lattice,
     pack,
     q_power,
+    specialize,
     unpack,
 )
 
@@ -58,9 +59,19 @@ def test_bar_examples():
 
 
 def test_in_qinv_lattice_examples():
-    assert in_qinv_lattice(poly((-1, 1), (-3, 2)))
-    assert not in_qinv_lattice(ONE)
-    assert in_qinv_lattice(ZERO)
+    assert in_lattice(poly((-1, 1), (-3, 2)))
+    assert not in_lattice(ONE)
+    assert in_lattice(ZERO)
+
+
+def test_specialize_examples():
+    # q^k -> (-1)^k: the specialization point is q = -1
+    for k, sign in zip(range(-3, 4), (-1, 1, -1, 1, -1, 1, -1)):
+        assert specialize(q_power(k)) == sign
+        assert specialize(q_power(k, 2**70)) == sign * 2**70
+        assert specialize(q_power(k, -(2**70))) == -sign * 2**70
+    assert specialize(ZERO) == 0
+    assert specialize(QUANTUM_2) == -2
 
 
 def test_antisym_solve_examples():
@@ -110,11 +121,19 @@ def test_eval_at_one_is_bar_invariant(p):
     assert sum(bar(p).terms.values()) == sum(p.terms.values())
 
 
+@given(laurent_polys, laurent_polys)
+def test_specialize_is_a_bar_invariant_ring_homomorphism(p, r):
+    assert specialize(ONE) == 1
+    assert specialize(p + r) == specialize(p) + specialize(r)
+    assert specialize(p * r) == specialize(p) * specialize(r)
+    assert specialize(bar(p)) == specialize(p)
+
+
 @given(st.dictionaries(st.integers(1, 6), st.integers(-9, 9), max_size=4))
 def test_antisym_solve_postconditions(upper):
     d = poly(*upper.items(), *((-k, -c) for k, c in upper.items()))
     c = antisym_solve(d)
-    assert in_qinv_lattice(c)
+    assert in_lattice(c)
     assert bar(c) - c == -d
 
 
