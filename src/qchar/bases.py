@@ -375,7 +375,8 @@ def _eliminate(x: dict, order, rows: dict, pivot) -> tuple[dict, dict]:
     present in the remainder is divided exactly by the basis element's pivot
     coefficient and that multiple of the element is subtracted.  Returns the
     coordinates and the residual left outside the pivots; whether a nonzero
-    residual is an error is the caller's decision.
+    residual is an error is the caller's decision.  A pivot coefficient that
+    does not divide raises a ValueError naming the label and the pivot key.
     """
     y = dict(x)
     coords: dict = {}
@@ -385,7 +386,10 @@ def _eliminate(x: dict, order, rows: dict, pivot) -> tuple[dict, dict]:
         if not c:
             continue
         row = rows[t].coeffs
-        co = exact_divide(c, row[key])
+        try:
+            co = exact_divide(c, row[key])
+        except ValueError as err:
+            raise ValueError(f"pivot of {t} at {key}: {err}") from err
         coords[t] = co
         add_into(y, row, -co)
     return coords, y

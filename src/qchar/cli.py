@@ -25,8 +25,9 @@ from .combinatorics import (
     pyramid_report,
     weight_key,
 )
-from .laurent import ONE, add_into, in_lattice
+from .laurent import ONE, add_into, in_lattice, q_power
 from .tensor_space import (
+    Q_MINUS_QINV,
     TensorElement,
     act_E,
     act_F,
@@ -272,7 +273,7 @@ def _random_element(signs, window, rng):
     terms = []
     for _ in range(3):
         f = tuple(rng.randint(lo, hi) for _ in signs)
-        terms.append((f, ONE * rng.randint(-3, 3) + bases.q_power(rng.randint(-2, 2))))
+        terms.append((f, ONE * rng.randint(-3, 3) + q_power(rng.randint(-2, 2))))
     return TensorElement(signs, window, add_into({}, terms))
 
 
@@ -283,7 +284,7 @@ def _runs(signs):
 
 def _suite_hecke():
     window = (1, 3)
-    zeta = bases.LaurentPoly({-1: 1, 1: -1})  # q^-1 - q
+    zeta = -Q_MINUS_QINV  # q^-1 - q
     for signs in (("+", "+"), ("+", "-"), ("-", "+", "+"), ("+", "-", "+")):
         runs = _runs(signs)
         for f in itertools.product(range(1, 4), repeat=len(signs)):
@@ -356,7 +357,8 @@ def _suite_xi():
             images = bases.xi_wedge_images(shape, window)
         for mt, el in images.items():
             if (not el.is_zero()) != mt.is_std():
-                yield {"shape": str(shape), "tableau": str(mt), "property": "nonvanishing"}
+                where = {"shape": str(shape), "window": list(window), "tableau": str(mt)}
+                yield {**where, "property": "nonvanishing"}
 
 
 def _suite_theoremC():
@@ -381,7 +383,7 @@ def _suite_sameDCB():
             a = bases.dcb_S(shape, window, mu)
             b = bases.sym_ideal_dcb(shape, window, mu)
         if a.order != b.order or a.canon != b.canon:
-            yield {"shape": str(shape), "weight": mu, "property": "identification"}
+            yield {"shape": str(shape), "window": list(window), "weight": mu, "property": "identification"}
 
 
 # Every verification suite by name, in the order `verify --suite all` runs

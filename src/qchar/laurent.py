@@ -52,8 +52,6 @@ class Element:
     every key to the subclass's `_check_key`; operands of `+` and `-` are
     assumed to lie in the same module."""
 
-    __slots__ = ()
-
     def __post_init__(self):
         object.__setattr__(self, "coeffs", {k: c for k, c in self.coeffs.items() if c})
         for k in self.coeffs:
@@ -85,11 +83,10 @@ class LaurentPoly:
     dictionary never stores a zero coefficient.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: dict[int, int] | None = None):
         self.terms = {e: c for e, c in (terms or {}).items() if c}
-        self._hash: int | None = None
 
     @classmethod
     def _of(cls, terms: dict[int, int]) -> "LaurentPoly":
@@ -97,41 +94,31 @@ class LaurentPoly:
         has just built with no zero coefficient."""
         p = object.__new__(cls)
         p.terms = terms
-        p._hash = None
         return p
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = constant(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if not isinstance(other, LaurentPoly) and (other := _operand(other)) is NotImplemented:
+            return other
         return self.terms == other.terms
 
     def __hash__(self) -> int:
         # A constant equals its int (see __eq__), so it must hash like one.
-        if self._hash is None:
-            terms = self.terms
-            if terms.keys() <= {0}:
-                self._hash = hash(terms.get(0, 0))
-            else:
-                self._hash = hash(tuple(sorted(terms.items())))
-        return self._hash
+        terms = self.terms
+        if terms.keys() <= {0}:
+            return hash(terms.get(0, 0))
+        return hash(tuple(sorted(terms.items())))
 
     def __add__(self, other) -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            if not isinstance(other, int):
-                return NotImplemented
-            other = constant(other)
+        if not isinstance(other, LaurentPoly) and (other := _operand(other)) is NotImplemented:
+            return other
         return LaurentPoly._of(add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other) -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            if not isinstance(other, int):
-                return NotImplemented
-            other = constant(other)
+        if not isinstance(other, LaurentPoly) and (other := _operand(other)) is NotImplemented:
+            return other
         return LaurentPoly._of(add_into(dict(self.terms), other.terms, -1))
 
     __radd__ = __add__
@@ -143,14 +130,9 @@ class LaurentPoly:
         return LaurentPoly._of({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        a = self.terms
-        if not isinstance(other, LaurentPoly):
-            if not isinstance(other, int):
-                return NotImplemented
-            if not other:
-                return ZERO
-            return LaurentPoly._of({e: other * c for e, c in a.items()})
-        b = other.terms
+        if not isinstance(other, LaurentPoly) and (other := _operand(other)) is NotImplemented:
+            return other
+        a, b = self.terms, other.terms
         if len(b) == 1:
             a, b = b, a
         if len(a) == 1:  # a monomial: shift and scale the other operand
@@ -186,7 +168,13 @@ ONE = LaurentPoly({0: 1})
 
 
 def constant(c: int) -> LaurentPoly:
-    return LaurentPoly({0: c})
+    return q_power(0, c)
+
+
+def _operand(x):
+    """The one rule for a non-LaurentPoly operand: an int is its constant
+    polynomial, anything else is foreign and gives NotImplemented."""
+    return constant(x) if isinstance(x, int) else NotImplemented
 
 
 def q_power(e: int, c: int = 1) -> LaurentPoly:
@@ -227,12 +215,14 @@ def specialize(p: LaurentPoly) -> int:
 def antisym_solve(d: LaurentPoly) -> LaurentPoly:
     """Solve bar(c) - c = -d with c in the convention's lattice.
 
-    The input must be bar-antisymmetric, bar(d) = -d; then d = c - bar(c)
-    for the unique solution c, the part of d inside the lattice.
+    The input must be bar-antisymmetric, bar(d) = -d, that is d[-e] = -d[e]
+    for every term (so no constant term); then d = c - bar(c) for the unique
+    solution c, the part of d inside the lattice.
     """
-    if bar(d) != -d:
+    terms = d.terms
+    if any(terms.get(-e) != -c for e, c in terms.items()):
         raise ValueError(f"antisym_solve: input is not bar-antisymmetric: {d}")
-    return LaurentPoly._of({e: c for e, c in d.terms.items() if e * LATTICE_SIGN > 0})
+    return LaurentPoly._of({e: c for e, c in terms.items() if e * LATTICE_SIGN > 0})
 
 
 def pack(p: LaurentPoly, lo: int, bits: int) -> int:

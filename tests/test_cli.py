@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 
@@ -352,6 +353,43 @@ class TestVerify:
                 },
             }
         ]
+
+    def test_an_identification_failure_names_its_window(self, capsys, monkeypatch):
+        solve = qchar.bases.sym_ideal_dcb
+
+        def other_canon(shape, window, mu):
+            return dataclasses.replace(solve(shape, window, mu), canon={})
+
+        monkeypatch.setattr(qchar.bases, "sym_ideal_dcb", other_canon)
+        code, out = run(capsys, "verify", "--suite", "sameDCB")
+        assert code == 1
+        line, report = out.strip().splitlines()
+        assert line == "FAIL sameDCB"
+        assert json.loads(report)["failures"] == [
+            {
+                "suite": "sameDCB",
+                "detail": {
+                    "shape": "1,1:+",
+                    "window": [1, 2],
+                    "weight": {"1": 1, "2": 1},
+                    "property": "identification",
+                },
+            }
+        ]
+
+    def test_a_nonvanishing_failure_names_its_window(self, capsys, monkeypatch):
+        images = qchar.bases.xi_wedge_images
+
+        def vanishing(shape, window):
+            return {mt: el.scale(0) for mt, el in images(shape, window).items()}
+
+        monkeypatch.setattr(qchar.bases, "xi_wedge_images", vanishing)
+        code, out = run(capsys, "verify", "--suite", "xi")
+        assert code == 1
+        (failure,) = json.loads(out.strip().splitlines()[1])["failures"]
+        assert failure["detail"]["shape"] == "2,1:+"
+        assert failure["detail"]["window"] == [1, 3]
+        assert failure["detail"]["property"] == "nonvanishing"
 
     def test_a_raising_suite_fails_and_the_rest_run(self, capsys, negated_zeta):
         negated_zeta("-", "-")

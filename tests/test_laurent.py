@@ -137,6 +137,28 @@ def test_antisym_solve_postconditions(upper):
     assert bar(c) - c == -d
 
 
+# p - bar(p) is bar-antisymmetric, so both outcomes are drawn often; adding
+# a constant c breaks antisymmetry only at q^0 when c is nonzero.
+antisymmetric_polys = laurent_polys.map(lambda p: p - bar(p))
+
+
+@given(
+    st.one_of(
+        laurent_polys,
+        antisymmetric_polys,
+        st.builds(lambda d, c: d + c, antisymmetric_polys, coefficients),
+    )
+)
+def test_antisym_solve_raises_exactly_off_antisymmetric_inputs(d):
+    if bar(d) != -d:
+        with pytest.raises(ValueError, match="not bar-antisymmetric"):
+            antisym_solve(d)
+        return
+    c = antisym_solve(d)
+    assert in_lattice(c)
+    assert bar(c) - c == -d
+
+
 @given(laurent_polys, laurent_polys)
 def test_exact_divide_round_trip(p, r):
     if not r:
