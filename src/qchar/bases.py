@@ -20,6 +20,7 @@ from .combinatorics import (
     MultiTableau,
     SignedMultiPartition,
     enumerate_tableaux,
+    multi_tableau_from_row_reading,
     row_normal_form,
     weight_key,
 )
@@ -293,17 +294,21 @@ def straighten(x: TensorElement, shape: SignedMultiPartition) -> SElement:
     Each monomial index is sorted to the row normal form (weakly increasing
     on + rows, weakly decreasing on - rows) and picks up q to the number of
     strict within-row inversions, matching pi(x H_i) = q^-1 pi(x) under the
-    frozen Hecke action.
+    frozen Hecke action.  Coefficients merge on the normal readings, and each
+    surviving reading becomes a label once.
     """
     if x.signs != shape.sign_sequence():
-        raise ValueError("sign sequence of the element does not match the shape")
+        signs = "".join(x.signs)
+        raise ValueError(f"sign sequence {signs} of the element does not match the shape {shape}")
 
     def terms():
         for f, c in x.coeffs.items():
-            mt, inv = row_normal_form(shape, f)
-            yield mt, c * q_power(inv)
+            reading, inv = row_normal_form(shape, f)
+            yield reading, c * q_power(inv)
 
-    return SElement(shape, x.window, add_into({}, terms()))
+    normal = add_into({}, terms())
+    labels = {multi_tableau_from_row_reading(shape, r): c for r, c in normal.items()}
+    return SElement(shape, x.window, labels)
 
 
 def bar_S(x: SElement) -> SElement:

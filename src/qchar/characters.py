@@ -26,6 +26,7 @@ from .combinatorics import (
     column_perms,
     column_stabilizer,
     enumerate_tableaux,
+    multi_tableau_from_row_reading,
     row_normal_form,
     tableau_from_columns,
 )
@@ -67,7 +68,8 @@ class VermaSum(Element):
 def normalize_verma(B: MultiTableau) -> MultiTableau:
     """Row-normalize a filling: sort each row weakly increasing on + pieces
     and weakly decreasing on - pieces.  No sign is attached."""
-    return row_normal_form(B.shape, B.row_reading())[0]
+    shape = B.shape
+    return multi_tableau_from_row_reading(shape, row_normal_form(shape, B.row_reading())[0])
 
 
 # ---------------------------------------------------------------------------

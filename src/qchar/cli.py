@@ -264,10 +264,6 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sp(*pieces):
-    return SignedMultiPartition(tuple((Partition(p), s) for p, s in pieces))
-
-
 def _random_element(signs, window, rng):
     lo, hi = window
     terms = []
@@ -330,9 +326,9 @@ def _row_blocks(cases):
 
 def _suite_dcb():
     for shape, window, mu in _row_blocks([
-        (_sp(((1,), "+"), ((1,), "+")), (1, 2)),
-        (_sp(((1, 1), "+")), (1, 3)),
-        (_sp(((2,), "+"), ((1, 1), "-")), (1, 2)),
+        (parse_shape("1:+ / 1:+"), (1, 2)),
+        (parse_shape("1,1:+"), (1, 3)),
+        (parse_shape("2:+ / 1,1:-"), (1, 2)),
     ]):
         with _naming_block(shape, window, mu):
             blk = bases.dcb_S(shape, window, mu)
@@ -350,8 +346,8 @@ def _suite_dcb():
 
 def _suite_xi():
     for shape, window in [
-        (_sp(((2, 1), "+")), (1, 3)),
-        (_sp(((2, 1), "-")), (1, 3)),
+        (parse_shape("2,1:+"), (1, 3)),
+        (parse_shape("2,1:-"), (1, 3)),
     ]:
         with _naming_block(shape, window, None):
             images = bases.xi_wedge_images(shape, window)
@@ -363,8 +359,8 @@ def _suite_xi():
 
 def _suite_theoremC():
     for shape, window in [
-        (_sp(((2, 1), "+"), ((2,), "-")), (0, 2)),
-        (_sp(((1, 1), "+"), ((2,), "+")), (1, 3)),
+        (parse_shape("2,1:+ / 2:-"), (0, 2)),
+        (parse_shape("1,1:+ / 2:+"), (1, 3)),
     ]:
         with _naming_block(shape, window, None):
             rep = characters.theoremC_check(shape, window)
@@ -374,10 +370,10 @@ def _suite_theoremC():
 
 def _suite_sameDCB():
     for shape, window, mu in _row_blocks([
-        (_sp(((1, 1), "+")), (1, 2)),
-        (_sp(((2,), "-")), (1, 2)),
-        (_sp(((2, 1), "+")), (1, 3)),
-        (_sp(((1,), "+"), ((1, 1), "-")), (1, 2)),
+        (parse_shape("1,1:+"), (1, 2)),
+        (parse_shape("2:-"), (1, 2)),
+        (parse_shape("2,1:+"), (1, 3)),
+        (parse_shape("1:+ / 1,1:-"), (1, 2)),
     ]):
         with _naming_block(shape, window, mu):
             a = bases.dcb_S(shape, window, mu)

@@ -190,16 +190,12 @@ class MultiTableau:
 
     @cached_property
     def _hash(self) -> int:
-        return hash(self.components)
+        # Rows fix each piece's shape, so equal labels hash alike; bools and
+        # ints hash the same in every interpreter, so a pickled hash holds.
+        return hash(tuple((t.sign == "+", t.rows) for t in self.components))
 
     def __hash__(self) -> int:
-        # Equal components compare equal (the generated __eq__), so they hash alike.
         return self._hash
-
-    def __reduce__(self):
-        # String hashes differ between interpreters: a pickle (a worker's
-        # solved block) carries the components, never a cached hash.
-        return MultiTableau, (self.components,)
 
     @property
     def shape(self) -> SignedMultiPartition:
@@ -246,7 +242,8 @@ def tableau_from_row_reading(shape: Partition, sign: Sign, values: Sequence[int]
 def multi_tableau_from_row_reading(
     mp: SignedMultiPartition, values: Sequence[int]
 ) -> MultiTableau:
-    """The inverse of `MultiTableau.row_reading`: the rows are not sorted."""
+    """The inverse of `MultiTableau.row_reading`, and the one constructor of
+    a label from a reading: the rows are not sorted."""
     comps, pos = [], 0
     for p, s in mp.pieces:
         comps.append(tableau_from_row_reading(p, s, values[pos : pos + p.size]))
@@ -258,22 +255,20 @@ def multi_tableau_from_row_reading(
 
 def row_normal_form(
     shape: SignedMultiPartition, reading: Sequence[int]
-) -> tuple[MultiTableau, int]:
+) -> tuple[tuple[int, ...], int]:
     """Sort each pyramid row of a row reading, weakly increasing on + pieces
-    and weakly decreasing on - pieces: the row-normalized multi-tableau and
-    the number of strict within-row inversions the sort undoes."""
-    comps, inv, pos = [], 0, 0
+    and weakly decreasing on - pieces: the row-normalized reading and the
+    number of strict within-row inversions the sort undoes."""
+    out, inv, pos = [], 0, 0
     for p, s in shape.pieces:
-        rows = []
         for length in p.row_lengths():
             row = reading[pos : pos + length]
             inv += inversions(row if s == "+" else [-v for v in row])
-            rows.append(tuple(sorted(row, reverse=(s == "-"))))
+            out.extend(sorted(row, reverse=(s == "-")))
             pos += length
-        comps.append(Tableau(p, s, tuple(rows)))
     if pos != len(reading):
         raise ValueError("row reading length does not match the shape")
-    return MultiTableau(tuple(comps)), inv
+    return tuple(out), inv
 
 
 # ---------------------------------------------------------------------------

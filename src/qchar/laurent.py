@@ -172,9 +172,9 @@ def constant(c: int) -> LaurentPoly:
 
 
 def _operand(x):
-    """The one rule for a non-LaurentPoly operand: an int is its constant
-    polynomial, anything else is foreign and gives NotImplemented."""
-    return constant(x) if isinstance(x, int) else NotImplemented
+    """The one rule for a non-LaurentPoly operand: an int (a bool too) is its
+    constant polynomial, anything else is foreign and gives NotImplemented."""
+    return constant(int(x)) if isinstance(x, int) else NotImplemented
 
 
 def q_power(e: int, c: int = 1) -> LaurentPoly:

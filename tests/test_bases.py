@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 import re
 
 import pytest
@@ -110,10 +111,74 @@ class TestStraighten:
         with pytest.raises(ValueError):
             straighten(x, shape)
 
+    def test_sign_mismatch_names_signs_and_shape(self):
+        shape = MP(((2,), "+"))
+        x = TensorElement.monomial(("+", "-"), (1, 3), (1, 2))
+        with pytest.raises(ValueError, match=r"sign sequence \+- .* shape 2:\+$"):
+            straighten(x, shape)
+
+    # (shape, a sorted reading, the same reading with one row's two entries
+    # swapped): the swapped monomial straightens to q times the sorted one.
+    CANCELLING = [
+        (MP(((2,), "+")), (1, 2), (2, 1)),
+        (MP(((2, 1), "+"), ((1,), "-")), (1, 1, 2, 1), (1, 2, 1, 1)),
+        (MP(((1, 1), "+"), ((2,), "-")), (1, 1, 2, 1), (1, 1, 1, 2)),
+    ]
+
+    @pytest.mark.parametrize(
+        "shape, normal, swapped", CANCELLING, ids=[str(c[0]) for c in CANCELLING]
+    )
+    def test_labels_built_once_per_surviving_reading(self, shape, normal, swapped, monkeypatch):
+        calls = []
+
+        def counted(mp, values):
+            calls.append(values)
+            return multi_tableau_from_row_reading(mp, values)
+
+        monkeypatch.setattr(qchar.bases, "multi_tableau_from_row_reading", counted)
+        coeffs = {swapped: ONE, normal: -q_power(1), (3,) * len(normal): q_power(-1)}
+        coeffs[(2,) * (len(normal) - 1) + (3,)] = q_power(-1)
+        s = straighten(TensorElement(shape.sign_sequence(), (1, 3), coeffs), shape)
+        assert MT(shape, normal) not in s.coeffs
+        assert len(calls) == len(s.coeffs) == 2
+
     def test_row_segments_and_ranges(self):
         shape = MP(((2, 1), "+"), ((2,), "-"))
         assert row_segments(shape) == [(0, 1, "+"), (1, 2, "+"), (3, 2, "-")]
         assert row_ranges(shape) == [(2, 2), (4, 2)]
+
+
+class TestStraightenHeckeEigenvalue:
+    """straighten(x H_i) = q^-1 straighten(x) for every H_i inside a pyramid
+    row, on random elements of four distinct monomials."""
+
+    SHAPES = [
+        MP(((2,), "+")),
+        MP(((3,), "-")),
+        MP(((2, 1), "+"), ((1,), "-")),
+        MP(((2,), "-"), ((1, 1), "+")),
+        MP(((1, 1), "+"), ((2,), "-")),
+        MP(((3, 1), "+")),
+        MP(((2, 2), "-")),
+    ]
+
+    @pytest.mark.parametrize("window", [(1, 2), (1, 3), (0, 3)], ids=lambda w: f"{w[0]}..{w[1]}")
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_on_random_elements(self, shape, window):
+        rng = random.Random(20261019)
+        signs = shape.sign_sequence()
+        monomials = list(itertools.product(range(window[0], window[1] + 1), repeat=len(signs)))
+        gens = [i for pos, length, _ in row_segments(shape) for i in range(pos + 1, pos + length)]
+        assert gens
+        for _ in range(30):
+            coeffs = {
+                f: q_power(rng.randint(-2, 2), rng.choice((-2, -1, 1, 2)))
+                for f in rng.sample(monomials, 4)
+            }
+            x = TensorElement(signs, window, coeffs)
+            rhs = straighten(x, shape).scale(q_power(-1))
+            for i in gens:
+                assert straighten(hecke_act(i, x), shape) == rhs, (str(shape), window, coeffs, i)
 
 
 class TestSElement:

@@ -242,6 +242,12 @@ def test_int_operands_on_either_side():
             bad - ONE
 
 
+def test_a_bool_operand_is_an_int_constant():
+    for total in (ZERO + True, True + ZERO):
+        assert str(total) == "1*q^0"
+        assert total.to_json() == [[0, "1"]]
+
+
 def test_mul_rejects_foreign_operands():
     p = q_power(1) + q_power(-1)
     assert p * 2 == 2 * p == p + p
