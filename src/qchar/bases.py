@@ -304,7 +304,7 @@ def straighten(x: TensorElement, shape: SignedMultiPartition) -> SElement:
     def terms():
         for f, c in x.coeffs.items():
             reading, inv = row_normal_form(shape, f)
-            yield reading, c * q_power(inv)
+            yield reading, c * q_power(inv) if inv else c
 
     normal = add_into({}, terms())
     labels = {multi_tableau_from_row_reading(shape, r): c for r, c in normal.items()}
@@ -358,17 +358,6 @@ def block_weights(
     if kind == "t":
         return sorted(weight_keys(shape.sign_sequence(), window))
     return sorted({mt.signed_key for mt in enumerate_tableaux(shape, kind, window)})
-
-
-def weight_blocks(
-    shape: SignedMultiPartition, window: tuple[int, int], kind: str
-) -> list[tuple[dict[int, int], list]]:
-    """Every block of labels of a kind with its weight, in the order of
-    `block_weights`."""
-    return [
-        (dict(k), _block(shape, window, kind, dict(k)))
-        for k in block_weights(shape, window, kind)
-    ]
 
 
 def _eliminate(x: dict, order, rows: dict, pivot) -> tuple[dict, dict]:

@@ -263,7 +263,9 @@ def row_normal_form(
     for p, s in shape.pieces:
         for length in p.row_lengths():
             row = reading[pos : pos + length]
-            inv += inversions(row if s == "+" else [-v for v in row])
+            if length > 1:
+                # A - row's inversions are the + inversions of its reverse.
+                inv += inversions(row if s == "+" else row[::-1])
             out.extend(sorted(row, reverse=(s == "-")))
             pos += length
     if pos != len(reading):

@@ -44,7 +44,7 @@ class TensorElement(Element):
         if len(f) != len(self.signs):
             raise ValueError(f"vector {f} does not match sign sequence {self.signs}")
         lo, hi = self.window
-        if any(not lo <= v <= hi for v in f):
+        if f and (min(f) < lo or max(f) > hi):
             raise WindowEscapeError(f"vector {f} leaves window {self.window}")
 
     @classmethod
@@ -280,6 +280,14 @@ def _theta(
     z = zeta[(si, sj)]
     lo, hi = window
     between = range(i + 1, j)
+    scaled: dict[tuple[int, int], LaurentPoly] = {}
+
+    def zeta_q(e: int, sign: int = 1) -> LaurentPoly:
+        """zeta * sign * q^e, formed once per call of `_theta`."""
+        zq = scaled.get((e, sign))
+        if zq is None:
+            zq = scaled[(e, sign)] = z * q_power(e, sign)
+        return zq
 
     def terms():
         for f, c in cur.items():
@@ -288,13 +296,13 @@ def _theta(
                 a, b = (vj, vi) if si == "+" else (vi, vj)
                 if a < b:
                     g = f[:i] + (vj,) + f[i + 1 : j] + (vi,) + f[j + 1 :]
-                    yield g, c * (z * q_power(_k_exponent(f, signs, between, a, b)))
+                    yield g, c * zeta_q(_k_exponent(f, signs, between, a, b))
             elif vi == vj:
                 for t in range(lo, vi) if si == "+" else range(vi + 1, hi + 1):
                     gap = abs(t - vi)
                     e = _k_exponent(f, signs, between, min(t, vi), max(t, vi))
                     g = f[:i] + (t,) + f[i + 1 : j] + (t,) + f[j + 1 :]
-                    yield g, c * (z * q_power(gap - 1 + e, (-1) ** (gap - 1)))
+                    yield g, c * zeta_q(gap - 1 + e, (-1) ** (gap - 1))
 
     return add_into(dict(cur), terms())
 
@@ -351,17 +359,19 @@ def _psi_monomial(
     f: tuple[int, ...], signs: tuple[str, ...], window: tuple[int, int]
 ) -> dict[tuple[int, ...], LaurentPoly]:
     """The bar image of M_f (factorwise bar is the identity on monomials),
-    built one factor at a time: extend by the next factor, then apply the
-    pairwise operators against it from the farthest factor inward (the
-    ordering, like the constants, is validated rather than assumed: the
-    opposite ordering fails bar^2 = id on three mixed-sign factors).
-    Callers must not mutate the cached result."""
-    zeta = zeta_constants()
-    cur: dict[tuple[int, ...], LaurentPoly] = {(f[0],): ONE}
-    for t in range(1, len(f)):
-        cur = {key + (f[t],): c for key, c in cur.items()}
-        for i in range(t):
-            cur = _theta(cur, i, t, signs, window, zeta)
+    built one factor at a time: the memoized image of the prefix f[:-1],
+    extended by the last factor, then the pairwise operators against that
+    factor from the farthest factor inward (the ordering, like the
+    constants, is validated rather than assumed: the opposite ordering fails
+    bar^2 = id on three mixed-sign factors).  So the operators of a prefix
+    run once while its image stays cached, however many monomials extend
+    it.  Callers must not mutate the cached result."""
+    t = len(f) - 1
+    if t < 1:
+        return {f: ONE}
+    cur = {key + f[t:]: c for key, c in _psi_monomial(f[:t], signs[:t], window).items()}
+    for i in range(t):
+        cur = _theta(cur, i, t, signs, window, zeta_constants())
     return cur
 
 
@@ -370,7 +380,7 @@ def bar_involution(x: TensorElement) -> TensorElement:
     respect to the Bruhat order on monomial indices."""
     out: dict[tuple[int, ...], LaurentPoly] = {}
     for f, c in x.coeffs.items():
-        add_into(out, _psi_monomial(f, x.signs, x.window), bar(c))
+        add_into(out, _psi_monomial(f, x.signs, x.window), None if c == ONE else bar(c))
     return TensorElement(x.signs, x.window, out)
 
 

@@ -1,11 +1,24 @@
 """Reference orders for the tests: the dominance cone, the Bruhat order on
 vectors and the tableau orders, written from their definitions on top of
-the library's `bruhat_key`/`key_leq`, which they serve as oracles of."""
+the library's `bruhat_key`/`key_leq`, which they serve as oracles of; and
+`weight_blocks`, the tests' listing of every block of a shape."""
 
 import itertools
 from typing import NamedTuple, Sequence
 
-from qchar.combinatorics import MultiTableau, Tableau, bruhat_key, key_leq
+from qchar.bases import _block, block_weights
+from qchar.combinatorics import MultiTableau, SignedMultiPartition, Tableau, bruhat_key, key_leq
+
+
+def weight_blocks(
+    shape: SignedMultiPartition, window: tuple[int, int], kind: str
+) -> list[tuple[dict[int, int], list]]:
+    """Every block of labels of a kind with its weight, in the order of
+    `block_weights`."""
+    return [
+        (dict(k), _block(shape, window, kind, dict(k)))
+        for k in block_weights(shape, window, kind)
+    ]
 
 
 def in_P_plus(nu: dict[int, int]) -> bool:

@@ -10,7 +10,7 @@ character-level identities, and the reference pyramid vectors.
 import itertools
 import random
 
-from orders import IntVector, bruhat_leq
+from orders import IntVector, bruhat_leq, weight_blocks
 from qchar.bases import (
     dcb_P,
     dcb_S,
@@ -18,7 +18,6 @@ from qchar.bases import (
     delta,
     row_segments,
     sym_ideal_dcb,
-    weight_blocks,
     xi_raw,
     xi_wedge_images,
 )

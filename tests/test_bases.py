@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from orders import weight_blocks
 from qchar.combinatorics import (
     Partition,
     SignedMultiPartition,
@@ -45,7 +46,6 @@ from qchar.bases import (
     sym_ideal_dcb,
     tableau_json,
     tableaux_of_weight,
-    weight_blocks,
     xi_raw,
     xi_V,
     xi_wedge_images,

@@ -1,5 +1,6 @@
 import pytest
 
+from orders import weight_blocks
 from qchar.characters import (
     VermaSum,
     decomposition_matrix,
@@ -10,7 +11,6 @@ from qchar.characters import (
     theoremC_check,
     weight_label,
 )
-from qchar.bases import weight_blocks
 from qchar.combinatorics import (
     MultiTableau,
     Partition,

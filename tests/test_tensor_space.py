@@ -20,6 +20,7 @@ from qchar.tensor_space import (
     WindowEscapeError,
     _act_raise_lower,
     _psi_monomial,
+    _theta,
     act_E,
     act_F,
     act_K,
@@ -71,6 +72,20 @@ class TestElementBasics:
     def test_window_violation_rejected(self):
         with pytest.raises(WindowEscapeError):
             TensorElement(("+",), (0, 2), {(3,): ONE})
+
+    def test_entry_below_window_rejected(self):
+        with pytest.raises(WindowEscapeError):
+            TensorElement(("+",), (1, 3), {(0,): ONE})
+
+    @pytest.mark.parametrize("f", [(2, 5, 1), (2, 0, 3)], ids=["above", "below"])
+    def test_interior_entry_outside_window_rejected(self, f):
+        text = rf"vector \({f[0]}, {f[1]}, {f[2]}\) leaves window \(1, 3\)"
+        with pytest.raises(WindowEscapeError, match=text):
+            TensorElement(("+", "-", "+"), (1, 3), {f: ONE})
+
+    def test_empty_sign_sequence_accepts_empty_key(self):
+        x = TensorElement((), (1, 3), {(): ONE})
+        assert x.coeffs == {(): ONE}
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -449,6 +464,29 @@ def _terms(coeffs):
     return repr(sorted((g, str(c)) for g, c in coeffs.items()))
 
 
+def psi_cases():
+    """Every (signs, window, f) of up to four factors at 1..3 and up to three
+    at 0..4: the 2,664 monomials whose bar images are pinned below."""
+    for n, window in [(n, (1, 3)) for n in (1, 2, 3, 4)] + [(n, (0, 4)) for n in (1, 2, 3)]:
+        lo, hi = window
+        for signs in itertools.product("+-", repeat=n):
+            for f in itertools.product(range(lo, hi + 1), repeat=n):
+                yield signs, window, f
+
+
+def psi_from_scratch(f, signs, window):
+    """The bar image of M_f with no memo: seed the first factor, then for
+    each next factor extend every key by it and apply the pairwise operators
+    against it from the farthest factor inward."""
+    zeta = zeta_constants()
+    cur = {(f[0],): ONE}
+    for t in range(1, len(f)):
+        cur = {key + (f[t],): c for key, c in cur.items()}
+        for i in range(t):
+            cur = _theta(cur, i, t, signs, window, zeta)
+    return cur
+
+
 class TestPinnedActions:
     # SHA-256 digests recorded before the pairwise quasi-R step, the E/F sign
     # table and the K exponent were each folded into one rule; psi and every
@@ -458,15 +496,11 @@ class TestPinnedActions:
 
     def test_psi_digest(self):
         h = hashlib.sha256()
-        cases = [(n, (1, 3)) for n in (1, 2, 3, 4)] + [(n, (0, 4)) for n in (1, 2, 3)]
         count = 0
-        for n, window in cases:
-            lo, hi = window
-            for signs in itertools.product("+-", repeat=n):
-                for f in itertools.product(range(lo, hi + 1), repeat=n):
-                    psi = _psi_monomial.__wrapped__(f, signs, window)
-                    h.update(f"{''.join(signs)} {window} {f}: {_terms(psi)}\n".encode())
-                    count += 1
+        for signs, window, f in psi_cases():
+            psi = _psi_monomial.__wrapped__(f, signs, window)
+            h.update(f"{''.join(signs)} {window} {f}: {_terms(psi)}\n".encode())
+            count += 1
         assert count == 2664
         assert h.hexdigest() == self.PSI
 
@@ -493,3 +527,50 @@ class TestPinnedActions:
                             count += 1
         assert count == 20440
         assert h.hexdigest() == self.ACTIONS
+
+
+class TestPrefixMemo:
+    """psi(M_f) extends the memoized image of f's prefix by one factor."""
+
+    def test_matches_the_from_scratch_loop(self):
+        _psi_monomial.cache_clear()
+        count = 0
+        for signs, window, f in psi_cases():
+            # Same terms in the same order: downstream sums are built in it.
+            assert list(_psi_monomial(f, signs, window).items()) == list(
+                psi_from_scratch(f, signs, window).items()
+            ), (signs, f)
+            count += 1
+        assert count == 2664
+
+    def test_each_prefix_pays_its_operators_once(self, monkeypatch):
+        import qchar.tensor_space as ts
+
+        signs, window = ("+", "-", "+", "-"), (1, 3)
+        block = weight_block(signs, window, {})
+        zeta_constants()  # its derivation applies the operator too
+        _psi_monomial.cache_clear()
+        calls = []
+        monkeypatch.setattr(ts, "_theta", lambda *args: calls.append(args[1:3]) or _theta(*args))
+        for f in block:
+            bar_involution(mono(signs, window, f))
+        prefixes = {f[:k] for f in block for k in range(1, len(f) + 1)}
+        assert len(calls) == sum(len(p) - 1 for p in prefixes)
+        # Without the memo each monomial pays every pair of its factors.
+        assert len(calls) < len(block) * 6
+
+    def test_extensions_leave_a_cached_prefix_unchanged(self):
+        signs, window, prefix = ("+", "-", "+"), (0, 3), (2, 2, 0)
+        _psi_monomial.cache_clear()
+        image = _psi_monomial(prefix, signs, window)
+        before = [(g, dict(c.terms)) for g, c in image.items()]
+        for s in "+-":
+            for v in range(4):
+                _psi_monomial(prefix + (v,), signs + (s,), window)
+                x = mono(signs + (s,), window, prefix + (v,)) + mono(
+                    signs + (s,), window, (1, 2, 0, v), q_power(1)
+                )
+                bar_involution(x).coeffs.clear()
+        bar_involution(mono(signs, window, prefix)).coeffs.clear()
+        assert _psi_monomial(prefix, signs, window) is image
+        assert [(g, dict(c.terms)) for g, c in image.items()] == before
