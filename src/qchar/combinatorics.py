@@ -9,9 +9,7 @@ sign "-" are the reverses of the sign "+" conditions.
 
 from __future__ import annotations
 
-import bisect
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
@@ -346,29 +344,45 @@ enumerate_tableaux.cache_clear = _tableaux.cache_clear
 # ---------------------------------------------------------------------------
 
 
-def bruhat_key(
-    values: Sequence[int], signs: Sequence[Sign], thresholds: Sequence[int]
-) -> tuple[tuple[int, ...], ...]:
-    """The suffix weights of a vector as cumulative counts: row j holds, for
-    each ascending threshold b, the signed count of the entries <= b among
-    positions j+1..k.  With thresholds covering both vectors' entries,
-    `key_leq` on their keys is the Bruhat order."""
-    counts = [0] * len(thresholds)
-    rows = []
-    for v, s in zip(reversed(values), reversed(signs)):
-        step = 1 if s == "+" else -1
-        for i in range(bisect.bisect_left(thresholds, v), len(thresholds)):
-            counts[i] += step
-        rows.append(tuple(counts))
-    return tuple(reversed(rows))
+def bruhat_above(readings: Sequence[Sequence[int]], signs: Sequence[Sign]) -> list[list[int]]:
+    """For each reading, the positions of the readings strictly above it in
+    the Bruhat order of the sign sequence, ascending.
 
-
-def key_leq(kg: tuple[tuple[int, ...], ...], kf: tuple[tuple[int, ...], ...]) -> bool:
-    """g precedes f iff the total weights agree and every suffix-weight
-    difference wt^j(f) - wt^j(g) lies in the dominance cone: row 0 of the
-    keys is equal and every other row of g is componentwise <= that of f."""
-    flat = itertools.chain.from_iterable
-    return kg[:1] == kf[:1] and all(map(operator.le, flat(kg), flat(kf)))
+    Row j of a reading's key holds, for each threshold b (the readings'
+    entries), the signed count of its entries <= b among positions j+1..k.
+    g precedes f iff row 0 (the total weight) agrees and every count of f
+    is >= that of g (the suffix-weight differences are dominant).  Offset
+    by k, a count fills a lane of (2k).bit_length() + 1 bits with a clear
+    top (guard) bit, and all rows pack into one int; (kf | guard) - kg
+    keeps a lane's guard bit iff f's lane is >= g's and borrows across no
+    lane, so each pair costs one subtraction and one row-0 equality."""
+    k = len(signs)
+    thresholds = sorted({v for f in readings for v in f})
+    w = (2 * k).bit_length() + 1
+    stride = len(thresholds) * w
+    ones = ((1 << stride) - 1) // ((1 << w) - 1)  # bit 0 of each lane of a row
+    guard = (((1 << (k * stride)) - 1) // ((1 << w) - 1)) << (w - 1)
+    # the lanes of the thresholds >= v, signed as the position's sign
+    up = {v: ones >> (r * w) << (r * w) for r, v in enumerate(thresholds)}
+    down = {v: -u for v, u in up.items()}
+    steps = [up if s == "+" else down for s in signs]
+    totals, keys = [], []
+    for f in readings:
+        row, key = k * ones, 0
+        for j in range(k - 1, -1, -1):
+            row += steps[j][f[j]]
+            key = key << stride | row
+        totals.append(row)
+        keys.append(key)
+    lifted = [kf | guard for kf in keys]
+    return [
+        [
+            b
+            for b, lf in enumerate(lifted)
+            if (lf - kg) & guard == guard and totals[b] == tg and keys[b] != kg
+        ]
+        for tg, kg in zip(totals, keys)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .combinatorics import bruhat_key, key_leq, wt_key
+from .combinatorics import bruhat_above, wt_key
 from .laurent import (
     Element,
     LaurentPoly,
@@ -257,7 +257,9 @@ def _theta(
     zeta: dict,
 ) -> dict[tuple[int, ...], LaurentPoly]:
     """The pairwise operator on positions i < j (0-based) applied to the
-    coefficient dict `cur`; returns a new dict.
+    coefficient dict `cur`; returns a new dict, or `cur` itself when the
+    operator generates no term and so acts as the identity (no caller
+    mutates either).
 
     The operator is 1 + sum_{a<b} zeta_{a,b} * (raising of weight
     delta_a-delta_b on factor i) x (matching lowering on factor j); on these
@@ -304,7 +306,8 @@ def _theta(
                     g = f[:i] + (t,) + f[i + 1 : j] + (t,) + f[j + 1 :]
                     yield g, c * zeta_q(gap - 1 + e, (-1) ** (gap - 1))
 
-    return add_into(dict(cur), terms())
+    generated = list(terms())
+    return add_into(dict(cur), generated) if generated else cur
 
 
 def _check_zeta(si: str, sj: str, z: LaurentPoly) -> bool:
@@ -400,14 +403,13 @@ def linear_extension(items, signs: tuple[str, ...], reading=None) -> list:
     """A deterministic linear extension of the Bruhat order on the readings
     of `items` (the items themselves when `reading` is None): repeatedly emit
     the remaining minimal element with the lexicographically smallest
-    reading.  Each reading's Bruhat key is computed once."""
+    reading.  The Bruhat relation comes from `bruhat_above`, one packed
+    comparison per pair."""
     read = [x if reading is None else reading(x) for x in items]
     order = sorted(range(len(read)), key=read.__getitem__)
-    thresholds = sorted({v for f in read for v in f})
-    keys = [bruhat_key(read[i], signs, thresholds) for i in order]
-    above = [[b for b, kb in enumerate(keys) if ka != kb and key_leq(ka, kb)] for ka in keys]
+    above = bruhat_above([read[i] for i in order], signs)
     n_below = collections.Counter(itertools.chain.from_iterable(above))
-    ready = [b for b in range(len(keys)) if not n_below[b]]
+    ready = [b for b in range(len(above)) if not n_below[b]]
     out = []
     while ready:
         a = heapq.heappop(ready)

@@ -1,13 +1,66 @@
 """Reference orders for the tests: the dominance cone, the Bruhat order on
 vectors and the tableau orders, written from their definitions on top of
-the library's `bruhat_key`/`key_leq`, which they serve as oracles of; and
+the tuple-form Bruhat key `bruhat_key` and its comparison `key_leq`; the
+pairwise linear extension `reference_linear_extension` built on them, the
+oracle of the library's packed `bruhat_above` and `linear_extension`; and
 `weight_blocks`, the tests' listing of every block of a shape."""
 
+import bisect
+import collections
+import heapq
 import itertools
+import operator
 from typing import NamedTuple, Sequence
 
 from qchar.bases import _block, block_weights
-from qchar.combinatorics import MultiTableau, SignedMultiPartition, Tableau, bruhat_key, key_leq
+from qchar.combinatorics import MultiTableau, SignedMultiPartition, Sign, Tableau
+
+
+def bruhat_key(
+    values: Sequence[int], signs: Sequence[Sign], thresholds: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """The suffix weights of a vector as cumulative counts: row j holds, for
+    each ascending threshold b, the signed count of the entries <= b among
+    positions j+1..k.  With thresholds covering both vectors' entries,
+    `key_leq` on their keys is the Bruhat order."""
+    counts = [0] * len(thresholds)
+    rows = []
+    for v, s in zip(reversed(values), reversed(signs)):
+        step = 1 if s == "+" else -1
+        for i in range(bisect.bisect_left(thresholds, v), len(thresholds)):
+            counts[i] += step
+        rows.append(tuple(counts))
+    return tuple(reversed(rows))
+
+
+def key_leq(kg: tuple[tuple[int, ...], ...], kf: tuple[tuple[int, ...], ...]) -> bool:
+    """g precedes f iff the total weights agree and every suffix-weight
+    difference wt^j(f) - wt^j(g) lies in the dominance cone: row 0 of the
+    keys is equal and every other row of g is componentwise <= that of f."""
+    flat = itertools.chain.from_iterable
+    return kg[:1] == kf[:1] and all(map(operator.le, flat(kg), flat(kf)))
+
+
+def reference_linear_extension(items, signs: tuple[str, ...], reading=None) -> list:
+    """`tensor_space.linear_extension` on tuple keys: every ordered pair of
+    the lexicographically sorted readings compared by `key_leq`, then the
+    remaining minimal element with the smallest reading emitted first."""
+    read = [x if reading is None else reading(x) for x in items]
+    order = sorted(range(len(read)), key=read.__getitem__)
+    thresholds = sorted({v for f in read for v in f})
+    keys = [bruhat_key(read[i], signs, thresholds) for i in order]
+    above = [[b for b, kb in enumerate(keys) if ka != kb and key_leq(ka, kb)] for ka in keys]
+    n_below = collections.Counter(itertools.chain.from_iterable(above))
+    ready = [b for b in range(len(keys)) if not n_below[b]]
+    out = []
+    while ready:
+        a = heapq.heappop(ready)
+        out.append(items[order[a]])
+        for b in above[a]:
+            n_below[b] -= 1
+            if not n_below[b]:
+                heapq.heappush(ready, b)
+    return out
 
 
 def weight_blocks(

@@ -3,20 +3,34 @@ import itertools
 import os
 import pathlib
 import pickle
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qchar
 
-from orders import IntVector, bruhat_leq, in_P_plus, multi_leq_T, tableau_leq_T
+from orders import (
+    IntVector,
+    bruhat_key,
+    bruhat_leq,
+    in_P_plus,
+    key_leq,
+    multi_leq_T,
+    reference_linear_extension,
+    tableau_leq_T,
+    weight_blocks,
+)
+from qchar.bases import _reading
 from qchar.combinatorics import (
     MultiTableau,
     Partition,
     SignedMultiPartition,
     Tableau,
     box_labels,
+    bruhat_above,
     column_stabilizer,
     enumerate_component,
     enumerate_tableaux,
@@ -25,7 +39,9 @@ from qchar.combinatorics import (
     refine,
     row_normal_form,
     tableau_from_row_reading,
+    wt_key,
 )
+from qchar.tensor_space import linear_extension, weight_block, weight_keys
 
 
 def T(parts, sign, rows):
@@ -168,6 +184,121 @@ class TestBruhatOrder:
             diffs = [{a: wf[j].get(a, 0) - wg[j].get(a, 0) for a in {*wf[j], *wg[j]}} for j in range(1, len(f))]
             expected = same and all(in_P_plus(d) for d in diffs)
             assert bruhat_leq(IntVector(g, signs), IntVector(f, signs)) == expected
+
+
+def assert_above_matches_key_leq(readings, signs):
+    """`bruhat_above` against `key_leq` on every ordered pair of distinct
+    readings, and nothing strictly above itself."""
+    above = bruhat_above(readings, signs)
+    thresholds = sorted({v for f in readings for v in f})
+    keys = [bruhat_key(f, signs, thresholds) for f in readings]
+    assert len(above) == len(readings)
+    assert all(row == sorted(row) for row in above)
+    above = [set(row) for row in above]
+    for a, b in itertools.product(range(len(readings)), repeat=2):
+        assert (b in above[a]) == (a != b and key_leq(keys[a], keys[b])), (readings[a], readings[b])
+
+
+T_SPACES = [(tuple("++--+"), (1, 4)), (tuple("+-+-"), (1, 5))]
+TABLEAU_SHAPES = [MP(((2, 1), "+"), ((1,), "+")), MP(((3, 1), "+"), ((1,), "-"))]
+
+
+def ordered_blocks(case):
+    """(signs, items, reading) for every block of one T space, or of one
+    shape and tableau kind, at its window."""
+    if case in T_SPACES:
+        signs, window = case
+        return [(signs, weight_block(signs, window, dict(k)), None) for k in sorted(weight_keys(signs, window))]
+    shape, kind = case
+    return [(shape.sign_sequence(), block, _reading(kind)) for _, block in weight_blocks(shape, (1, 5), kind)]
+
+
+BLOCK_CASES = [*T_SPACES, *itertools.product(TABLEAU_SHAPES, ["row", "col", "std"])]
+BLOCK_IDS = [f"t {''.join(s)}@{w[0]}..{w[1]}" for s, w in T_SPACES] + [
+    f"{kind} {shape}@1..5" for shape, kind in BLOCK_CASES[len(T_SPACES):]
+]
+
+
+@st.composite
+def block_subsets(draw):
+    """A sign sequence of length 0-7, a window of width 1-6 starting at
+    -3..3, and distinct members of one weight block: the + entries are the
+    weight's positive part plus a shared multiset C, the - entries its
+    negative part plus C, each shuffled over its positions."""
+    k = draw(st.integers(0, 7))
+    signs = tuple(draw(st.lists(st.sampled_from("+-"), min_size=k, max_size=k)))
+    lo = draw(st.integers(-3, 3))
+    hi = lo + draw(st.integers(0, 5))
+    f = draw(st.lists(st.integers(lo, hi), min_size=k, max_size=k))
+    mu = collections.Counter()
+    for v, s in zip(f, signs):
+        mu[v] += 1 if s == "+" else -1
+    plus = [i for i, s in enumerate(signs) if s == "+"]
+    minus = [i for i, s in enumerate(signs) if s == "-"]
+    excess_plus = [a for a, c in mu.items() if c > 0 for _ in range(c)]
+    excess_minus = [a for a, c in mu.items() if c < 0 for _ in range(-c)]
+    shared = len(plus) - len(excess_plus)
+    members = {tuple(f)}
+    for _ in range(draw(st.integers(0, 9))):
+        common = draw(st.lists(st.integers(lo, hi), min_size=shared, max_size=shared))
+        g = [0] * k
+        for positions, values in ((plus, excess_plus + common), (minus, excess_minus + common)):
+            for i, v in zip(positions, draw(st.permutations(values))):
+                g[i] = v
+        members.add(tuple(g))
+    return signs, draw(st.permutations(sorted(members)))
+
+
+class TestPackedBruhat:
+    """The packed `bruhat_above` against the tuple keys of `tests/orders.py`,
+    and `linear_extension` against the pairwise `reference_linear_extension`."""
+
+    @pytest.mark.parametrize("case", BLOCK_CASES, ids=BLOCK_IDS)
+    def test_matches_key_leq_on_every_pair_of_every_block(self, case):
+        for signs, items, reading in ordered_blocks(case):
+            assert_above_matches_key_leq([x if reading is None else reading(x) for x in items], signs)
+
+    @pytest.mark.parametrize("case", BLOCK_CASES, ids=BLOCK_IDS)
+    def test_linear_extension_matches_the_reference_on_shuffled_blocks(self, case):
+        rng = random.Random(21)
+        for signs, items, reading in ordered_blocks(case):
+            shuffled = rng.sample(items, len(items))
+            assert linear_extension(shuffled, signs, reading) == reference_linear_extension(shuffled, signs, reading)
+            assert linear_extension(shuffled, signs, reading) == items
+
+    @pytest.mark.parametrize("signs", [("+", "+", "+"), ("+", "-", "+"), ("-", "-", "+")])
+    def test_matches_key_leq_across_weights(self, signs):
+        # different total weights: row 0 alone decides
+        assert_above_matches_key_leq(list(itertools.product(range(3), repeat=3)), signs)
+
+    def test_no_factors(self):
+        assert bruhat_above([], ()) == []
+        assert bruhat_above([()], ()) == [[]]
+        assert linear_extension([()], ()) == reference_linear_extension([()], ()) == [()]
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_one_factor(self, sign):
+        readings = [(v,) for v in (2, -1, 0, 3)]
+        assert_above_matches_key_leq(readings, (sign,))
+        assert bruhat_above(readings, (sign,)) == [[], [], [], []]
+        assert linear_extension(readings, (sign,)) == reference_linear_extension(readings, (sign,))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_all_minus(self, k):
+        signs = ("-",) * k
+        vectors = list(itertools.product(range(1, 4), repeat=k))
+        assert_above_matches_key_leq(vectors, signs)
+        for key in sorted({wt_key(f, signs) for f in vectors}):
+            block = weight_block(signs, (1, 3), dict(key))
+            assert_above_matches_key_leq(block, signs)
+            assert block == reference_linear_extension(block[::-1], signs)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(block_subsets())
+    def test_random_block_subsets(self, case):
+        signs, members = case
+        assert_above_matches_key_leq(members, signs)
+        assert linear_extension(members, signs) == reference_linear_extension(members, signs)
 
 
 class TestTableauOrder:
