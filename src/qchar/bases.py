@@ -39,6 +39,7 @@ from .laurent import (
 )
 from .tensor_space import (
     TensorElement,
+    WindowEscapeError,
     antisymmetrize,
     bar_involution,
     hecke_act_word,
@@ -69,10 +70,15 @@ class SElement(Element):
     def _check_key(self, k: MultiTableau) -> None:
         if not k.is_row():
             raise ValueError(f"SElement key is not a Row multi-tableau: {k}")
+        lo, hi = self.window
+        reading = k.row_reading()
+        if reading and (min(reading) < lo or max(reading) > hi):
+            raise WindowEscapeError(f"SElement key {k} leaves window {self.window}")
 
     def to_tensor(self) -> TensorElement:
-        """Lift through the monomial section A -> M_{rho(A)}."""
-        return TensorElement(
+        """Lift through the monomial section A -> M_{rho(A)}: the readings
+        of distinct Row labels inside the window are distinct, valid keys."""
+        return TensorElement._of(
             self.shape.sign_sequence(),
             self.window,
             {mt.row_reading(): c for mt, c in self.coeffs.items()},
@@ -295,7 +301,7 @@ def straighten(x: TensorElement, shape: SignedMultiPartition) -> SElement:
     on + rows, weakly decreasing on - rows) and picks up q to the number of
     strict within-row inversions, matching pi(x H_i) = q^-1 pi(x) under the
     frozen Hecke action.  Coefficients merge on the normal readings, and each
-    surviving reading becomes a label once.
+    surviving reading becomes its shared, interned Row label once.
     """
     if x.signs != shape.sign_sequence():
         signs = "".join(x.signs)
@@ -308,7 +314,7 @@ def straighten(x: TensorElement, shape: SignedMultiPartition) -> SElement:
 
     normal = add_into({}, terms())
     labels = {multi_tableau_from_row_reading(shape, r): c for r, c in normal.items()}
-    return SElement(shape, x.window, labels)
+    return SElement._of(shape, x.window, labels)
 
 
 def bar_S(x: SElement) -> SElement:

@@ -241,7 +241,19 @@ def multi_tableau_from_row_reading(
     mp: SignedMultiPartition, values: Sequence[int]
 ) -> MultiTableau:
     """The inverse of `MultiTableau.row_reading`, and the one constructor of
-    a label from a reading: the rows are not sorted."""
+    a label from a reading: the rows are not sorted.
+
+    Labels are interned in a bounded LRU keyed by (shape, reading): while a
+    label stays cached every call returns that one immutable object, so the
+    labels of a block listing, of `bases.straighten` and of Verma sums are
+    built and hashed once and meet in dict lookups by identity.  A label
+    built after its entry was evicted is a new object, equal to the old one
+    and hashing alike."""
+    return _label(mp, tuple(values))
+
+
+@lru_cache(maxsize=1 << 16)
+def _label(mp: SignedMultiPartition, values: tuple[int, ...]) -> MultiTableau:
     comps, pos = [], 0
     for p, s in mp.pieces:
         comps.append(tableau_from_row_reading(p, s, values[pos : pos + p.size]))
@@ -249,6 +261,10 @@ def multi_tableau_from_row_reading(
     if pos != len(values):
         raise ValueError("row reading length does not match the shape")
     return MultiTableau(tuple(comps))
+
+
+multi_tableau_from_row_reading.cache_info = _label.cache_info
+multi_tableau_from_row_reading.cache_clear = _label.cache_clear
 
 
 def row_normal_form(
@@ -324,15 +340,21 @@ def enumerate_tableaux(
     and golden files deterministic: each piece's list is sorted by its
     fixed-length row reading, so the product of the lists already is.  The
     result is memoized per (shape, kind, window) in a bounded LRU, so every
-    block of a sweep reads one shared, immutable listing.
+    block of a sweep reads one shared, immutable listing, and its labels are
+    the interned ones of `multi_tableau_from_row_reading`.
     """
     return _tableaux(shape, kind, tuple(window))
 
 
 @lru_cache(maxsize=64)
 def _tableaux(shape: SignedMultiPartition, kind: str, window: tuple[int, int]) -> tuple:
-    per_piece = [enumerate_component(p, s, kind, window) for p, s in shape.pieces]
-    return tuple(MultiTableau(combo) for combo in itertools.product(*per_piece))
+    per_piece = [
+        [t.row_reading() for t in enumerate_component(p, s, kind, window)] for p, s in shape.pieces
+    ]
+    return tuple(
+        multi_tableau_from_row_reading(shape, sum(combo, ()))
+        for combo in itertools.product(*per_piece)
+    )
 
 
 enumerate_tableaux.cache_info = _tableaux.cache_info

@@ -48,14 +48,27 @@ def add_into(acc: dict, terms, scale=None) -> dict:
 class Element:
     """The algebra shared by every module element: a frozen dataclass whose
     `coeffs` field maps basis keys to nonzero coefficients and whose other
-    fields fix the module.  Construction drops zero coefficients and hands
-    every key to the subclass's `_check_key`; operands of `+` and `-` are
-    assumed to lie in the same module."""
+    fields fix the module; operands of `+` and `-` are assumed to lie in the
+    same module.
+
+    There are two constructors.  The public one, `Cls(*fields)`, copies
+    `coeffs` without its zero coefficients and hands every key to the
+    subclass's `_check_key`.  `Cls._of(*fields)`, like `LaurentPoly._of`,
+    stores the fields as given: it is for library code that has just built
+    a zero-free `coeffs` over keys valid by construction."""
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", {k: c for k, c in self.coeffs.items() if c})
         for k in self.coeffs:
             self._check_key(k)
+
+    @classmethod
+    def _of(cls, *fields):
+        """Wrap, without copying, filtering or checking, the fields in
+        declaration order; `coeffs` must be zero-free with valid keys."""
+        x = object.__new__(cls)
+        x.__dict__.update(zip(cls.__dataclass_fields__, fields, strict=True))
+        return x
 
     def _check_key(self, key) -> None:
         raise NotImplementedError

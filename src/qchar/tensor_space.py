@@ -380,11 +380,12 @@ def _psi_monomial(
 
 def bar_involution(x: TensorElement) -> TensorElement:
     """The bar involution: anti-linear, involutive, and triangular with
-    respect to the Bruhat order on monomial indices."""
+    respect to the Bruhat order on monomial indices.  Every ψ key keeps the
+    length and window of x, so the result is built unchecked."""
     out: dict[tuple[int, ...], LaurentPoly] = {}
     for f, c in x.coeffs.items():
         add_into(out, _psi_monomial(f, x.signs, x.window), None if c == ONE else bar(c))
-    return TensorElement(x.signs, x.window, out)
+    return TensorElement._of(x.signs, x.window, out)
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,10 @@ from qchar.bases import (
     xi_V,
     xi_wedge_images,
 )
-from qchar.characters import decomposition_matrix
+from qchar.characters import decomposition_matrix, simple_character
 from qchar.tensor_space import (
     TensorElement,
+    WindowEscapeError,
     bar_involution,
     hecke_act,
     linear_extension,
@@ -187,6 +188,14 @@ class TestSElement:
         bad = MT(shape, (2, 1))
         with pytest.raises(ValueError):
             SElement(shape, (1, 3), {bad: ONE})
+
+    def test_rejects_keys_outside_the_window(self):
+        # so every reading that `to_tensor` lifts is a valid tensor key
+        shape = MP(((2,), "+"), ((1,), "-"))
+        with pytest.raises(WindowEscapeError, match=r"leaves window \(1, 2\)"):
+            SElement(shape, (1, 2), {MT(shape, (1, 3, 1)): ONE})
+        with pytest.raises(WindowEscapeError):
+            pi_monomial(shape, (2, 3), MT(shape, (1, 2, 2)))
 
     def test_zero_coefficients_dropped(self):
         shape = MP(((2,), "+"))
@@ -651,6 +660,83 @@ class TestTableauMemo:
         cold = self.solve_all()
         assert enumerate_tableaux.cache_info().currsize == 2
         assert self.solve_all() == cold
+
+
+# Shapes and windows whose Row blocks exercise the interned labels and the
+# unchecked element constructor behind straighten, bar_involution and
+# to_tensor.
+LABEL_CASES = [
+    (MP(((2, 1), "+"), ((1,), "+")), (1, 4)),
+    (MP(((2,), "+"), ((1,), "-")), (1, 3)),
+    (MP(((3, 1), "+")), (1, 3)),
+]
+
+
+class TestLabelMemo:
+    @pytest.mark.parametrize("shape, window", LABEL_CASES, ids=str)
+    def test_block_keys_are_the_order_labels(self, shape, window):
+        # a fresh listing reads the label memo, as a fresh run does
+        enumerate_tableaux.cache_clear()
+        for key in block_weights(shape, window, "row"):
+            blk = dcb_S(shape, window, dict(key))
+            order = {id(t) for t in blk.order}
+            for cols in (blk.bar_rows, blk.canon):
+                assert {id(t) for t in cols} == order
+                assert all(id(g) in order for col in cols.values() for g in col)
+
+    def calls(self):
+        """Zero-argument calls covering dcb_S, decomposition_matrix and
+        simple_character, one block or label each, returning JSON text."""
+        out = []
+        shape, window = LABEL_CASES[1]
+        for key in block_weights(shape, window, "row"):
+            out.append(lambda mu=dict(key): dcb_S(shape, window, mu).to_json())
+        for key in block_weights(shape, window, "std"):
+            out.append(lambda mu=dict(key): decomposition_matrix(shape, window, mu).to_json())
+        for mt in enumerate_tableaux(shape, "std", window):
+
+            def character(mt=mt):
+                dexp, verma = simple_character(mt, window)
+                return [[tableau_json(g), c] for g, c in dexp.items()], verma.to_json()
+
+            out.append(character)
+        return out
+
+    def run(self, calls, clear):
+        results = []
+        for call in calls:
+            if clear:
+                multi_tableau_from_row_reading.cache_clear()
+            results.append(json.dumps(call()))
+        return results
+
+    def test_results_do_not_depend_on_the_label_memo(self, monkeypatch):
+        calls = self.calls()
+        warm = self.run(calls, clear=False)
+        assert self.run(calls, clear=False) == warm
+        # cleared before each call, so between blocks
+        assert self.run(calls, clear=True) == warm
+        # cleared inside each call before every straighten: the labels it
+        # returns are new objects, equal to the listing's
+
+        def evicting(x, shape):
+            multi_tableau_from_row_reading.cache_clear()
+            return straighten(x, shape)
+
+        monkeypatch.setattr(qchar.bases, "straighten", evicting)
+        assert self.run(calls, clear=False) == warm
+
+    @pytest.mark.parametrize("shape, window", LABEL_CASES, ids=str)
+    def test_unchecked_results_pass_the_public_constructors(self, shape, window):
+        keys = block_weights(shape, window, "row")
+        assert keys
+        for mt in (mt for key in keys for mt in qchar.bases._block(shape, window, "row", dict(key))):
+            lifted = pi_monomial(shape, window, mt).to_tensor()
+            barred = bar_involution(lifted)
+            back = straighten(barred, shape)
+            for x in (lifted, barred, back.to_tensor()):
+                assert TensorElement(x.signs, x.window, x.coeffs) == x
+            assert SElement(back.shape, back.window, back.coeffs) == back
 
 
 class TestSerialization:

@@ -22,6 +22,7 @@ def test_every_memo_is_bounded_and_clearable():
     found = memos()
     assert {
         "qchar.combinatorics.enumerate_tableaux",
+        "qchar.combinatorics.multi_tableau_from_row_reading",
         "qchar.tensor_space.zeta_constants",
         "qchar.tensor_space._psi_monomial",
     } <= set(found)

@@ -426,19 +426,22 @@ class TestLabelHash:
     SHAPE = MP(((2, 1), "+"), ((1,), "-"))
 
     def test_one_label_built_three_ways(self):
+        # The enumerated label and both constructor calls are one interned
+        # object; a label assembled directly from its tableaux is a distinct
+        # object that is equal, hashes alike and finds the same dict entry.
+        enumerate_tableaux.cache_clear()
         labels = enumerate_tableaux(self.SHAPE, "row", (1, 3))
         assert labels
         for mt in labels:
             reading = mt.row_reading()
             normal, inv = row_normal_form(self.SHAPE, reading)
-            rebuilt = multi_tableau_from_row_reading(self.SHAPE, reading)
             assert inv == 0
-            built = (mt, multi_tableau_from_row_reading(self.SHAPE, normal), rebuilt)
-            entries = [{x: i} for i, x in enumerate(built)]
-            for a, b in itertools.permutations(range(3), 2):
-                assert built[a] is not built[b]
-                assert built[a] == built[b] and hash(built[a]) == hash(built[b])
-                assert entries[a][built[b]] == a
+            assert multi_tableau_from_row_reading(self.SHAPE, normal) is mt
+            assert multi_tableau_from_row_reading(self.SHAPE, reading) is mt
+            direct = MultiTableau(tuple(Tableau(t.shape, t.sign, t.rows) for t in mt.components))
+            assert direct is not mt
+            assert direct == mt and hash(direct) == hash(mt)
+            assert {mt: "entry"}[direct] == "entry" and {direct: "entry"}[mt] == "entry"
 
     def test_a_pickled_label_hashes_like_a_fresh_one_under_another_seed(self):
         # a worker process may run under another string-hash seed than the

@@ -2,7 +2,8 @@
 top-level function or class of the library is named somewhere else, and
 every method or property of a library class is named as an attribute
 somewhere else: in the library, the benchmark, the tests or the README.
-The unchecked Laurent constructor `_of` is named nowhere but in the kernel."""
+The unchecked constructors `_of` are named nowhere but in the kernel and, for
+`Element._of`, at three sanctioned library call sites."""
 
 import ast
 import pathlib
@@ -124,26 +125,77 @@ def test_the_guard_sees_an_unnamed_member():
 
 
 # `LaurentPoly._of` trusts its caller to hand it a zero-free term dict; only
-# the kernel, which builds those dicts, may call it.
+# the kernel, which builds those dicts, may call it.  `Element._of` trusts its
+# caller to hand it zero-free coefficients over keys valid by construction;
+# outside the kernel only these (module, function, class) sites may call it.
 UNCHECKED = re.compile(r"\b_of\b")
 KERNEL = pathlib.Path(qchar.__file__).parent / "laurent.py"
+ELEMENT_SITES = {
+    ("bases.py", "straighten", "SElement"),
+    ("bases.py", "to_tensor", "TensorElement"),
+    ("tensor_space.py", "bar_involution", "TensorElement"),
+}
 
 
 def lines_naming_the_unchecked_constructor(source: str) -> list[int]:
     return [n for n, line in enumerate(source.splitlines(), 1) if UNCHECKED.search(line)]
 
 
+def element_sites(source: str) -> dict[int, tuple[str, str]]:
+    """Line -> (enclosing function, class) of every `<Class>._of` call."""
+    found = {}
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "_of"
+                and isinstance(child.func.value, ast.Name)
+            ):
+                found[child.lineno] = (function, child.func.value.id)
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def unsanctioned_lines(name: str, source: str) -> list[int]:
+    """The lines naming `_of` other than the sanctioned `Element._of` sites."""
+    sites = element_sites(source) if name.endswith(".py") else {}
+    return [
+        n
+        for n in lines_naming_the_unchecked_constructor(source)
+        if (name, *sites.get(n, (None, None))) not in ELEMENT_SITES
+    ]
+
+
 def test_only_the_kernel_names_its_unchecked_constructor():
     this = pathlib.Path(__file__).resolve()
+    paths = [path for path in [*MODULES, *READERS] if path not in (KERNEL, this)]
     offenders = [
-        f"{path.name}:{n}"
-        for path in [*MODULES, *READERS]
-        if path not in (KERNEL, this)
-        for n in lines_naming_the_unchecked_constructor(path.read_text())
+        f"{path.name}:{n}" for path in paths for n in unsanctioned_lines(path.name, path.read_text())
     ]
     assert offenders == []
+    used = {
+        (path.name, *site)
+        for path in MODULES
+        if path != KERNEL
+        for site in element_sites(path.read_text()).values()
+    }
+    assert used == ELEMENT_SITES
 
 
 def test_the_guard_sees_the_unchecked_constructor():
     source = "x = LaurentPoly._of({0: 0})\nsize_of = 1  # one of two\ny = (_of)\n"
     assert lines_naming_the_unchecked_constructor(source) == [1, 3]
+    source = (
+        "def straighten(x):\n    return SElement._of(x)\n\n\n"
+        "def other(x):\n    return SElement._of(x)\n\n\n"
+        "def to_tensor(x):\n    return SElement._of(x)  # wrong class\n"
+    )
+    assert unsanctioned_lines("bases.py", source) == [6, 10]
+    assert unsanctioned_lines("cli.py", source) == [2, 6, 10]
