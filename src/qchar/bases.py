@@ -578,8 +578,8 @@ def dcb_P(
     solved = dcb_solve(TriangularBlock("p", tuple(order), bar_rows))
     ls = dcb_S(shape, window, mu)
     for mt in order:
-        s_elem = SElement(shape, window, dict(ls.canon[mt]))
-        route_b = delta_coords(s_elem, deltas, order)
+        # a solved column is zero-free over the block's Row labels
+        route_b = delta_coords(SElement._of(shape, window, ls.canon[mt]), deltas, order)
         if route_b != solved.canon[mt]:
             raise RouteDisagreement(
                 f"dcb_P routes disagree at {mt}: "

@@ -17,6 +17,7 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import bases
 from .combinatorics import (
@@ -224,19 +225,33 @@ def decomposition_matrix(
     return DecompositionTable(shape, window, dict(weight), blk.order, blk.canon, delta_cols)
 
 
+@lru_cache(maxsize=256)
+def _solved_block(
+    shape: SignedMultiPartition, window: tuple[int, int], key: tuple[tuple[int, int], ...]
+) -> bases.TriangularBlock:
+    """The solved `dcb_P` block of the signed weight with `weight_key` `key`,
+    shared by the character queries of all its labels while it stays cached;
+    callers only read it.  A block that raises is not cached, so it raises
+    again, recomputed.  A miss looks `dcb_P` up on `bases` at call time, so
+    a wrapper installed there sees every solve."""
+    return bases.dcb_P(shape, window, dict(key))
+
+
 def simple_character(
     bfA: MultiTableau, window: tuple[int, int]
 ) -> tuple[dict[MultiTableau, int], VermaSum]:
     """The character of the simple class [L(bfA)]: its integer expansion over
     standard classes (its L-in-Delta column through `specialize`) and the
-    composed Verma-class expansion."""
+    composed Verma-class expansion.  The solved block comes from a bounded
+    memo keyed by (shape, window, weight), so the labels of one block share
+    one `dcb_P` solve."""
     if not bfA.is_std():
         raise ValueError(f"simple_character requires a Std multi-tableau, got {bfA}")
     lo, hi = window
     if not all(lo <= a <= hi for a in bfA.row_reading()):
         raise ValueError(f"simple_character: {bfA} has an entry outside the window {window}")
     shape = bfA.shape
-    blk = bases.dcb_P(shape, window, bfA.weight_signed())
+    blk = _solved_block(shape, (lo, hi), bfA.signed_key)
     delta_exp = add_into({}, ((g, specialize(c)) for g, c in blk.canon[bfA].items()))
     verma: dict = {}
     for g, c in delta_exp.items():

@@ -55,7 +55,8 @@ class Element:
     `coeffs` without its zero coefficients and hands every key to the
     subclass's `_check_key`.  `Cls._of(*fields)`, like `LaurentPoly._of`,
     stores the fields as given: it is for library code that has just built
-    a zero-free `coeffs` over keys valid by construction."""
+    a zero-free `coeffs` over keys valid by construction.  `scale` and
+    `map_coeffs` keep their element's keys, so they build through `_of`."""
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", {k: c for k, c in self.coeffs.items() if c})
@@ -83,10 +84,14 @@ class Element:
         return replace(self, coeffs=add_into(dict(self.coeffs), other.coeffs, -1))
 
     def scale(self, c):
-        return replace(self, coeffs={k: v * c for k, v in self.coeffs.items()})
+        return self.map_coeffs(lambda v: v * c)
 
     def map_coeffs(self, fn):
-        return replace(self, coeffs={k: fn(v) for k, v in self.coeffs.items()})
+        """`fn` applied to every coefficient, zeros dropped.  The keys stay
+        this element's, already checked, so the result is built by `_of`."""
+        coeffs = {k: c for k, v in self.coeffs.items() if (c := fn(v))}
+        fields = self.__dataclass_fields__
+        return self._of(*(coeffs if f == "coeffs" else getattr(self, f) for f in fields))
 
 
 class LaurentPoly:

@@ -24,6 +24,7 @@ from qchar.laurent import (
     q_power,
 )
 import qchar.bases
+import qchar.characters
 from qchar.bases import (
     SElement,
     TriangularBlock,
@@ -702,11 +703,18 @@ class TestLabelMemo:
             out.append(character)
         return out
 
+    @staticmethod
+    def clear():
+        """Clear the label memo, and the solved-block memo above it, so a
+        character query straightens again."""
+        multi_tableau_from_row_reading.cache_clear()
+        qchar.characters._solved_block.cache_clear()
+
     def run(self, calls, clear):
         results = []
         for call in calls:
             if clear:
-                multi_tableau_from_row_reading.cache_clear()
+                self.clear()
             results.append(json.dumps(call()))
         return results
 
@@ -716,15 +724,15 @@ class TestLabelMemo:
         assert self.run(calls, clear=False) == warm
         # cleared before each call, so between blocks
         assert self.run(calls, clear=True) == warm
-        # cleared inside each call before every straighten: the labels it
-        # returns are new objects, equal to the listing's
+        # cleared before each call and inside it before every straighten:
+        # the labels it returns are new objects, equal to the listing's
 
         def evicting(x, shape):
-            multi_tableau_from_row_reading.cache_clear()
+            self.clear()
             return straighten(x, shape)
 
         monkeypatch.setattr(qchar.bases, "straighten", evicting)
-        assert self.run(calls, clear=False) == warm
+        assert self.run(calls, clear=True) == warm
 
     @pytest.mark.parametrize("shape, window", LABEL_CASES, ids=str)
     def test_unchecked_results_pass_the_public_constructors(self, shape, window):

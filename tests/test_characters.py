@@ -1,5 +1,9 @@
+import collections
+
 import pytest
 
+import qchar.bases
+import qchar.characters
 from orders import weight_blocks
 from qchar.characters import (
     VermaSum,
@@ -212,6 +216,85 @@ class TestSimpleCharacter:
                     for g, c in dexp.items():
                         acc[g] = acc.get(g, 0) + mult * c
                 assert {g: c for g, c in acc.items() if c} == {tbl.order[j]: 1}
+
+
+MEMO_CASES = [
+    (MP(((1,), "+"), ((1,), "-"), ((1,), "+")), (1, 3)),
+    (MP(((2, 1), "+"), ((1,), "-")), (1, 3)),
+]
+
+
+def character_or_error(mt, window):
+    """The simple character as comparable data, or the error it raises as
+    its type and message."""
+    try:
+        dexp, verma = simple_character(mt, window)
+    except Exception as err:  # the P defect raises on some blocks
+        return type(err), str(err)
+    return dexp, verma.coeffs
+
+
+def snapshot(cols):
+    """A copy of label-keyed Laurent columns that shares no dict with them."""
+    return {t: {g: dict(c.terms) for g, c in col.items()} for t, col in cols.items()}
+
+
+class TestSolvedBlockMemo:
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        qchar.characters._solved_block.cache_clear()
+        yield
+        qchar.characters._solved_block.cache_clear()
+
+    @pytest.mark.parametrize("shape, window", MEMO_CASES, ids=str)
+    def test_warm_and_cleared_memo_agree(self, shape, window):
+        labels = enumerate_tableaux(shape, "std", window)
+        warm = [character_or_error(mt, window) for mt in labels]
+        assert qchar.characters._solved_block.cache_info().hits > 0
+        cold = []
+        for mt in labels:
+            qchar.characters._solved_block.cache_clear()
+            cold.append(character_or_error(mt, window))
+        assert cold == warm
+
+    def test_one_dcb_P_per_block(self, monkeypatch):
+        shape, window = MEMO_CASES[0]
+        by_block = collections.defaultdict(list)
+        for mt in enumerate_tableaux(shape, "std", window):
+            by_block[mt.signed_key].append(mt)
+        labels = max(by_block.values(), key=len)
+        assert len(labels) > 2
+        calls = []
+        solve = qchar.bases.dcb_P
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(qchar.bases, "dcb_P", counting)
+        for mt in labels:
+            simple_character(mt, window)
+        assert len(calls) == 1
+
+    def test_a_raising_block_raises_again(self):
+        shape, window = MEMO_CASES[1]
+        mt = MT(shape, (2, 1, 2, 1))
+        first = character_or_error(mt, window)
+        assert first[0] is ValueError
+        assert character_or_error(mt, window) == first
+        assert qchar.characters._solved_block.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("shape, window", MEMO_CASES, ids=str)
+    def test_a_query_leaves_the_cached_block_unchanged(self, shape, window):
+        for mt in enumerate_tableaux(shape, "std", window):
+            try:
+                blk = qchar.characters._solved_block(shape, window, mt.signed_key)
+            except ValueError:
+                continue
+            before = snapshot(blk.canon)
+            simple_character(mt, window)
+            assert qchar.characters._solved_block(shape, window, mt.signed_key) is blk
+            assert snapshot(blk.canon) == before
 
 
 class TestWeightLabel:
