@@ -22,6 +22,7 @@ from .combinatorics import (
     enumerate_tableaux,
     multi_tableau_from_row_reading,
     row_normal_form,
+    shuffle_permutation,
     weight_key,
 )
 from .laurent import (
@@ -485,14 +486,6 @@ def kappa(bfA: MultiTableau, window: tuple[int, int]) -> TensorElement:
     return antisymmetrize(
         TensorElement.monomial(signs, window, tuple(base)), ranges
     )
-
-
-def shuffle_permutation(shape_piece) -> tuple[int, ...]:
-    """One-line permutation whose j-th row-reading position holds the j-th
-    column-reading box of the pyramid."""
-    boxes = shape_piece.column_boxes()
-    ids = {box: k for k, box in enumerate(boxes, start=1)}
-    return tuple(ids[box] for box in sorted(boxes))
 
 
 def _braiding_word_apply(bfA: MultiTableau, x: TensorElement) -> TensorElement:

@@ -29,7 +29,7 @@ from .combinatorics import (
     enumerate_tableaux,
     multi_tableau_from_row_reading,
     row_normal_form,
-    tableau_from_columns,
+    shuffle_permutation,
 )
 from .laurent import Element, LaurentPoly, ZERO, add_into, specialize
 
@@ -66,11 +66,11 @@ class VermaSum(Element):
         return bases.terms_json(self.shape, self.coeffs, int)
 
 
-def normalize_verma(B: MultiTableau) -> MultiTableau:
-    """Row-normalize a filling: sort each row weakly increasing on + pieces
-    and weakly decreasing on - pieces.  No sign is attached."""
-    shape = B.shape
-    return multi_tableau_from_row_reading(shape, row_normal_form(shape, B.row_reading())[0])
+def normalize_verma(shape: SignedMultiPartition, reading: tuple[int, ...]) -> MultiTableau:
+    """The Verma label of a filling given by its row reading: each row sorted
+    weakly increasing on + pieces and weakly decreasing on - pieces, as the
+    interned label of that reading.  No sign is attached."""
+    return multi_tableau_from_row_reading(shape, row_normal_form(shape, reading)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +83,9 @@ def expand_standard(bfA: MultiTableau) -> VermaSum:
     the signed sum over the column stabilizer, every label row-normalized."""
     if not bfA.is_std():
         raise ValueError(f"expand_standard requires a Std multi-tableau, got {bfA}")
-    terms = ((normalize_verma(mt), (-1) ** inv) for mt, inv in column_stabilizer(bfA))
-    return VermaSum(bfA.shape, add_into({}, terms))
+    shape = bfA.shape
+    terms = ((normalize_verma(shape, r), (-1) ** inv) for r, inv in column_stabilizer(bfA))
+    return VermaSum(shape, add_into({}, terms))
 
 
 def expand_N(bfA: MultiTableau) -> VermaSum:
@@ -94,12 +95,15 @@ def expand_N(bfA: MultiTableau) -> VermaSum:
     For each global column index, every piece reaching that column
     contributes the signed rearrangements of its column independently; the
     per-column choices are concatenated back into full column fillings, each
-    piece is rebuilt from its columns, and the label is row-normalized.
+    piece's column reading is mapped to its row reading by
+    `shuffle_permutation`, and the label is row-normalized.
     This is a deliberately separate code path from `expand_standard`.
     """
     if not bfA.is_std():
         raise ValueError(f"expand_N requires a Std multi-tableau, got {bfA}")
+    shape = bfA.shape
     piece_cols = [t.columns() for t in bfA.components]
+    perms = [shuffle_permutation(t.shape) for t in bfA.components]
     num_cols = max(len(cols) for cols in piece_cols)
     # Choice slots in column-major order: global column first, then piece.
     slots: list[tuple[int, int, list[tuple[tuple[int, ...], int]]]] = []
@@ -115,13 +119,13 @@ def expand_N(bfA: MultiTableau) -> VermaSum:
             for (k, j, _), (col, i) in zip(slots, combo):
                 chosen[k][j] = col
                 inv += i
-            comps = tuple(
-                tableau_from_columns(t.shape, t.sign, cols)
-                for t, cols in zip(bfA.components, chosen)
-            )
-            yield normalize_verma(MultiTableau(comps)), (-1) ** inv
+            reading = ()
+            for cols, perm in zip(chosen, perms):
+                col_reading = sum(cols, ())
+                reading += tuple(col_reading[k - 1] for k in perm)
+            yield normalize_verma(shape, reading), (-1) ** inv
 
-    return VermaSum(bfA.shape, add_into({}, terms()))
+    return VermaSum(shape, add_into({}, terms()))
 
 
 def theoremC_check(

@@ -84,6 +84,15 @@ class Partition:
         return ",".join(str(p) for p in self.parts)
 
 
+def shuffle_permutation(shape: Partition) -> tuple[int, ...]:
+    """One-line permutation whose j-th row-reading position holds the j-th
+    column-reading box of the pyramid, so a column reading c of the shape
+    has the row reading c[k - 1] for k in this permutation."""
+    boxes = shape.column_boxes()
+    ids = {box: k for k, box in enumerate(boxes, start=1)}
+    return tuple(ids[box] for box in sorted(boxes))
+
+
 @dataclass(frozen=True)
 class SignedMultiPartition:
     """A sequence of (partition, sign) pieces; the global configuration object."""
@@ -210,9 +219,6 @@ class MultiTableau:
         """The `weight_key` of the signed weight, computed once per label."""
         return wt_key(self.row_reading(), self.shape.sign_sequence())
 
-    def weight_signed(self) -> dict[int, int]:
-        return dict(self.signed_key)
-
     def is_row(self) -> bool:
         return all(t.is_row() for t in self.components)
 
@@ -294,11 +300,11 @@ def row_normal_form(
 
 def enumerate_component(
     lam: Partition, sign: Sign, kind: str, window: tuple[int, int]
-) -> list[Tableau]:
-    """All Row/Col/Std tableaux of one piece with entries inside the window,
-    sorted by row reading.  Rows are stacked bottom-up: Row and Std rows are
-    the monotone ones, a Col row ranges cell by cell beyond the row below and
-    a Std row must pass the same column-strictness test."""
+) -> list[tuple[int, ...]]:
+    """The sorted row readings of all Row/Col/Std tableaux of one piece with
+    entries inside the window.  Rows are stacked bottom-up: Row and Std rows
+    are the monotone ones, a Col row ranges cell by cell beyond the row below
+    and a Std row must pass the same column-strictness test."""
     if kind not in ("row", "col", "std"):
         raise ValueError(f"unknown tableau kind: {kind}")
     lo, hi = window
@@ -326,9 +332,7 @@ def enumerate_component(
             for row in rows(length, stack[0] if stack else None)
             if kind != "std" or not stack or all(v in beyond(b) for v, b in zip(row, stack[0]))
         ]
-    out = [Tableau(lam, sign, stack) for stack in stacks]
-    out.sort(key=Tableau.row_reading)
-    return out
+    return sorted(sum(stack, ()) for stack in stacks)
 
 
 def enumerate_tableaux(
@@ -348,9 +352,7 @@ def enumerate_tableaux(
 
 @lru_cache(maxsize=64)
 def _tableaux(shape: SignedMultiPartition, kind: str, window: tuple[int, int]) -> tuple:
-    per_piece = [
-        [t.row_reading() for t in enumerate_component(p, s, kind, window)] for p, s in shape.pieces
-    ]
+    per_piece = [enumerate_component(p, s, kind, window) for p, s in shape.pieces]
     return tuple(
         multi_tableau_from_row_reading(shape, sum(combo, ()))
         for combo in itertools.product(*per_piece)
@@ -433,30 +435,30 @@ def column_perms(col: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     ]
 
 
-def tableau_from_columns(shape: Partition, sign: Sign, cols) -> Tableau:
-    """Rebuild a tableau from its column contents, leftmost column first:
-    sorted (row, column) boxes are in row-reading order."""
-    at = dict(zip(shape.column_boxes(), itertools.chain.from_iterable(cols), strict=True))
-    return tableau_from_row_reading(shape, sign, [at[box] for box in sorted(at)])
-
-
-def column_stabilizer(bfA: MultiTableau) -> Iterator[tuple[MultiTableau, int]]:
+def column_stabilizer(bfA: MultiTableau) -> Iterator[tuple[tuple[int, ...], int]]:
     """Iterate over all column permutations of a multi-tableau.
 
-    Yields the permuted multi-tableau together with the total length (sum of
-    per-column inversion counts).  Each piece's orbit is built once and the
-    pieces are combined as a product.  Entries must be pairwise distinct
-    inside every column, which holds for standard multi-tableaux.
+    Yields the row reading of the permuted filling together with the total
+    length (sum of per-column inversion counts).  Each piece's orbit is
+    built once, its column readings mapped to row readings by
+    `shuffle_permutation`, and the pieces are combined as a product.
+    Entries must be pairwise distinct inside every column, which holds for
+    standard multi-tableaux.
     """
-    per_piece = [
-        [
-            (tableau_from_columns(t.shape, t.sign, [c for c, _ in combo]), sum(i for _, i in combo))
-            for combo in itertools.product(*(column_perms(col) for col in t.columns()))
-        ]
-        for t in bfA.components
-    ]
+    per_piece = []
+    for t in bfA.components:
+        perm = shuffle_permutation(t.shape)
+        try:
+            options = [column_perms(col) for col in t.columns()]
+        except ValueError as err:
+            raise ValueError(f"column stabilizer of {bfA}: {err}") from None
+        orbit = []
+        for combo in itertools.product(*options):
+            col_reading = sum((c for c, _ in combo), ())
+            orbit.append((tuple(col_reading[k - 1] for k in perm), sum(i for _, i in combo)))
+        per_piece.append(orbit)
     for combo in itertools.product(*per_piece):
-        yield MultiTableau(tuple(t for t, _ in combo)), sum(i for _, i in combo)
+        yield sum((r for r, _ in combo), ()), sum(i for _, i in combo)
 
 
 # ---------------------------------------------------------------------------

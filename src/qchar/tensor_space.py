@@ -5,7 +5,8 @@ by integer vectors; the sign sequence fixes which tensor factors are natural
 and which are dual.  Quantum-group generators act through the iterated
 comultiplication, the Hecke algebra acts on the right within same-sign runs,
 and the bar involution is assembled recursively from pairwise quasi-R-matrix
-operators whose scalar constants are derived (not assumed) at import time.
+operators whose scalar constants are derived (not assumed) on first use and
+memoized by `zeta_constants`.
 """
 
 from __future__ import annotations

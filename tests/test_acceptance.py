@@ -254,8 +254,8 @@ class TestCriterion7XiValidation:
                 at_one = {k: sum(c.terms.values()) for k, c in raw.coeffs.items()}
                 lhs = {k: v for k, v in at_one.items() if v}
                 rhs: dict = {}
-                for smt, inv in column_stabilizer(mt):
-                    f = list(smt.row_reading())
+                for reading, inv in column_stabilizer(mt):
+                    f = list(reading)
                     for start, length, s in row_segments(shape):
                         f[start : start + length] = sorted(
                             f[start : start + length], reverse=(s == "-")

@@ -1,4 +1,6 @@
 import collections
+import hashlib
+import json
 
 import pytest
 
@@ -37,15 +39,15 @@ class TestNormalizeVerma:
     def test_row_input_fixed(self):
         shape = MP(((2,), "+"))
         mt = MT(shape, (1, 2))
-        assert normalize_verma(mt) == mt
+        assert normalize_verma(shape, (1, 2)) is mt
 
     def test_plus_row_sorted_increasing(self):
         shape = MP(((3,), "+"))
-        assert normalize_verma(MT(shape, (3, 1, 2))) == MT(shape, (1, 2, 3))
+        assert normalize_verma(shape, (3, 1, 2)) == MT(shape, (1, 2, 3))
 
     def test_minus_row_sorted_decreasing(self):
         shape = MP(((3,), "-"))
-        assert normalize_verma(MT(shape, (1, 3, 3))) == MT(shape, (3, 3, 1))
+        assert normalize_verma(shape, (1, 3, 3)) == MT(shape, (3, 3, 1))
 
 
 class TestVermaSum:
@@ -112,6 +114,33 @@ class TestExpandN:
         a = expand_standard(mt)
         corrupted = a.scale(-1)
         assert corrupted.coeffs != expand_N(mt).coeffs
+
+
+class TestVermaGolden:
+    # SHA-256 over expand_standard(mt).to_json() and expand_N(mt).to_json()
+    # of every Std label of the two theoremC shapes and of 2,1:- / 1:+,
+    # recorded while both expansions still rebuilt each permuted filling as
+    # a multi-tableau from its columns.
+    @pytest.mark.parametrize(
+        "pieces, window, count, digest",
+        [
+            ((((2, 1), "+"), ((2,), "-")), (0, 2), 48,
+             "75b987bc307fd9e42f430b8bc77cadb53c05ffa6dde412b58aaf0fd81539bcb3"),
+            ((((1, 1), "+"), ((2,), "+")), (1, 3), 18,
+             "d1a1b7afe30a218098e724c2d04f245b0858a63561c795d9ee56f14aaa03baf0"),
+            ((((2, 1), "-"), ((1,), "+")), (1, 3), 24,
+             "67fdd29d6d5a07aedcde45ca5c41ffcf5db05781281be6c44b12b7500cebc5f0"),
+        ],
+    )
+    def test_expansions_match_the_recorded_digest(self, pieces, window, count, digest):
+        h = hashlib.sha256()
+        labels = enumerate_tableaux(MP(*pieces), "std", window)
+        for mt in labels:
+            for vs in (expand_standard(mt), expand_N(mt)):
+                h.update(json.dumps(vs.to_json()).encode())
+                h.update(b"\n")
+        assert len(labels) == count
+        assert h.hexdigest() == digest
 
 
 class TestDecompositionMatrix:

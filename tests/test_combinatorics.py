@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import os
 import pathlib
@@ -94,12 +95,12 @@ class TestReadingsAndWeights:
         assert t.row_reading() == (7,)
 
     def test_weight(self):
-        assert MultiTableau((STD_PLUS,)).weight_signed() == {0: 2, 1: 1, 2: 2, 3: 1, 6: 1}
+        assert dict(MultiTableau((STD_PLUS,)).signed_key) == {0: 2, 1: 1, 2: 2, 3: 1, 6: 1}
 
     def test_signed_weight_flips_sign(self):
         mt = MultiTableau((STD_MINUS,))
         counts = collections.Counter(STD_MINUS.row_reading())
-        assert mt.weight_signed() == {a: -c for a, c in counts.items()}
+        assert dict(mt.signed_key) == {a: -c for a, c in counts.items()}
 
     def test_row_reading_round_trip(self):
         rebuilt = tableau_from_row_reading(STD_PLUS.shape, "+", STD_PLUS.row_reading())
@@ -306,7 +307,9 @@ class TestTableauOrder:
         assert tableau_leq_T(STD_PLUS, STD_PLUS, "+")
 
     def test_antisymmetry_exhaustive(self):
-        tabs = enumerate_component(Partition((2, 1)), "+", "row", (0, 2))
+        lam = Partition((2, 1))
+        readings = enumerate_component(lam, "+", "row", (0, 2))
+        tabs = [tableau_from_row_reading(lam, "+", r) for r in readings]
         for a, b in itertools.permutations(tabs, 2):
             if tableau_leq_T(a, b, "+") and tableau_leq_T(b, a, "+"):
                 assert a == b
@@ -316,7 +319,9 @@ class TestTableauOrder:
         assert multi_leq_T(mt, mt)
 
     def test_multi_single_component_collapses(self):
-        tabs = enumerate_component(Partition((2, 1)), "+", "std", (0, 2))
+        lam = Partition((2, 1))
+        readings = enumerate_component(lam, "+", "std", (0, 2))
+        tabs = [tableau_from_row_reading(lam, "+", r) for r in readings]
         for a, b in itertools.product(tabs, repeat=2):
             assert multi_leq_T(MultiTableau((a,)), MultiTableau((b,))) == tableau_leq_T(
                 a, b, "+"
@@ -365,15 +370,15 @@ class TestEnumeration:
             assert tabs[0].row_reading() == (5,)
 
     def test_running_example_membership(self):
-        tabs = enumerate_component(Partition((3, 2, 2)), "+", "std", (0, 6))
-        assert STD_PLUS in tabs
-        assert ROW_PLUS not in tabs
-        row_tabs = enumerate_component(Partition((3, 2, 2)), "+", "row", (0, 6))
-        assert ROW_PLUS in row_tabs
+        readings = enumerate_component(Partition((3, 2, 2)), "+", "std", (0, 6))
+        assert STD_PLUS.row_reading() in readings
+        assert ROW_PLUS.row_reading() not in readings
+        row_readings = enumerate_component(Partition((3, 2, 2)), "+", "row", (0, 6))
+        assert ROW_PLUS.row_reading() in row_readings
 
     def test_minus_example_membership(self):
-        tabs = enumerate_component(Partition((3, 2, 2)), "-", "std", (0, 6))
-        assert STD_MINUS in tabs
+        readings = enumerate_component(Partition((3, 2, 2)), "-", "std", (0, 6))
+        assert STD_MINUS.row_reading() in readings
 
     def test_counts_against_brute_force(self):
         shapes = [(1,), (2,), (1, 1), (2, 1), (3, 2), (2, 2, 1), (3, 2, 1)]
@@ -390,10 +395,28 @@ class TestEnumeration:
                 ("col", Tableau.is_col),
                 ("std", Tableau.is_std),
             ):
-                expected = sum(1 for t in fillings if pred(t))
+                # the fillings run in lexicographic order of their readings
+                expected = [t.row_reading() for t in fillings if pred(t)]
                 got = enumerate_component(lam, sign, kind, window)
-                assert len(got) == expected, (parts, sign, window, kind)
-                assert all(pred(t) for t in got)
+                assert len(got) == len(expected), (parts, sign, window, kind)
+                assert got == expected, (parts, sign, window, kind)
+
+    # SHA-256 over the Row/Col/Std listings of two shapes, recorded while
+    # enumeration still built a tableau per filling and read it back.
+    PINNED = "d04d63c96795990cd5d7bb060cd525594a01c67ffc247d0ea10f7cd6e7a76b84"
+
+    def test_listings_match_the_pinned_digest(self):
+        h, count = hashlib.sha256(), 0
+        for shape, window in [
+            (MP(((2, 1), "+"), ((1,), "+")), (1, 4)),
+            (MP(((2, 1), "-"), ((1, 1), "+")), (0, 3)),
+        ]:
+            for kind in ("row", "col", "std"):
+                tabs = enumerate_tableaux(shape, kind, window)
+                count += len(tabs)
+                h.update(f"{shape} {kind}: {[str(mt) for mt in tabs]}\n".encode())
+        assert count == 1240
+        assert h.hexdigest() == self.PINNED
 
     def test_std_subset_of_row(self):
         shape = MP(((2, 1), "+"), ((2,), "-"))
@@ -544,7 +567,8 @@ class TestColumnStabilizer:
 
     def test_rejects_repeated_column_entry(self):
         mt = MultiTableau((T((1, 1), "+", [(1,), (1,)]),))
-        with pytest.raises(ValueError):
+        match = r"^column stabilizer of 1\|1: repeated entry in a column: \(1, 1\)$"
+        with pytest.raises(ValueError, match=match):
             list(column_stabilizer(mt))
 
 

@@ -3,7 +3,8 @@ top-level function or class of the library is named somewhere else, and
 every method or property of a library class is named as an attribute
 somewhere else: in the library, the benchmark, the tests or the README.
 The unchecked constructors `_of` are named nowhere but in the kernel and, for
-`Element._of`, at four sanctioned library call sites."""
+`Element._of`, at four sanctioned library call sites; a tableau label is
+built in one place only, from its row reading."""
 
 import ast
 import pathlib
@@ -142,8 +143,9 @@ def lines_naming_the_unchecked_constructor(source: str) -> list[int]:
     return [n for n, line in enumerate(source.splitlines(), 1) if UNCHECKED.search(line)]
 
 
-def element_sites(source: str) -> dict[int, tuple[str, str]]:
-    """Line -> (enclosing function, class) of every `<Class>._of` call."""
+def call_sites(source: str, callee) -> dict[int, tuple[str, str]]:
+    """Line -> (enclosing function, `callee(func)`) of every call for which
+    `callee` returns a name."""
     found = {}
 
     def visit(node, function):
@@ -151,17 +153,23 @@ def element_sites(source: str) -> dict[int, tuple[str, str]]:
             if isinstance(child, ast.FunctionDef):
                 visit(child, child.name)
                 continue
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "_of"
-                and isinstance(child.func.value, ast.Name)
-            ):
-                found[child.lineno] = (function, child.func.value.id)
+            if isinstance(child, ast.Call) and (name := callee(child.func)):
+                found[child.lineno] = (function, name)
             visit(child, function)
 
     visit(ast.parse(source), None)
     return found
+
+
+def _unchecked_class(func: ast.expr) -> str | None:
+    if isinstance(func, ast.Attribute) and func.attr == "_of" and isinstance(func.value, ast.Name):
+        return func.value.id
+    return None
+
+
+def element_sites(source: str) -> dict[int, tuple[str, str]]:
+    """Line -> (enclosing function, class) of every `<Class>._of` call."""
+    return call_sites(source, _unchecked_class)
 
 
 def unsanctioned_lines(name: str, source: str) -> list[int]:
@@ -200,3 +208,40 @@ def test_the_guard_sees_the_unchecked_constructor():
     )
     assert unsanctioned_lines("bases.py", source) == [6, 10]
     assert unsanctioned_lines("cli.py", source) == [2, 6, 10]
+
+
+# A label is built from its row reading in one place: `Tableau(...)` only in
+# `tableau_from_row_reading` and `MultiTableau(...)` only in `_label`, the
+# interned `multi_tableau_from_row_reading`.  Enumeration and column
+# stabilizers hand around readings, not tableaux.
+LABEL_SITES = {
+    ("combinatorics.py", "tableau_from_row_reading", "Tableau"),
+    ("combinatorics.py", "_label", "MultiTableau"),
+}
+
+
+def _label_class(func: ast.expr) -> str | None:
+    if isinstance(func, ast.Name) and func.id in ("Tableau", "MultiTableau"):
+        return func.id
+    return None
+
+
+def label_sites(source: str) -> dict[int, tuple[str, str]]:
+    """Line -> (enclosing function, class) of every `Tableau(...)` or
+    `MultiTableau(...)` call."""
+    return call_sites(source, _label_class)
+
+
+def test_labels_are_built_only_from_readings():
+    found = {
+        (path.name, *site) for path in MODULES for site in label_sites(path.read_text()).values()
+    }
+    assert found == LABEL_SITES
+
+
+def test_the_guard_sees_a_label_built_elsewhere():
+    source = (
+        "def _label(x):\n    return MultiTableau(x)\n\n\n"
+        "def other(x):\n    y = MultiTableau.row_reading\n    return Tableau(*x), y\n"
+    )
+    assert label_sites(source) == {2: ("_label", "MultiTableau"), 7: ("other", "Tableau")}
