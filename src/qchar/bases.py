@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .combinatorics import (
+    Listing,
     MultiTableau,
     SignedMultiPartition,
     enumerate_tableaux,
@@ -335,13 +336,10 @@ def _reading(kind: str):
     return MultiTableau.column_reading if kind == "col" else MultiTableau.row_reading
 
 
-def tableaux_of_weight(
-    tableaux: tuple[MultiTableau, ...], mu: dict[int, int]
-) -> list[MultiTableau]:
-    """The multi-tableaux of signed weight mu, in input order, each compared
-    by its cached `signed_key`."""
-    key = weight_key(mu)
-    return [mt for mt in tableaux if mt.signed_key == key]
+def tableaux_of_weight(tableaux: Listing, mu: dict[int, int]) -> list[MultiTableau]:
+    """The multi-tableaux of signed weight mu, in listing order, read from
+    the listing's weight index."""
+    return list(tableaux.by_weight.get(weight_key(mu), ()))
 
 
 def _block(
@@ -364,7 +362,7 @@ def block_weights(
     `_block` lists them."""
     if kind == "t":
         return sorted(weight_keys(shape.sign_sequence(), window))
-    return sorted({mt.signed_key for mt in enumerate_tableaux(shape, kind, window)})
+    return sorted(enumerate_tableaux(shape, kind, window).by_weight)
 
 
 def _eliminate(x: dict, order, rows: dict, pivot) -> tuple[dict, dict]:

@@ -78,9 +78,15 @@ def normalize_verma(shape: SignedMultiPartition, reading: tuple[int, ...]) -> Mu
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1 << 10)
 def expand_standard(bfA: MultiTableau) -> VermaSum:
     """The Verma-class expansion of [Delta(bfA)], grouped piece by piece:
-    the signed sum over the column stabilizer, every label row-normalized."""
+    the signed sum over the column stabilizer, every label row-normalized.
+
+    Memoized in a bounded LRU keyed by the label, so the standard classes
+    that several character queries expand share one expansion while it
+    stays cached; callers only read the shared `VermaSum`.  A label that
+    raises is not cached."""
     if not bfA.is_std():
         raise ValueError(f"expand_standard requires a Std multi-tableau, got {bfA}")
     shape = bfA.shape

@@ -105,6 +105,15 @@ class SignedMultiPartition:
         if any(s not in ("+", "-") for _, s in self.pieces):
             raise ValueError("signs must be '+' or '-'")
 
+    @cached_property
+    def _hash(self) -> int:
+        # Hashed once per shape, on ints and bools only: a pickled shape
+        # carries its hash, which holds under any string-hash seed.
+        return hash(tuple((p.parts, s == "+") for p, s in self.pieces))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def r(self) -> int:
         return len(self.pieces)
@@ -208,8 +217,14 @@ class MultiTableau:
     def shape(self) -> SignedMultiPartition:
         return SignedMultiPartition(tuple((t.shape, t.sign) for t in self.components))
 
-    def row_reading(self) -> tuple[int, ...]:
+    @cached_property
+    def _reading(self) -> tuple[int, ...]:
         return tuple(x for t in self.components for x in t.row_reading())
+
+    def row_reading(self) -> tuple[int, ...]:
+        """The row readings of the components, concatenated; built once per
+        label and stored."""
+        return self._reading
 
     def column_reading(self) -> tuple[int, ...]:
         return tuple(x for t in self.components for x in t.column_reading())
@@ -273,12 +288,17 @@ multi_tableau_from_row_reading.cache_info = _label.cache_info
 multi_tableau_from_row_reading.cache_clear = _label.cache_clear
 
 
+@lru_cache(maxsize=1 << 16)
 def row_normal_form(
-    shape: SignedMultiPartition, reading: Sequence[int]
+    shape: SignedMultiPartition, reading: tuple[int, ...]
 ) -> tuple[tuple[int, ...], int]:
     """Sort each pyramid row of a row reading, weakly increasing on + pieces
     and weakly decreasing on - pieces: the row-normalized reading and the
-    number of strict within-row inversions the sort undoes."""
+    number of strict within-row inversions the sort undoes.
+
+    Memoized in a bounded LRU keyed by (shape, reading tuple), so the
+    monomials that `bases.straighten` and `normalize_verma` meet again cost
+    one lookup; callers only read the shared result."""
     out, inv, pos = [], 0, 0
     for p, s in shape.pieces:
         for length in p.row_lengths():
@@ -290,7 +310,9 @@ def row_normal_form(
             pos += length
     if pos != len(reading):
         raise ValueError("row reading length does not match the shape")
-    return tuple(out), inv
+    # A reading without a strict inversion is its own normal form; the memo
+    # then holds one tuple for key and result.
+    return (tuple(out) if inv else reading), inv
 
 
 # ---------------------------------------------------------------------------
@@ -335,25 +357,39 @@ def enumerate_component(
     return sorted(sum(stack, ()) for stack in stacks)
 
 
+class Listing(tuple):
+    """An immutable listing of multi-tableaux that carries its signed-weight
+    index: `by_weight` maps each `MultiTableau.signed_key` to the labels of
+    that weight, in listing order, and is built on first use, once."""
+
+    @cached_property
+    def by_weight(self) -> dict[tuple[tuple[int, int], ...], tuple[MultiTableau, ...]]:
+        index: dict = {}
+        for mt in self:
+            index.setdefault(mt.signed_key, []).append(mt)
+        return {key: tuple(labels) for key, labels in index.items()}
+
+
 def enumerate_tableaux(
     shape: SignedMultiPartition, kind: str, window: tuple[int, int]
-) -> tuple[MultiTableau, ...]:
+) -> Listing:
     """All Row/Col/Std multi-tableaux with entries inside the window.
 
     Output order is lexicographic on the row reading, which keeps listings
     and golden files deterministic: each piece's list is sorted by its
     fixed-length row reading, so the product of the lists already is.  The
     result is memoized per (shape, kind, window) in a bounded LRU, so every
-    block of a sweep reads one shared, immutable listing, and its labels are
-    the interned ones of `multi_tableau_from_row_reading`.
+    block of a sweep reads one shared, immutable `Listing` and its weight
+    index, and its labels are the interned ones of
+    `multi_tableau_from_row_reading`.
     """
     return _tableaux(shape, kind, tuple(window))
 
 
 @lru_cache(maxsize=64)
-def _tableaux(shape: SignedMultiPartition, kind: str, window: tuple[int, int]) -> tuple:
+def _tableaux(shape: SignedMultiPartition, kind: str, window: tuple[int, int]) -> Listing:
     per_piece = [enumerate_component(p, s, kind, window) for p, s in shape.pieces]
-    return tuple(
+    return Listing(
         multi_tableau_from_row_reading(shape, sum(combo, ()))
         for combo in itertools.product(*per_piece)
     )

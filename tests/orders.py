@@ -2,8 +2,10 @@
 vectors and the tableau orders, written from their definitions on top of
 the tuple-form Bruhat key `bruhat_key` and its comparison `key_leq`; the
 pairwise linear extension `reference_linear_extension` built on them, the
-oracle of the library's packed `bruhat_above` and `linear_extension`; and
-`weight_blocks`, the tests' listing of every block of a shape."""
+oracle of the library's packed `bruhat_above` and `linear_extension`;
+`reference_tableaux_of_weight`, the whole-listing weight scan that is the
+oracle of the listing's weight index; and `weight_blocks`, the tests'
+listing of every block of a shape."""
 
 import bisect
 import collections
@@ -13,7 +15,13 @@ import operator
 from typing import NamedTuple, Sequence
 
 from qchar.bases import _block, block_weights
-from qchar.combinatorics import MultiTableau, SignedMultiPartition, Sign, Tableau
+from qchar.combinatorics import (
+    MultiTableau,
+    SignedMultiPartition,
+    Sign,
+    Tableau,
+    weight_key,
+)
 
 
 def bruhat_key(
@@ -61,6 +69,15 @@ def reference_linear_extension(items, signs: tuple[str, ...], reading=None) -> l
             if not n_below[b]:
                 heapq.heappush(ready, b)
     return out
+
+
+def reference_tableaux_of_weight(tableaux, mu: dict[int, int]) -> list[MultiTableau]:
+    """The labels of a listing of signed weight mu, in listing order: one
+    scan of the whole listing comparing each label's cached `signed_key`
+    (which `test_cached_key_is_the_signed_weight_key` checks against the
+    weight counted afresh)."""
+    key = weight_key(mu)
+    return [mt for mt in tableaux if mt.signed_key == key]
 
 
 def weight_blocks(

@@ -7,13 +7,14 @@ import re
 
 import pytest
 
-from orders import weight_blocks
+from orders import reference_tableaux_of_weight, weight_blocks
 from qchar.combinatorics import (
     Partition,
     SignedMultiPartition,
     column_stabilizer,
     enumerate_tableaux,
     multi_tableau_from_row_reading,
+    row_normal_form,
     shuffle_permutation,
     weight_key,
     wt_key,
@@ -52,7 +53,7 @@ from qchar.bases import (
     xi_V,
     xi_wedge_images,
 )
-from qchar.characters import decomposition_matrix, simple_character
+from qchar.characters import decomposition_matrix, expand_standard, simple_character
 from qchar.tensor_space import (
     TensorElement,
     WindowEscapeError,
@@ -602,14 +603,14 @@ class TestWeightBlocks:
     def test_block_matches_the_per_label_weight_filter(self, shape, kind, window):
         signs, reading = shape.sign_sequence(), qchar.bases._reading(kind)
         labels = enumerate_tableaux(shape, kind, window)
-        keys = [wt_key(mt.row_reading(), signs) for mt in labels]
 
         def of_weight(mu):
-            key = weight_key(mu)
-            return [mt for mt, k in zip(labels, keys) if k == key]
+            return reference_tableaux_of_weight(labels, mu)
 
         weights = [dict(key) for key in block_weights(shape, window, kind)]
+        assert sum(len(of_weight(mu)) for mu in weights) == len(labels)
         for mu in weights:
+            assert tableaux_of_weight(labels, mu) == of_weight(mu), mu
             assert qchar.bases._block(shape, window, kind, mu) == linear_extension(of_weight(mu), signs, reading)
         # Weights one carry of b away from a block weight: a positional code
         # of the weight in base b would not tell them from it.
@@ -709,9 +710,13 @@ class TestLabelMemo:
 
     @staticmethod
     def clear():
-        """Clear the label memo, and the solved-block memo above it, so a
-        character query straightens again."""
+        """Clear the label memo, the row normal forms, the listings with
+        their weight indexes, the Verma expansions, and the solved-block
+        memo above them, so a character query straightens again."""
         multi_tableau_from_row_reading.cache_clear()
+        row_normal_form.cache_clear()
+        enumerate_tableaux.cache_clear()
+        expand_standard.cache_clear()
         qchar.characters._solved_block.cache_clear()
 
     def run(self, calls, clear):
@@ -728,14 +733,21 @@ class TestLabelMemo:
         assert self.run(calls, clear=False) == warm
         # cleared before each call, so between blocks
         assert self.run(calls, clear=True) == warm
-        # cleared before each call and inside it before every straighten:
-        # the labels it returns are new objects, equal to the listing's
+        # cleared before each call and inside it, before every straighten,
+        # every row normal form and every Verma expansion: the labels these
+        # return are new objects, equal to the listing's
 
-        def evicting(x, shape):
-            self.clear()
-            return straighten(x, shape)
+        def evicting(fn):
+            def call(*args):
+                self.clear()
+                return fn(*args)
 
-        monkeypatch.setattr(qchar.bases, "straighten", evicting)
+            return call
+
+        monkeypatch.setattr(qchar.bases, "straighten", evicting(straighten))
+        monkeypatch.setattr(qchar.bases, "row_normal_form", evicting(row_normal_form))
+        monkeypatch.setattr(qchar.characters, "row_normal_form", evicting(row_normal_form))
+        monkeypatch.setattr(qchar.characters, "expand_standard", evicting(expand_standard))
         assert self.run(calls, clear=True) == warm
 
     @pytest.mark.parametrize("shape, window", LABEL_CASES, ids=str)

@@ -23,6 +23,8 @@ def test_every_memo_is_bounded_and_clearable():
     assert {
         "qchar.combinatorics.enumerate_tableaux",
         "qchar.combinatorics.multi_tableau_from_row_reading",
+        "qchar.combinatorics.row_normal_form",
+        "qchar.characters.expand_standard",
         "qchar.characters._solved_block",
         "qchar.tensor_space.zeta_constants",
         "qchar.tensor_space._psi_monomial",

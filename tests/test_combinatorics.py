@@ -468,23 +468,27 @@ class TestLabelHash:
 
     def test_a_pickled_label_hashes_like_a_fresh_one_under_another_seed(self):
         # a worker process may run under another string-hash seed than the
-        # process that reads its pickled results
+        # process that reads its pickled results; a pickled label and shape
+        # carry the hashes cached here, and the dict keyed by them is rebuilt
+        # on those hashes
         mt = enumerate_tableaux(self.SHAPE, "row", (1, 3))[-1]
-        blob = pickle.dumps({mt: "found"})
+        shape = mt.shape
+        blob = pickle.dumps(({mt: "found", shape: "shape found"}, shape))
         code = (
             "import pickle, sys\n"
             "from qchar.combinatorics import Partition, SignedMultiPartition, "
             "multi_tableau_from_row_reading\n"
             "shape = SignedMultiPartition(((Partition((2, 1)), '+'), (Partition((1,)), '-')))\n"
             f"fresh = multi_tableau_from_row_reading(shape, {mt.row_reading()!r})\n"
-            "print(pickle.loads(sys.stdin.buffer.read()).get(fresh))\n"
+            "found, pickled = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(found.get(fresh), found.get(shape), {shape: 'same'}.get(pickled))\n"
         )
         seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(pathlib.Path(qchar.__file__).parent.parent))
         out = subprocess.run(
             [sys.executable, "-c", code], input=blob, env=env, capture_output=True, check=True
         ).stdout
-        assert out == b"found\n"
+        assert out == b"found shape found same\n"
 
 
 def brute_row_normal_form(shape, reading):
