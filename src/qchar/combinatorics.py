@@ -213,8 +213,10 @@ class MultiTableau:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
+    @cached_property
     def shape(self) -> SignedMultiPartition:
+        """Built once per label; an interned label holds the shape it was
+        built for."""
         return SignedMultiPartition(tuple((t.shape, t.sign) for t in self.components))
 
     @cached_property
@@ -281,11 +283,9 @@ def _label(mp: SignedMultiPartition, values: tuple[int, ...]) -> MultiTableau:
         pos += p.size
     if pos != len(values):
         raise ValueError("row reading length does not match the shape")
-    return MultiTableau(tuple(comps))
-
-
-multi_tableau_from_row_reading.cache_info = _label.cache_info
-multi_tableau_from_row_reading.cache_clear = _label.cache_clear
+    mt = MultiTableau(tuple(comps))
+    mt.__dict__["shape"] = mp  # the cached `shape`, shared by the shape's labels
+    return mt
 
 
 @lru_cache(maxsize=1 << 16)
@@ -393,10 +393,6 @@ def _tableaux(shape: SignedMultiPartition, kind: str, window: tuple[int, int]) -
         multi_tableau_from_row_reading(shape, sum(combo, ()))
         for combo in itertools.product(*per_piece)
     )
-
-
-enumerate_tableaux.cache_info = _tableaux.cache_info
-enumerate_tableaux.cache_clear = _tableaux.cache_clear
 
 
 # ---------------------------------------------------------------------------

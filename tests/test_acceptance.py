@@ -12,9 +12,11 @@ import random
 
 from orders import IntVector, bruhat_leq, weight_blocks
 from qchar.bases import (
+    TriangularBlock,
     dcb_P,
     dcb_S,
     dcb_T,
+    dcb_solve,
     delta,
     row_segments,
     sym_ideal_dcb,
@@ -168,8 +170,6 @@ class TestCriterion5SolverCharacterization:
                 assert bar_involution(x) == x
 
     def test_invariant_under_linear_extension_change(self):
-        from qchar.bases import TriangularBlock, dcb_solve
-
         signs, window, mu = ("+", "+", "+"), (1, 3), {1: 1, 2: 1, 3: 1}
         blk = dcb_T(signs, window, mu)
         pos = {t: i for i, t in enumerate(blk.order)}
@@ -328,6 +328,43 @@ class TestCriterion11Nonnegativity:
                             "entry": (str(g), str(t)),
                             "table": tbl.Delta_in_L,
                         }
+
+
+class TestQLatticePositivity:
+    """The judge of the q-lattice convention on S, written outside the
+    library: the dual canonical basis unitriangular in q Z[q] is the bar
+    image of the q^-1 Z[q^-1] solve of the barred bar matrix.  At q = +1 its
+    Delta-in-L inverse, by back substitution over the block order as in
+    `decomposition_matrix`, has a unit diagonal and no negative entry."""
+
+    SHAPES = [
+        MP(((2,), "+"), ((1,), "+")),
+        MP(((3, 1), "+")),
+        MP(((2, 1), "+"), ((1,), "+")),
+        MP(((2,), "+"), ((1,), "-")),
+        MP(((2, 1), "+"), ((1,), "-")),
+        MP(((2,), "+"), ((1, 1), "+")),
+        MP(((2, 2), "+")),
+    ]
+
+    def test_delta_in_L_is_nonnegative_at_q_one(self):
+        blocks = 0
+        for shape, window in itertools.product(self.SHAPES, [(1, 3), (1, 4)]):
+            for mu, _ in weight_blocks(shape, window, "row"):
+                blk = dcb_S(shape, window, mu)
+                rows = {t: {g: bar_q(c) for g, c in row.items()} for t, row in blk.bar_rows.items()}
+                canon = dcb_solve(TriangularBlock("s", blk.order, rows)).canon
+                delta_cols = {}
+                for t in blk.order:
+                    col = {g: sum(bar_q(c).terms.values()) for g, c in canon[t].items()}
+                    assert col.pop(t) == 1, (str(shape), mu, str(t))
+                    delta_cols[t] = {t: 1}
+                    for g, c in col.items():
+                        for h, d in delta_cols[g].items():
+                            delta_cols[t][h] = delta_cols[t].get(h, 0) - c * d
+                    assert min(delta_cols[t].values()) >= 0, (str(shape), mu, str(t))
+                blocks += 1
+        assert blocks == 338
 
 
 class TestCriterion12PaperVectors:

@@ -662,9 +662,10 @@ class TestTableauMemo:
         return out
 
     def test_cold_and_warm_runs_agree(self):
-        enumerate_tableaux.cache_clear()
+        listings = qchar.MEMOS["listings"]
+        listings.cache_clear()
         cold = self.solve_all()
-        assert enumerate_tableaux.cache_info().currsize == 2
+        assert listings.cache_info().currsize == 2
         assert self.solve_all() == cold
 
 
@@ -682,7 +683,7 @@ class TestLabelMemo:
     @pytest.mark.parametrize("shape, window", LABEL_CASES, ids=str)
     def test_block_keys_are_the_order_labels(self, shape, window):
         # a fresh listing reads the label memo, as a fresh run does
-        enumerate_tableaux.cache_clear()
+        qchar.MEMOS["listings"].cache_clear()
         for key in block_weights(shape, window, "row"):
             blk = dcb_S(shape, window, dict(key))
             order = {id(t) for t in blk.order}
@@ -708,22 +709,11 @@ class TestLabelMemo:
             out.append(character)
         return out
 
-    @staticmethod
-    def clear():
-        """Clear the label memo, the row normal forms, the listings with
-        their weight indexes, the Verma expansions, and the solved-block
-        memo above them, so a character query straightens again."""
-        multi_tableau_from_row_reading.cache_clear()
-        row_normal_form.cache_clear()
-        enumerate_tableaux.cache_clear()
-        expand_standard.cache_clear()
-        qchar.characters._solved_block.cache_clear()
-
     def run(self, calls, clear):
         results = []
         for call in calls:
             if clear:
-                self.clear()
+                qchar.clear_caches()
             results.append(json.dumps(call()))
         return results
 
@@ -731,7 +721,8 @@ class TestLabelMemo:
         calls = self.calls()
         warm = self.run(calls, clear=False)
         assert self.run(calls, clear=False) == warm
-        # cleared before each call, so between blocks
+        # every memo, psi and zeta included, cleared before each call, so
+        # between blocks
         assert self.run(calls, clear=True) == warm
         # cleared before each call and inside it, before every straighten,
         # every row normal form and every Verma expansion: the labels these
@@ -739,7 +730,7 @@ class TestLabelMemo:
 
         def evicting(fn):
             def call(*args):
-                self.clear()
+                qchar.clear_caches()
                 return fn(*args)
 
             return call
@@ -761,6 +752,18 @@ class TestLabelMemo:
             for x in (lifted, barred, back.to_tensor()):
                 assert TensorElement(x.signs, x.window, x.coeffs) == x
             assert SElement(back.shape, back.window, back.coeffs) == back
+
+    @pytest.mark.parametrize("shape, window", LABEL_CASES, ids=str)
+    def test_labels_hold_the_shape_of_their_components(self, shape, window):
+        listed = [mt for kind in ("row", "col", "std") for mt in enumerate_tableaux(shape, kind, window)]
+        straightened = [
+            g
+            for mt in enumerate_tableaux(shape, "row", window)
+            for g in straighten(bar_involution(pi_monomial(shape, window, mt).to_tensor()), shape).coeffs
+        ]
+        assert listed and straightened
+        for mt in listed + straightened:
+            assert mt.shape == SignedMultiPartition(tuple((t.shape, t.sign) for t in mt.components))
 
 
 class TestSerialization:

@@ -436,7 +436,7 @@ class TestEnumeration:
         assert isinstance(tabs, tuple)
         assert enumerate_tableaux(shape, "row", (0, 2)) is tabs
         assert enumerate_tableaux(shape, "row", [0, 2]) is tabs
-        enumerate_tableaux.cache_clear()
+        qchar.MEMOS["listings"].cache_clear()
         assert enumerate_tableaux(shape, "row", [0, 2]) == tabs
 
     def test_multi_round_trip(self):
@@ -452,7 +452,7 @@ class TestLabelHash:
         # The enumerated label and both constructor calls are one interned
         # object; a label assembled directly from its tableaux is a distinct
         # object that is equal, hashes alike and finds the same dict entry.
-        enumerate_tableaux.cache_clear()
+        qchar.MEMOS["listings"].cache_clear()
         labels = enumerate_tableaux(self.SHAPE, "row", (1, 3))
         assert labels
         for mt in labels:
@@ -466,6 +466,11 @@ class TestLabelHash:
             assert direct == mt and hash(direct) == hash(mt)
             assert {mt: "entry"}[direct] == "entry" and {direct: "entry"}[mt] == "entry"
 
+    def test_an_interned_label_holds_the_shape_it_was_built_for(self):
+        qchar.clear_caches()
+        for reading in ((1, 1, 2, 3), (3, 1, 2, 1)):
+            assert multi_tableau_from_row_reading(self.SHAPE, reading).shape is self.SHAPE
+
     def test_a_pickled_label_hashes_like_a_fresh_one_under_another_seed(self):
         # a worker process may run under another string-hash seed than the
         # process that reads its pickled results; a pickled label and shape
@@ -473,22 +478,23 @@ class TestLabelHash:
         # on those hashes
         mt = enumerate_tableaux(self.SHAPE, "row", (1, 3))[-1]
         shape = mt.shape
-        blob = pickle.dumps(({mt: "found", shape: "shape found"}, shape))
+        blob = pickle.dumps(({mt: "found", shape: "shape found"}, shape, mt))
         code = (
             "import pickle, sys\n"
             "from qchar.combinatorics import Partition, SignedMultiPartition, "
             "multi_tableau_from_row_reading\n"
             "shape = SignedMultiPartition(((Partition((2, 1)), '+'), (Partition((1,)), '-')))\n"
             f"fresh = multi_tableau_from_row_reading(shape, {mt.row_reading()!r})\n"
-            "found, pickled = pickle.loads(sys.stdin.buffer.read())\n"
-            "print(found.get(fresh), found.get(shape), {shape: 'same'}.get(pickled))\n"
+            "found, pickled, label = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(found.get(fresh), found.get(shape), {shape: 'same'}.get(pickled),\n"
+            "      label.shape == shape and hash(label.shape) == hash(shape))\n"
         )
         seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(pathlib.Path(qchar.__file__).parent.parent))
         out = subprocess.run(
             [sys.executable, "-c", code], input=blob, env=env, capture_output=True, check=True
         ).stdout
-        assert out == b"found shape found same\n"
+        assert out == b"found shape found same True\n"
 
 
 def brute_row_normal_form(shape, reading):

@@ -78,7 +78,7 @@ def kl_polynomials(n):
     return P, ell
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_regular_block_matches_kazhdan_lusztig(n):
     P, ell = kl_polynomials(n)
     blk = dcb_T(("+",) * n, (1, n), {a: 1 for a in range(1, n + 1)})
@@ -92,4 +92,4 @@ def test_regular_block_matches_kazhdan_lusztig(n):
             assert blk.canon[w].get(y, 0) == expected, (y, w)
     # S_4 has six nonconstant P_{y,w}, all 1 + q: w = 3412 with y <= 1324 and
     # w = 4231 with y <= 2143
-    assert nontrivial == (0 if n == 3 else 6)
+    assert nontrivial == {3: 0, 4: 6, 5: 394}[n]
