@@ -16,7 +16,6 @@ MEMOS = {
     "labels": combinatorics._label,
     "row_normal_forms": combinatorics.row_normal_form,
     "listings": combinatorics._tableaux,
-    "zeta": tensor_space.zeta_constants,
     "psi": tensor_space._psi_monomial,
     "verma_expansions": characters.expand_standard,
     "solved_p_blocks": characters._solved_block,

@@ -62,6 +62,8 @@ def parse_shape(text: str) -> SignedMultiPartition:
             pieces.append((Partition(parts), sign))
         except ValueError as exc:
             raise UsageError(f"malformed shape piece: {chunk!r} ({exc})") from exc
+        if max(parts) > sys.maxsize:
+            raise UsageError(f"shape part {max(parts)} exceeds {sys.maxsize}")
     return SignedMultiPartition(tuple(pieces))
 
 
@@ -71,9 +73,12 @@ def parse_window(text: str) -> tuple[int, int]:
     if not sep:
         raise UsageError(f"window must look like '0..6', got {text!r}")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError as exc:
         raise UsageError(f"window must look like '0..6', got {text!r}") from exc
+    if hi - lo + 1 > sys.maxsize:
+        raise UsageError(f"window {text} holds {hi - lo + 1} entries, more than {sys.maxsize}")
+    return lo, hi
 
 
 def parse_weight(text: str) -> dict[int, int]:

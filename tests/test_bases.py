@@ -721,7 +721,7 @@ class TestLabelMemo:
         calls = self.calls()
         warm = self.run(calls, clear=False)
         assert self.run(calls, clear=False) == warm
-        # every memo, psi and zeta included, cleared before each call, so
+        # every memo, psi included, cleared before each call, so
         # between blocks
         assert self.run(calls, clear=True) == warm
         # cleared before each call and inside it, before every straighten,

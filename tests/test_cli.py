@@ -19,13 +19,17 @@ from qchar.laurent import q_power
 
 @pytest.fixture
 def negated_zeta(monkeypatch):
-    """Negate the derived quasi-R constant of one sign pair for the test;
-    the psi memo is cleared on the way in and out."""
+    """Negate the quasi-R constant on one ordered sign pair for the test,
+    by wrapping the pairwise step; the psi memo is cleared on the way in and
+    out."""
 
     def negate(si, sj):
-        table = dict(tensor_space.zeta_constants())
-        table[si, sj] = -table[si, sj]
-        monkeypatch.setattr(tensor_space, "zeta_constants", lambda: table)
+        theta = tensor_space._theta
+
+        def flipped(cur, i, j, signs, window, z):
+            return theta(cur, i, j, signs, window, -z if (signs[i], signs[j]) == (si, sj) else z)
+
+        monkeypatch.setattr(tensor_space, "_theta", flipped)
         tensor_space._psi_monomial.cache_clear()
 
     yield negate
@@ -101,6 +105,24 @@ class TestEnumerate:
     def test_malformed_shape_is_usage_error(self, capsys):
         code, _ = run(capsys, "enumerate", "--shape", "3,,2:+", "--window", "1..2")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--shape", "1:+", "--window", "1..99999999999999999999"],
+            ["dcb", "--space", "t", "--shape", "1:+", "--window", "1..99999999999999999999",
+             "--weight", "1:1"],
+            ["enumerate", "--shape", "99999999999999999999:+", "--window", "1..2"],
+        ],
+        ids=["enumerate-window", "dcb-window", "enumerate-part"],
+    )
+    def test_oversized_window_or_part_is_usage_error(self, capsys, argv):
+        # a window width or shape part beyond sys.maxsize is named, not a traceback
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "99999999999999999999" in captured.err
 
     @pytest.mark.parametrize(
         "shape,window,weight",
