@@ -413,10 +413,7 @@ def dcb_T(
 ) -> TriangularBlock:
     """The dual canonical basis of one weight block of the tensor module."""
     order = weight_block(signs, window, mu)
-    bar_rows = {
-        f: dict(bar_involution(TensorElement.monomial(signs, window, f)).coeffs)
-        for f in order
-    }
+    bar_rows = {f: bar_involution(TensorElement.monomial(signs, window, f)).coeffs for f in order}
     return dcb_solve(TriangularBlock("t", tuple(order), bar_rows))
 
 
@@ -535,19 +532,20 @@ def delta_block(
 
 
 def delta_coords(
-    x: SElement,
+    x: dict[MultiTableau, LaurentPoly],
     deltas: dict[MultiTableau, SElement],
     order: list[MultiTableau],
 ) -> dict[MultiTableau, LaurentPoly]:
-    """Delta-coordinates of an S element by triangular elimination on the
-    Std leading terms, in decreasing block order.
+    """Delta-coordinates of an S element, given by its coefficient dict x,
+    by triangular elimination on the Std leading terms, in decreasing block
+    order.
 
     The Std coordinates determine the element of P uniquely; support left
     outside the Std pivots after elimination is the completion tail of the
     finite window and carries no Delta-coordinate, so it is dropped.  A
     non-divisible pivot signals a broken braiding word.
     """
-    coords, _ = _eliminate(x.coeffs, order, deltas, lambda t: t)
+    coords, _ = _eliminate(x, order, deltas, lambda t: t)
     return coords
 
 
@@ -564,13 +562,12 @@ def dcb_P(
     """
     order, deltas = delta_block(shape, window, mu)
     bar_rows = {
-        mt: delta_coords(bar_S(deltas[mt]), deltas, order) for mt in order
+        mt: delta_coords(bar_S(deltas[mt]).coeffs, deltas, order) for mt in order
     }
     solved = dcb_solve(TriangularBlock("p", tuple(order), bar_rows))
     ls = dcb_S(shape, window, mu)
     for mt in order:
-        # a solved column is zero-free over the block's Row labels
-        route_b = delta_coords(SElement._of(shape, window, ls.canon[mt]), deltas, order)
+        route_b = delta_coords(ls.canon[mt], deltas, order)
         if route_b != solved.canon[mt]:
             raise RouteDisagreement(
                 f"dcb_P routes disagree at {mt}: "

@@ -264,9 +264,7 @@ def _theta(
     z: LaurentPoly,
 ) -> dict[tuple[int, ...], LaurentPoly]:
     """The pairwise operator on positions i < j (0-based) applied to the
-    coefficient dict `cur`; returns a new dict, or `cur` itself when the
-    operator generates no term and so acts as the identity (no caller
-    mutates either).
+    coefficient dict `cur`; returns a new dict.
 
     The operator is 1 + sum_{a<b} z_{a,b} * (raising of weight
     delta_a-delta_b on factor i) x (matching lowering on factor j), each
@@ -292,7 +290,9 @@ def _theta(
     scaled: dict[tuple[int, int], LaurentPoly] = {}
 
     def zeta_q(e: int, sign: int = 1) -> LaurentPoly:
-        """z * sign * q^e, formed once per call of `_theta`."""
+        """z * sign * q^e, formed once per call of `_theta`: the terms of a
+        large image repeat the same (e, sign) pairs, so most products are
+        looked up, not multiplied."""
         zq = scaled.get((e, sign))
         if zq is None:
             zq = scaled[(e, sign)] = z * q_power(e, sign)
@@ -313,8 +313,7 @@ def _theta(
                     g = f[:i] + (t,) + f[i + 1 : j] + (t,) + f[j + 1 :]
                     yield g, c * zeta_q(gap - 1 + e, (-1) ** (gap - 1))
 
-    generated = list(terms())
-    return add_into(dict(cur), generated) if generated else cur
+    return add_into(dict(cur), terms())
 
 
 def zeta_constants() -> LaurentPoly:

@@ -553,7 +553,7 @@ class TestDcbP:
         shape, window = MP(((1,), "+"), ((1,), "+")), (1, 2)
         order, deltas = delta_block(shape, window, {1: 1, 2: 1})
         elem = deltas[order[0]].scale(q_power(-2)) + deltas[order[-1]]
-        coords = delta_coords(elem, deltas, order)
+        coords = delta_coords(elem.coeffs, deltas, order)
         assert coords == {order[0]: q_power(-2), order[-1]: ONE}
 
     def test_a_non_dividing_pivot_names_its_label(self):
@@ -564,7 +564,7 @@ class TestDcbP:
         doubled = {**deltas, top: deltas[top].scale(2)}
         elem = SElement(shape, window, {top: ONE})
         with pytest.raises(ValueError, match=re.escape(f"pivot of {top} at {top}: exact_divide: ")):
-            delta_coords(elem, doubled, order)
+            delta_coords(elem.coeffs, doubled, order)
 
 
 class TestBlockOrder:

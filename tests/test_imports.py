@@ -3,7 +3,7 @@ top-level function or class of the library is named somewhere else, and
 every method or property of a library class is named as an attribute
 somewhere else: in the library, the benchmark, the tests or the README.
 The unchecked constructors `_of` are named nowhere but in the kernel and, for
-`Element._of`, at four sanctioned library call sites; a tableau label is
+`Element._of`, at three sanctioned library call sites; a tableau label is
 built in one place only, from its row reading."""
 
 import ast
@@ -133,7 +133,6 @@ UNCHECKED = re.compile(r"\b_of\b")
 KERNEL = pathlib.Path(qchar.__file__).parent / "laurent.py"
 ELEMENT_SITES = {
     ("bases.py", "straighten", "SElement"),
-    ("bases.py", "dcb_P", "SElement"),
     ("bases.py", "to_tensor", "TensorElement"),
     ("tensor_space.py", "bar_involution", "TensorElement"),
 }

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from orders import IntVector, bruhat_leq
+from qchar.bases import dcb_T
 from qchar.combinatorics import inversions, weight_key
 from qchar.laurent import (
     LaurentPoly,
@@ -569,5 +570,11 @@ class TestPrefixMemo:
                 )
                 bar_involution(x).coeffs.clear()
         bar_involution(mono(signs, window, prefix)).coeffs.clear()
+        # A solved block's bar rows are its own: clearing them all leaves the
+        # memoized image of its label `prefix` intact.
+        block = dcb_T(signs, window, dict(wt_key(prefix, signs)))
+        assert prefix in block.order
+        for row in block.bar_rows.values():
+            row.clear()
         assert _psi_monomial(prefix, signs, window) is image
         assert [(g, dict(c.terms)) for g, c in image.items()] == before
