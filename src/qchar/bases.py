@@ -29,6 +29,7 @@ from .combinatorics import (
 from .laurent import (
     Element,
     LaurentPoly,
+    LaurentSum,
     ONE,
     add_into,
     antisym_solve,
@@ -36,7 +37,6 @@ from .laurent import (
     exact_divide,
     mirror,
     pack,
-    q_power,
     unpack,
 )
 from .tensor_space import (
@@ -309,13 +309,11 @@ def straighten(x: TensorElement, shape: SignedMultiPartition) -> SElement:
         signs = "".join(x.signs)
         raise ValueError(f"sign sequence {signs} of the element does not match the shape {shape}")
 
-    def terms():
-        for f, c in x.coeffs.items():
-            reading, inv = row_normal_form(shape, f)
-            yield reading, c * q_power(inv) if inv else c
-
-    normal = add_into({}, terms())
-    labels = {multi_tableau_from_row_reading(shape, r): c for r, c in normal.items()}
+    normal = LaurentSum()
+    for f, c in x.coeffs.items():
+        reading, inv = row_normal_form(shape, f)
+        normal.add(reading, c, None, inv)
+    labels = {multi_tableau_from_row_reading(shape, r): c for r, c in normal.settle().items()}
     return SElement._of(shape, x.window, labels)
 
 
@@ -377,7 +375,7 @@ def _eliminate(x: dict, order, rows: dict, pivot) -> tuple[dict, dict]:
     residual is an error is the caller's decision.  A pivot coefficient that
     does not divide raises a ValueError naming the label and the pivot key.
     """
-    y = dict(x)
+    y = LaurentSum(x)
     coords: dict = {}
     for t in reversed(order):
         key = pivot(t)
@@ -390,8 +388,8 @@ def _eliminate(x: dict, order, rows: dict, pivot) -> tuple[dict, dict]:
         except ValueError as err:
             raise ValueError(f"pivot of {t} at {key}: {err}") from err
         coords[t] = co
-        add_into(y, row, -co)
-    return coords, y
+        y.add_vector(row, -co)
+    return coords, y.settle()
 
 
 def _bar_rows(block, basis: dict, reading, span: str, coord=None) -> dict:
@@ -611,8 +609,8 @@ def xi_wedge_images(
         solved = dcb_wedge(shape, window, dict(key))
         images = {mt: xi_V(mt, window) for mt in solved.order}
         for mt in solved.order:
-            acc: dict = {}
+            acc = LaurentSum()
             for g, c in solved.canon[mt].items():
-                add_into(acc, images[g].coeffs, c)
-            out[mt] = SElement(shape, window, acc)
+                acc.add_vector(images[g].coeffs, c)
+            out[mt] = SElement(shape, window, acc.settle())
     return out

@@ -25,7 +25,7 @@ from .combinatorics import (
     pyramid_report,
     weight_key,
 )
-from .laurent import ONE, add_into, in_lattice, q_power
+from .laurent import ONE, LaurentSum, constant, in_lattice
 from .tensor_space import (
     Q_MINUS_QINV,
     TensorElement,
@@ -271,11 +271,12 @@ def cmd_report(args) -> int:
 
 def _random_element(signs, window, rng):
     lo, hi = window
-    terms = []
+    out = LaurentSum()
     for _ in range(3):
         f = tuple(rng.randint(lo, hi) for _ in signs)
-        terms.append((f, ONE * rng.randint(-3, 3) + q_power(rng.randint(-2, 2))))
-    return TensorElement(signs, window, add_into({}, terms))
+        out.add(f, constant(rng.randint(-3, 3)))
+        out.add(f, ONE, None, rng.randint(-2, 2))
+    return TensorElement(signs, window, out.settle())
 
 
 def _runs(signs):

@@ -106,13 +106,24 @@ class SignedMultiPartition:
             raise ValueError("signs must be '+' or '-'")
 
     @cached_property
+    def _key(self) -> tuple[tuple[tuple[int, ...], bool], ...]:
+        # Built once per shape, of ints and bools only: a pickled shape
+        # carries its key and hash, which hold under any string-hash seed.
+        return tuple((p.parts, s == "+") for p, s in self.pieces)
+
+    @cached_property
     def _hash(self) -> int:
-        # Hashed once per shape, on ints and bools only: a pickled shape
-        # carries its hash, which holds under any string-hash seed.
-        return hash(tuple((p.parts, s == "+") for p, s in self.pieces))
+        return hash(self._key)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        # One comparison of the stored keys: an equal shape built anew meets
+        # a memo's key without comparing partitions.
+        if other.__class__ is not SignedMultiPartition:
+            return NotImplemented
+        return self._key == other._key
 
     @property
     def r(self) -> int:
@@ -126,9 +137,14 @@ class SignedMultiPartition:
     def m(self) -> int:
         return sum(p.size for p, s in self.pieces if s == "-")
 
-    def sign_sequence(self) -> tuple[Sign, ...]:
-        """The (n|m)-sign sequence with each piece's sign repeated per box."""
+    @cached_property
+    def _signs(self) -> tuple[Sign, ...]:
         return tuple(s for p, s in self.pieces for _ in range(p.size))
+
+    def sign_sequence(self) -> tuple[Sign, ...]:
+        """The (n|m)-sign sequence with each piece's sign repeated per box;
+        built once per shape and stored."""
+        return self._signs
 
     def __str__(self) -> str:
         return " / ".join(f"{p}:{s}" for p, s in self.pieces)

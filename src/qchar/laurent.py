@@ -14,6 +14,12 @@ pack(a*b, lo, bits) for b with no negative exponent.  `unpack` inverts
 `pack` when every exponent is >= lo and every |coefficient| < 2^(bits-1);
 keeping that precondition is the caller's part.  `pack` and `unpack` are the
 only code that knows this digit format.
+
+Sums go through one of two helpers, by the values they add.  A Laurent-valued
+sparse vector (a module element's coefficients) is built by a `LaurentSum`,
+which adds p * s * q^k into term dicts of its own and settles them once; ints
+(term dicts, weight vectors, packed defects, Verma multiplicities) and the
+generic `Element` operators go through `add_into`.
 """
 
 from __future__ import annotations
@@ -27,8 +33,10 @@ def add_into(acc: dict, terms, scale=None) -> dict:
     `terms` is a dict or an iterable of (key, value) pairs; every value is
     multiplied by `scale` first when one is given.  Entries that cancel are
     removed, so `acc` never holds a zero value.  This is the one sparse-add
-    loop of the package: Laurent term dictionaries, weight vectors and module
-    coefficient dictionaries all accumulate through it.
+    loop for int values (Laurent term dicts, weight vectors, packed defects,
+    Verma multiplicities) and for the generic `Element` operators; a sum of
+    Laurent-valued vectors builds through `LaurentSum`, which forms no
+    `LaurentPoly` per term.
     """
     if isinstance(terms, dict):
         terms = terms.items()
@@ -183,6 +191,78 @@ class LaurentPoly:
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
+
+
+class LaurentSum:
+    """A sparse vector of Laurent polynomials under construction: the one
+    accumulator of Laurent-valued sums.  `add` adds p * s * q^k at a key,
+    `settle` hands back the sum as zero-free values over the keys that did
+    not cancel.
+
+    It is copy-on-write.  A value given in `start`, or written once with no
+    scale and shift 0, is kept by reference: shared polynomials, such as a
+    memoized bar image's, are never written.  A key gets a term dict of its
+    own, which nothing else sees, on its first scaled or shifted write or on
+    its second write, and every further write adds into that dict in place,
+    so a sum forms no polynomial per term.  Those dicts may hold zero
+    coefficients until `settle` drops them, once per key.
+    """
+
+    __slots__ = ("_acc",)
+
+    def __init__(self, start: dict | None = None):
+        # key -> a shared LaurentPoly, or a term dict owned here
+        self._acc = dict(start) if start else {}
+
+    def add(self, key, p: LaurentPoly, scale: LaurentPoly | None = None, shift: int = 0) -> None:
+        """Add p * scale * q^shift at `key`; no scale stands for 1."""
+        acc = self._acc
+        d = acc.get(key)
+        if d is None:
+            if scale is None:
+                acc[key] = {e + shift: c for e, c in p.terms.items()} if shift else p
+                return
+            d = acc[key] = {}
+        elif d.__class__ is not dict:
+            d = acc[key] = dict(d.terms)
+        get = d.get
+        if scale is None:
+            for e, c in p.terms.items():
+                e += shift
+                d[e] = get(e, 0) + c
+            return
+        for es, cs in scale.terms.items():
+            es += shift
+            for e, c in p.terms.items():
+                e += es
+                d[e] = get(e, 0) + c * cs
+
+    def add_vector(self, vector: dict, scale: LaurentPoly | None = None, shift: int = 0) -> None:
+        """Add every value of `vector`, times scale * q^shift, at its key."""
+        add = self.add
+        for key, p in vector.items():
+            add(key, p, scale, shift)
+
+    def get(self, key) -> LaurentPoly | None:
+        """The sum so far at `key`, or None if it was never written."""
+        v = self._acc.get(key)
+        return LaurentPoly(v) if v.__class__ is dict else v
+
+    def settle(self) -> dict:
+        """The sum: every key whose value did not cancel, with its zero-free
+        value.  The accumulator is spent; its own term dicts become the
+        results' without a copy."""
+        out = {}
+        for key, v in self._acc.items():
+            if v.__class__ is dict:
+                if 0 in v.values():
+                    v = {e: c for e, c in v.items() if c}
+                if v:
+                    out[key] = LaurentPoly._of(v)
+            elif v.terms:
+                out[key] = v
+        self._acc = None
+        return out
 
 
 def constant(c: int) -> LaurentPoly:

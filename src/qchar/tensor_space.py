@@ -20,9 +20,10 @@ from .combinatorics import bruhat_above, wt_key
 from .laurent import (
     Element,
     LaurentPoly,
+    LaurentSum,
     ONE,
-    add_into,
     bar,
+    constant,
     q_power,
 )
 
@@ -113,22 +114,20 @@ def _act_raise_lower(a: int, x: TensorElement, kind: str) -> TensorElement:
     n = len(x.signs)
     raising = kind == "E"
     up, down = (a, a + 1) if raising else (a + 1, a)
-
-    def terms():
-        for f, c in x.coeffs.items():
-            for i, (v, s) in enumerate(zip(f, x.signs)):
-                src, dst = (a + 1, a) if (s == "+") == raising else (a, a + 1)
-                if v != src:
-                    continue
-                if not lo <= dst <= hi:
-                    raise WindowEscapeError(
-                        f"acting on entry {v} at position {i + 1} escapes window {x.window}"
-                    )
-                side = range(i + 1, n) if raising else range(i)
-                e = _k_exponent(f, x.signs, side, up, down)
-                yield f[:i] + (dst,) + f[i + 1 :], c * q_power(e)
-
-    return TensorElement(x.signs, x.window, add_into({}, terms()))
+    out = LaurentSum()
+    for f, c in x.coeffs.items():
+        for i, (v, s) in enumerate(zip(f, x.signs)):
+            src, dst = (a + 1, a) if (s == "+") == raising else (a, a + 1)
+            if v != src:
+                continue
+            if not lo <= dst <= hi:
+                raise WindowEscapeError(
+                    f"acting on entry {v} at position {i + 1} escapes window {x.window}"
+                )
+            side = range(i + 1, n) if raising else range(i)
+            e = _k_exponent(f, x.signs, side, up, down)
+            out.add(f[:i] + (dst,) + f[i + 1 :], c, None, e)
+    return TensorElement(x.signs, x.window, out.settle())
 
 
 def act_E(a: int, x: TensorElement) -> TensorElement:
@@ -144,6 +143,7 @@ def act_F(a: int, x: TensorElement) -> TensorElement:
 # ---------------------------------------------------------------------------
 
 Q_MINUS_QINV = LaurentPoly({1: 1, -1: -1})
+_MINUS_ONE = constant(-1)
 
 
 def hecke_act(i: int, x: TensorElement) -> TensorElement:
@@ -161,17 +161,16 @@ def hecke_act(i: int, x: TensorElement) -> TensorElement:
     if sign != x.signs[i]:
         raise ValueError(f"H_{i} straddles a sign change in {x.signs}")
 
-    def terms():
-        for f, c in x.coeffs.items():
-            u, v = f[i - 1], f[i]
-            if u == v:
-                yield f, c * q_power(-1)
-                continue
-            yield f[: i - 1] + (v, u) + f[i + 1 :], c
-            if (u > v) != (sign == "+"):
-                yield f, -(c * Q_MINUS_QINV)
-
-    return TensorElement(x.signs, x.window, add_into({}, terms()))
+    out = LaurentSum()
+    for f, c in x.coeffs.items():
+        u, v = f[i - 1], f[i]
+        if u == v:
+            out.add(f, c, None, -1)
+            continue
+        out.add(f[: i - 1] + (v, u) + f[i + 1 :], c)
+        if (u > v) != (sign == "+"):
+            out.add(f, c, ZETA)  # ZETA = -(q - q^-1)
+    return TensorElement(x.signs, x.window, out.settle())
 
 
 def hecke_act_inverse(i: int, x: TensorElement) -> TensorElement:
@@ -213,14 +212,15 @@ def _symmetrizer_act(x: TensorElement, start: int, k: int, anti: bool) -> Tensor
     w over the minimal coset representatives of S_(m-1) in S_m gives
     x Sym_m = (x Sym_(m-1)) sum_(i<m) t^(m-1-i) H_(m-1)...H_(m-i)."""
     for m in range(2, k + 1):
-        out: dict = {}
+        out = LaurentSum()
         z = x
         for i in range(m):
             if i:
                 z = hecke_act(start - 1 + m - i, z)
             e = m - 1 - i
-            add_into(out, z.coeffs, q_power(-e, (-1) ** e) if anti else q_power(e))
-        x = TensorElement(x.signs, x.window, out)
+            # t^e is q^e, or (-1)^e q^-e for Ant_k
+            out.add_vector(z.coeffs, _MINUS_ONE if anti and e % 2 else None, -e if anti else e)
+        x = TensorElement(x.signs, x.window, out.settle())
     return x
 
 
@@ -287,33 +287,24 @@ def _theta(
     si, sj = signs[i], signs[j]
     lo, hi = window
     between = range(i + 1, j)
-    scaled: dict[tuple[int, int], LaurentPoly] = {}
-
-    def zeta_q(e: int, sign: int = 1) -> LaurentPoly:
-        """z * sign * q^e, formed once per call of `_theta`: the terms of a
-        large image repeat the same (e, sign) pairs, so most products are
-        looked up, not multiplied."""
-        zq = scaled.get((e, sign))
-        if zq is None:
-            zq = scaled[(e, sign)] = z * q_power(e, sign)
-        return zq
-
-    def terms():
-        for f, c in cur.items():
-            vi, vj = f[i], f[j]
-            if si == sj:
-                a, b = (vj, vi) if si == "+" else (vi, vj)
-                if a < b:
-                    g = f[:i] + (vj,) + f[i + 1 : j] + (vi,) + f[j + 1 :]
-                    yield g, c * zeta_q(_k_exponent(f, signs, between, a, b))
-            elif vi == vj:
-                for t in range(lo, vi) if si == "+" else range(vi + 1, hi + 1):
-                    gap = abs(t - vi)
-                    e = _k_exponent(f, signs, between, min(t, vi), max(t, vi))
-                    g = f[:i] + (t,) + f[i + 1 : j] + (t,) + f[j + 1 :]
-                    yield g, c * zeta_q(gap - 1 + e, (-1) ** (gap - 1))
-
-    return add_into(dict(cur), terms())
+    # The entries of `cur` are shared (memoized images'): the sum keeps them
+    # by reference and copies one only when a term lands on its key.
+    out = LaurentSum(cur)
+    zs = None if si == sj else (-z, z)  # z * (-1)^(gap-1), by the parity of gap
+    for f, c in cur.items():
+        vi, vj = f[i], f[j]
+        if si == sj:
+            a, b = (vj, vi) if si == "+" else (vi, vj)
+            if a < b:
+                g = f[:i] + (vj,) + f[i + 1 : j] + (vi,) + f[j + 1 :]
+                out.add(g, c, z, _k_exponent(f, signs, between, a, b))
+        elif vi == vj:
+            for t in range(lo, vi) if si == "+" else range(vi + 1, hi + 1):
+                gap = abs(t - vi)
+                e = _k_exponent(f, signs, between, min(t, vi), max(t, vi))
+                g = f[:i] + (t,) + f[i + 1 : j] + (t,) + f[j + 1 :]
+                out.add(g, c, zs[gap % 2], gap - 1 + e)
+    return out.settle()
 
 
 def zeta_constants() -> LaurentPoly:
@@ -346,10 +337,10 @@ def bar_involution(x: TensorElement) -> TensorElement:
     """The bar involution: anti-linear, involutive, and triangular with
     respect to the Bruhat order on monomial indices.  Every ψ key keeps the
     length and window of x, so the result is built unchecked."""
-    out: dict[tuple[int, ...], LaurentPoly] = {}
+    out = LaurentSum()
     for f, c in x.coeffs.items():
-        add_into(out, _psi_monomial(f, x.signs, x.window), None if c == ONE else bar(c))
-    return TensorElement._of(x.signs, x.window, out)
+        out.add_vector(_psi_monomial(f, x.signs, x.window), None if c == ONE else bar(c))
+    return TensorElement._of(x.signs, x.window, out.settle())
 
 
 # ---------------------------------------------------------------------------

@@ -488,13 +488,24 @@ class TestLabelHash:
             "found, pickled, label = pickle.loads(sys.stdin.buffer.read())\n"
             "print(found.get(fresh), found.get(shape), {shape: 'same'}.get(pickled),\n"
             "      label.shape == shape and hash(label.shape) == hash(shape))\n"
+            # an unpickled shape compares by the key it carries: equal to a
+            # fresh one both ways, unequal to one that differs in a sign or
+            # a part, and no shape equals its pieces
+            "other = [SignedMultiPartition(((Partition((2, 1)), '+'), (Partition((1,)), s)))\n"
+            "         for s in '+-'] + [SignedMultiPartition(((Partition((2,)), '+'), (Partition((1,)), '-')))]\n"
+            "print(pickled == shape, shape == pickled, pickled != shape,\n"
+            "      [pickled == o for o in other], pickled == shape.pieces,\n"
+            "      pickled.sign_sequence() == shape.sign_sequence())\n"
         )
         seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(pathlib.Path(qchar.__file__).parent.parent))
         out = subprocess.run(
             [sys.executable, "-c", code], input=blob, env=env, capture_output=True, check=True
         ).stdout
-        assert out == b"found shape found same True\n"
+        assert out == (
+            b"found shape found same True\n"
+            b"True True False [False, True, False] False True\n"
+        )
 
 
 def brute_row_normal_form(shape, reading):

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from qchar.laurent import (
     LaurentPoly,
+    LaurentSum,
     ONE,
     ZERO,
     add_into,
@@ -218,6 +219,67 @@ def test_no_result_shares_an_operands_terms(p, r, m, c):
     for x in results:
         for operand in (p, r, m):
             assert x.terms is not operand.terms
+
+
+# One write to a LaurentSum: (key, p, scale or None, shift, cancel), where
+# `cancel` writes the same term again with -p, so the pair sums to zero.
+sum_writes = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        laurent_polys,
+        st.none() | laurent_polys,
+        st.integers(-4, 4),
+        st.booleans(),
+    ),
+    max_size=8,
+)
+
+
+@given(st.dictionaries(st.integers(0, 3), laurent_polys, max_size=3), sum_writes, laurent_polys)
+def test_laurent_sum_is_the_sum_of_products(start, writes, scale):
+    """Differential against `*` and `+`: the settled sum is zero-free, holds
+    no key that cancelled, writes no operand, and each value either is the
+    operand it was written from once or shares no term dict with any."""
+    operands = [*start.values(), scale, *(s for _, _, s, _, _ in writes if s is not None)]
+    operands += [p for _, p, _, _, _ in writes]
+    snapshot = [dict(x.terms) for x in operands]
+    acc = LaurentSum(start)
+    expected = dict(start)
+    for key, p, s, shift, cancel in writes:
+        for term in (p, -p) if cancel else (p,):
+            acc.add(key, term, s, shift)
+            product = term * (ONE if s is None else s) * q_power(shift)
+            expected[key] = expected.get(key, ZERO) + product
+            assert acc.get(key) == expected[key]
+    vector = {key + 2: p for key, p, _, _, _ in writes}
+    acc.add_vector(vector, scale, -1)
+    for key, p in vector.items():
+        expected[key] = expected.get(key, ZERO) + p * scale * q_power(-1)
+    out = acc.settle()
+    assert out == {k: v for k, v in expected.items() if v}
+    for v in out.values():
+        assert v and 0 not in v.terms.values()
+        assert all(v is x or v.terms is not x.terms for x in operands)
+    assert [x.terms for x in operands] == snapshot
+
+
+def test_laurent_sum_copies_a_shared_value_on_its_second_write():
+    p, r = poly((1, 2), (0, -1)), poly((-1, 3))
+    acc = LaurentSum({"a": p})
+    acc.add("a", r)
+    acc.add("b", r)
+    acc.add("c", r, None, 1)
+    acc.add("d", p, QUANTUM_2)
+    acc.add("d", -p, QUANTUM_2)
+    acc.add_vector({"e": p, "f": r}, QUANTUM_2, 2)
+    out = acc.settle()
+    assert list(out) == ["a", "b", "c", "e", "f"]
+    assert out["a"] == p + r and p.terms == {1: 2, 0: -1}
+    assert out["b"] is r  # written once with no scale: kept by reference
+    assert out["c"] == r * q_power(1) and out["c"].terms is not r.terms
+    assert out["e"] == p * QUANTUM_2 * q_power(2)
+    assert out["f"] == poly((2, 3), (0, 3))
+    assert r.terms == {-1: 3}
 
 
 def test_constant_hashes_like_its_int():

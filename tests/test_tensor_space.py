@@ -5,8 +5,9 @@ import random
 import pytest
 
 from orders import IntVector, bruhat_leq
-from qchar.bases import dcb_T
-from qchar.combinatorics import inversions, weight_key
+from qchar.bases import bar_S, dcb_T, delta
+from qchar.cli import parse_shape
+from qchar.combinatorics import inversions, multi_tableau_from_row_reading, weight_key
 from qchar.laurent import (
     LaurentPoly,
     ONE,
@@ -37,6 +38,7 @@ from qchar.tensor_space import (
     reduced_word,
     symmetrize,
     weight_block,
+    weight_keys,
     wt_key,
 )
 
@@ -578,3 +580,25 @@ class TestPrefixMemo:
             row.clear()
         assert _psi_monomial(prefix, signs, window) is image
         assert [(g, dict(c.terms)) for g, c in image.items()] == before
+        # Sums that write onto shared images: a full dcb_T sweep, and bar_S of
+        # a lifted Delta with a coefficient other than +-1, whose bar image
+        # keeps memoized values by reference and straightens them together.
+        used = {(prefix, signs, window)}
+        sweep_signs, sweep_window = ("+", "-", "+", "-"), (1, 4)
+        for key in weight_keys(sweep_signs, sweep_window):
+            for f in dcb_T(sweep_signs, sweep_window, dict(key)).order:
+                used.add((f, sweep_signs, sweep_window))
+        shape, delta_window = parse_shape("2,1:+ / 1:-"), (1, 3)
+        lifted = delta(multi_tableau_from_row_reading(shape, (3, 2, 2, 2)), delta_window)
+        assert any(c not in (ONE, -ONE) for c in lifted.coeffs.values())
+        bar_S(lifted)
+        for f in lifted.to_tensor().coeffs:
+            used.add((f, shape.sign_sequence(), delta_window))
+        # Every memoized image and each of its prefixes' equals its image
+        # built again from the prefix's; a write into a shared polynomial
+        # breaks this at the shortest prefix it reached.
+        assert ONE.terms == {0: 1}
+        for f, fsigns, fwindow in used:
+            for k in range(1, len(f) + 1):
+                args = (f[:k], fsigns[:k], fwindow)
+                assert _psi_monomial(*args) == _psi_monomial.__wrapped__(*args), args
