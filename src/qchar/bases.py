@@ -564,12 +564,15 @@ def dcb_P(
     }
     solved = dcb_solve(TriangularBlock("p", tuple(order), bar_rows))
     ls = dcb_S(shape, window, mu)
+
+    def show(col):
+        return "{" + ", ".join(f"{g}: {col[g]}" for g in order if g in col) + "}"
+
     for mt in order:
         route_b = delta_coords(ls.canon[mt], deltas, order)
         if route_b != solved.canon[mt]:
             raise RouteDisagreement(
-                f"dcb_P routes disagree at {mt}: "
-                f"(a) {solved.canon[mt]} vs (b) {route_b}"
+                f"dcb_P routes disagree at {mt}: (a) {show(solved.canon[mt])} vs (b) {show(route_b)}"
             )
     return solved
 

@@ -27,7 +27,7 @@ from .combinatorics import (
 )
 from .laurent import ONE, LaurentSum, constant, in_lattice
 from .tensor_space import (
-    Q_MINUS_QINV,
+    ZETA,
     TensorElement,
     act_E,
     act_F,
@@ -286,15 +286,15 @@ def _runs(signs):
 
 def _suite_hecke():
     window = (1, 3)
-    zeta = -Q_MINUS_QINV  # q^-1 - q
-    for signs in (("+", "+"), ("+", "-"), ("-", "+", "+"), ("+", "-", "+")):
+    # +++ and --- have two adjacent Hecke sites: the braid relation's cases
+    for signs in map(tuple, ("++", "+-", "-++", "+-+", "+++", "---")):
         runs = _runs(signs)
         for f in itertools.product(range(1, 4), repeat=len(signs)):
             x = TensorElement.monomial(signs, window, f)
             for i in runs:
                 h = hecke_act(i, x)
-                # quadratic relation: H_i^2 = (q^-1 - q) H_i + 1
-                if hecke_act(i, h) != h.scale(zeta) + x:
+                # quadratic relation: H_i^2 = ZETA H_i + 1
+                if hecke_act(i, h) != h.scale(ZETA) + x:
                     yield {"signs": signs, "f": f, "relation": "quadratic", "i": i}
             for i in (i for i in runs if i + 1 in runs):
                 lhs = hecke_act(i, hecke_act(i + 1, hecke_act(i, x)))

@@ -19,7 +19,8 @@ Sums go through one of two helpers, by the values they add.  A Laurent-valued
 sparse vector (a module element's coefficients) is built by a `LaurentSum`,
 which adds p * s * q^k into term dicts of its own and settles them once; ints
 (term dicts, weight vectors, packed defects, Verma multiplicities) and the
-generic `Element` operators go through `add_into`.
+generic `Element` operators go through `add_into`.  `LaurentSum.add` is the
+one loop that multiplies two term dicts: a product p * s is a one-key sum.
 """
 
 from __future__ import annotations
@@ -112,6 +113,7 @@ class LaurentPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[int, int] | None = None):
+        # Filters zeros, for dicts from outside the kernel and `LaurentSum.get`.
         self.terms = {e: c for e, c in (terms or {}).items() if c}
 
     @classmethod
@@ -158,20 +160,9 @@ class LaurentPoly:
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly) and (other := _operand(other)) is NotImplemented:
             return other
-        a, b = self.terms, other.terms
-        if len(b) == 1:
-            a, b = b, a
-        if len(a) == 1:  # a monomial: shift and scale the other operand
-            ((ea, ca),) = a.items()
-            return LaurentPoly._of({ea + e: ca * c for e, c in b.items()})
-        # The convolution accumulates freely; the constructor drops the terms
-        # that cancelled.
-        out: dict[int, int] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                out[e] = out.get(e, 0) + ca * cb
-        return LaurentPoly(out)
+        out = LaurentSum()
+        out.add(0, other, self)
+        return out.settle().get(0, ZERO)
 
     __rmul__ = __mul__
 
@@ -291,7 +282,7 @@ def mirror(p: LaurentPoly) -> LaurentPoly:
     It commutes with products and sums, squares to the identity, and
     interchanges the q- and q^-1-lattices while fixing integers.
     """
-    return LaurentPoly({-e: (c if e % 2 == 0 else -c) for e, c in p.terms.items()})
+    return LaurentPoly._of({-e: (c if e % 2 == 0 else -c) for e, c in p.terms.items()})
 
 
 # The one lattice convention s: strictly-lower dual canonical coordinates lie
@@ -381,5 +372,5 @@ def exact_divide(p: LaurentPoly, r: LaurentPoly) -> LaurentPoly:
             raise ValueError(f"exact_divide: ({p}) is not divisible by ({r})")
         quot[shift] = c
         add_into(num, {e + shift: ce for e, ce in r.terms.items()}, -c)
-    return LaurentPoly(quot)
+    return LaurentPoly._of(quot)
 

@@ -24,7 +24,6 @@ from .laurent import (
     ONE,
     bar,
     constant,
-    q_power,
 )
 
 
@@ -82,11 +81,10 @@ def _k_exponent(f: tuple[int, ...], signs: tuple[str, ...], positions, up, down)
 def _act_diagonal(up: int | None, down: int | None, x: TensorElement) -> TensorElement:
     """K_up K_down^{-1}, an index of None standing for the identity."""
     positions = range(len(x.signs))
-    out = {
-        f: c * q_power(_k_exponent(f, x.signs, positions, up, down))
-        for f, c in x.coeffs.items()
-    }
-    return TensorElement(x.signs, x.window, out)
+    out = LaurentSum()
+    for f, c in x.coeffs.items():
+        out.add(f, c, None, _k_exponent(f, x.signs, positions, up, down))
+    return TensorElement(x.signs, x.window, out.settle())
 
 
 def act_K(a: int, x: TensorElement) -> TensorElement:
@@ -142,7 +140,9 @@ def act_F(a: int, x: TensorElement) -> TensorElement:
 # Hecke action.
 # ---------------------------------------------------------------------------
 
-Q_MINUS_QINV = LaurentPoly({1: 1, -1: -1})
+# H_i's quadratic scalar, H_i^2 = ZETA H_i + 1, and the one quasi-R constant
+# of the bar involution below.
+ZETA = LaurentPoly({1: -1, -1: 1})  # q^-1 - q
 _MINUS_ONE = constant(-1)
 
 
@@ -150,7 +150,7 @@ def hecke_act(i: int, x: TensorElement) -> TensorElement:
     """Right action of H_i; positions i and i+1 must carry the same sign.
 
     With f' = f*s_i: M_f H_i is q^{-1} M_f on the diagonal, the plain swap
-    M_{f'} when f(i) > f(i+1) on a "+" block, and M_{f'} - (q - q^{-1}) M_f
+    M_{f'} when f(i) > f(i+1) on a "+" block, and M_{f'} + ZETA M_f
     otherwise; dual blocks use the flipped comparison.  The case assignment
     is the one compatible with the bar involution below (bar(x H_i) =
     bar(x) H_i^{-1}) and with its descent to the q-symmetric quotients.
@@ -169,13 +169,13 @@ def hecke_act(i: int, x: TensorElement) -> TensorElement:
             continue
         out.add(f[: i - 1] + (v, u) + f[i + 1 :], c)
         if (u > v) != (sign == "+"):
-            out.add(f, c, ZETA)  # ZETA = -(q - q^-1)
+            out.add(f, c, ZETA)
     return TensorElement(x.signs, x.window, out.settle())
 
 
 def hecke_act_inverse(i: int, x: TensorElement) -> TensorElement:
-    """H_i^{-1} = H_i + (q - q^{-1}), forced by (H_i - q^{-1})(H_i + q) = 0."""
-    return hecke_act(i, x) + x.scale(Q_MINUS_QINV)
+    """H_i^{-1} = H_i - ZETA, forced by H_i^2 = ZETA H_i + 1."""
+    return hecke_act(i, x) - x.scale(ZETA)
 
 
 def hecke_act_word(word, x: TensorElement) -> TensorElement:
@@ -243,16 +243,16 @@ def antisymmetrize(x: TensorElement, ranges) -> TensorElement:
 # ---------------------------------------------------------------------------
 
 
-# The one quasi-R constant.  The degree-one term of Lusztig's quasi-R-matrix
-# is -(q - q^-1) times a pair of simple root vectors (Introduction to Quantum
-# Groups, 4.1.4); on these modules a root vector squares to zero, so every
-# term of a pairwise step carries that scalar, ZETA = q^-1 - q, times the
-# q-powers `_theta` lists.  The signs of the two factors change which entries
-# a term moves, not the scalar.  Of the candidates +-(q - q^-1) it is the only
-# one for which the rank-one step intertwines E_0 and F_0 with their barred
-# coproducts, on each of the four ordered sign pairs:
-# tests/test_acceptance.py::TestCriterion4ZetaConstants derives it so.
-ZETA = -Q_MINUS_QINV
+# The one quasi-R constant is `ZETA`, H_i's quadratic scalar.  The degree-one
+# term of Lusztig's quasi-R-matrix is -(q - q^-1) times a pair of simple root
+# vectors (Introduction to Quantum Groups, 4.1.4); on these modules a root
+# vector squares to zero, so every term of a pairwise step carries that
+# scalar, ZETA = q^-1 - q, times the q-powers `_theta` lists.  The signs of
+# the two factors change which entries a term moves, not the scalar.  Of the
+# candidates +-(q - q^-1) it is the only one for which the rank-one step
+# intertwines E_0 and F_0 with their barred coproducts, on each of the four
+# ordered sign pairs: tests/test_acceptance.py::TestCriterion4ZetaConstants
+# derives it so.
 
 
 def _theta(
@@ -269,10 +269,11 @@ def _theta(
     The operator is 1 + sum_{a<b} z_{a,b} * (raising of weight
     delta_a-delta_b on factor i) x (matching lowering on factor j), each
     z_{a,b} being `z` times a signed power of q; on these modules each root
-    acts at most once, and the entries of M_f determine which roots apply.  Because the raising operator reaches factor i through
-    the iterated comultiplication, each term also carries the K_a K_b^{-1}
-    eigenvalue q^e of every factor strictly between i and j.  Two rules
-    cover the four sign pairs:
+    acts at most once, and the entries of M_f determine which roots apply.
+    Because the raising operator reaches factor i through the iterated
+    comultiplication, each term also carries the K_a K_b^{-1} eigenvalue q^e
+    of every factor strictly between i and j.  Two rules cover the four sign
+    pairs:
 
     * same sign: only the root forced by the entries contributes, a = f(j) <
       b = f(i) on "+" and a = f(i) < b = f(j) on "-"; the entries swap and

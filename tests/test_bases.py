@@ -29,6 +29,7 @@ from qchar.laurent import (
 import qchar.bases
 import qchar.characters
 from qchar.bases import (
+    RouteDisagreement,
     SElement,
     TriangularBlock,
     bar_S,
@@ -565,6 +566,25 @@ class TestDcbP:
         elem = SElement(shape, window, {top: ONE})
         with pytest.raises(ValueError, match=re.escape(f"pivot of {top} at {top}: exact_divide: ")):
             delta_coords(elem.coeffs, doubled, order)
+
+    def test_a_route_disagreement_names_its_label_readably(self, monkeypatch):
+        shape, window = MP(((1,), "+"), ((1,), "+")), (1, 2)
+        lower, upper = MT(shape, (1, 2)), MT(shape, (2, 1))
+        solve = qchar.bases.dcb_S
+
+        def perturbed(shape, window, mu):
+            # route (b)'s entry at (2 / 1, 1 / 2) becomes q^-3 instead of q^-1
+            blk = solve(shape, window, mu)
+            blk.canon[upper] = {**blk.canon[upper], lower: q_power(-3)}
+            return blk
+
+        monkeypatch.setattr(qchar.bases, "dcb_S", perturbed)
+        with pytest.raises(RouteDisagreement) as info:
+            dcb_P(shape, window, {1: 1, 2: 1})
+        assert str(info.value) == (
+            "dcb_P routes disagree at 2 / 1: "
+            "(a) {1 / 2: 1*q^-1, 2 / 1: 1*q^0} vs (b) {1 / 2: 1*q^-3, 2 / 1: 1*q^0}"
+        )
 
 
 class TestBlockOrder:

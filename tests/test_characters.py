@@ -6,6 +6,7 @@ import pytest
 
 import qchar.bases
 import qchar.characters
+import qchar.cli
 from orders import weight_blocks
 from qchar.characters import (
     VermaSum,
@@ -107,13 +108,22 @@ class TestExpandN:
             assert rep["pass"], rep
             assert rep["checked"] > 0
 
-    def test_theoremC_detects_corruption(self):
-        # Fault injection: a sign flip in one path must be reported.
-        shape = MP(((1, 1), "+"))
-        mt = MT(shape, (2, 1))
-        a = expand_standard(mt)
-        corrupted = a.scale(-1)
-        assert corrupted.coeffs != expand_N(mt).coeffs
+    def test_theoremC_detects_corruption(self, capsys, monkeypatch):
+        # Fault injection: a sign flip in the column-wise path must be
+        # reported, by the check and by the verify suite.
+        real = expand_N
+        monkeypatch.setattr(qchar.characters, "expand_N", lambda mt: real(mt).scale(-1))
+        shape, window = MP(((2, 1), "+"), ((2,), "-")), (0, 2)
+        rep = theoremC_check(shape, window)
+        assert rep["pass"] is False
+        found = rep["first_discrepancy"]
+        assert set(found) == {"tableau", "standard", "parabolic"}
+        assert found["standard"] != found["parabolic"]
+        assert qchar.cli.main(["verify", "--suite", "theoremC"]) == 1
+        line, report = capsys.readouterr().out.strip().splitlines()
+        assert line == "FAIL theoremC"
+        detail = json.loads(json.dumps(rep))
+        assert json.loads(report)["failures"] == [{"suite": "theoremC", "detail": detail}]
 
 
 class TestVermaGolden:

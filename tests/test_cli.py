@@ -348,6 +348,24 @@ class TestVerify:
         # a runs over 1..2 inside the window 1..3, so no action leaves it
         assert {d["a"] for d in details if "a" in d} == {1, 2}
 
+    def test_hecke_suite_checks_the_braid_relation(self, monkeypatch):
+        act = qchar.cli.hecke_act
+        flip = {"+": "-", "-": "+"}
+
+        def opposite_rule_at_2(i, x):
+            # H_2 swaps with the other sign's case rule; H_2 still satisfies
+            # the quadratic relation, so only a braid check can see it
+            if i != 2:
+                return act(i, x)
+            signs = tuple(flip[s] for s in x.signs)
+            y = act(i, tensor_space.TensorElement(signs, x.window, x.coeffs))
+            return tensor_space.TensorElement(x.signs, x.window, y.coeffs)
+
+        monkeypatch.setattr(qchar.cli, "hecke_act", opposite_rule_at_2)
+        details = list(qchar.cli.SUITES["hecke"]())
+        assert {d["relation"] for d in details} == {"braid"}
+        assert {d["signs"] for d in details} == {("+", "+", "+"), ("-", "-", "-")}
+
     def test_a_lattice_failure_names_its_window_and_label(self, capsys, monkeypatch):
         solve = qchar.bases.dcb_S
 

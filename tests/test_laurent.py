@@ -213,6 +213,11 @@ def test_monomial_product_is_the_convolution(m, p):
     assert (m * p).terms == (p * m).terms == convolution(m, p)
 
 
+@given(laurent_polys, laurent_polys)
+def test_product_is_the_convolution(p, r):
+    assert (p * r).terms == (r * p).terms == convolution(p, r)
+
+
 @given(laurent_polys, laurent_polys, monomials, st.integers(-3, 3))
 def test_no_result_shares_an_operands_terms(p, r, m, c):
     results = [p + r, p - r, p * r, p * m, m * p, p * c, c * p, p + c, c - p, -p, bar(p)]

@@ -17,7 +17,6 @@ from qchar.laurent import (
     q_power,
 )
 from qchar.tensor_space import (
-    Q_MINUS_QINV,
     ZETA,
     TensorElement,
     WindowEscapeError,
@@ -51,6 +50,7 @@ def symmetric_group(k):
 
 # The quantum integer [2] = q + q^-1.
 QUANTUM_2 = LaurentPoly({1: 1, -1: 1})
+Q_MINUS_QINV = -ZETA  # q - q^-1
 
 
 def mono(signs, window, f, coeff=ONE):
