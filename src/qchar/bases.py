@@ -31,13 +31,9 @@ from .laurent import (
     LaurentPoly,
     LaurentSum,
     ONE,
-    add_into,
-    antisym_solve,
-    bar as bar_q,
     exact_divide,
     mirror,
-    pack,
-    unpack,
+    triangular_solve,
 )
 from .tensor_space import (
     TensorElement,
@@ -184,39 +180,16 @@ def latex_table(order, cols: dict, cell) -> str:
 
 
 def dcb_solve(block: TriangularBlock) -> TriangularBlock:
-    """Solve for the dual canonical basis of a triangular block.
-
-    For each index t in increasing order, start from X = e_t, keep its bar
-    defect d = bar(X) - X, cancel the top entry g of d with the
-    `antisym_solve` correction X[g] and add bar(X[g]) bar(e_g) - X[g] e_g to
-    d.  The labels below t are solved first, so bar(e_g) reaches only g and
-    lower labels: each is corrected once, top-down, ending at the unique
-    bar-invariant element unitriangular in the lattice of
-    `laurent.LATTICE_SIGN`.  The solve runs on label positions in `order`;
-    bar rows are re-keyed once, zero entries dropped (from the returned rows
-    too), and `canon` is keyed by labels again.
-
-    The defect is kept packed (`laurent.pack`): every bar entry and defect
-    entry is one int at the block's lowest exponent `lo` (at most 0) and a
-    digit width `bits`, and each correction at g adds
-    pack(bar(X[g]), 0, bits) times packed row g and subtracts
-    pack(X[g], lo, bits) at g, all as int arithmetic (exact only because
-    the convention keeps every exponent of X[g] <= -1).  Only the top defect
-    entry is unpacked, for `antisym_solve`.  Every coefficient of a column's
-    defect is at most the sum of ||c||_1 * (height of row g + 1) over its
-    corrections c at g, counting e_t as the correction 1 at t, where ||c||_1
-    sums the absolute coefficients and a row's height is its largest
-    absolute coefficient.  That bound must stay below 2^(bits-1), half a
-    digit, until the column is finished, since it is what makes each
-    unpacked entry and each zero test of the defect exact; if it does not,
-    the block is solved again at twice the width, so the result is exact
-    over Z at any coefficient size.
-    """
+    """The block with its dual canonical basis, solved by
+    `laurent.triangular_solve` on the labels' positions in `order`: bar rows
+    are re-keyed once, zeros dropped (from the returned rows too), and `canon`
+    is keyed by labels again.  A bar row that leaves the block raises a
+    RuntimeError naming both labels."""
     order = block.order
     pos = {t: i for i, t in enumerate(order)}
-    rows, heights, lo, bar_rows = [], [], 0, block.bar_rows
+    rows, bar_rows = [], block.bar_rows
     for t in order:
-        row, height = {}, 0
+        row = {}
         for g, c in block.bar_rows[t].items():
             if not c:
                 bar_rows = None  # hand back the zero-free rows built here
@@ -225,55 +198,12 @@ def dcb_solve(block: TriangularBlock) -> TriangularBlock:
             if i is None:
                 raise RuntimeError(f"bar image of {t} leaves the block at {g}")
             row[i] = c
-            e, h = min(c.terms), max(map(abs, c.terms.values()))
-            if e < lo:
-                lo = e
-            if h > height:
-                height = h
         rows.append(row)
-        heights.append(height + 1)
-    bits = _PACK_BITS
-    while (cols := _solve_packed(order, rows, heights, lo, bits)) is None:
-        bits *= 2
+    cols = triangular_solve(rows, order)
     canon = {t: {order[i]: c for i, c in x.items()} for t, x in zip(order, cols)}
     if bar_rows is None:
         bar_rows = {t: {order[i]: c for i, c in x.items()} for t, x in zip(order, rows)}
     return TriangularBlock(block.space, order, bar_rows, canon)
-
-
-# The digit width at which `dcb_solve` first packs a block.  The column
-# bounds of the benchmark workloads' blocks stay below 2^8, so those blocks
-# solve at this width; wider coefficients cost one re-solve per doubling.
-_PACK_BITS = 16
-
-
-def _solve_packed(order, rows, heights, lo, bits):
-    """The solved columns of `dcb_solve`, position-keyed, with every defect
-    packed at (lo, bits); `heights[i]` is row i's height + 1.  None when a
-    column's coefficient bound reaches half a digit."""
-    half = 1 << (bits - 1)
-    packed = [{i: pack(c, lo, bits) for i, c in row.items()} for row in rows]
-    unit = pack(ONE, lo, bits)
-    cols = []
-    for j, t in enumerate(order):
-        x = {j: ONE}
-        d = add_into(dict(packed[j]), {j: unit}, -1)
-        bound = heights[j]
-        while bound < half and d:
-            i = max(d)
-            if i >= j:
-                raise RuntimeError(f"bar matrix is not unitriangular at {t}: defect at {order[i]}")
-            try:
-                x[i] = c = antisym_solve(unpack(d[i], lo, bits))
-            except ValueError as err:
-                raise ValueError(f"bar defect of {t} at {order[i]}: {err}") from err
-            add_into(d, packed[i], pack(bar_q(c), 0, bits))
-            add_into(d, {i: pack(c, lo, bits)}, -1)
-            bound += sum(map(abs, c.terms.values())) * heights[i]
-        if bound >= half:
-            return None
-        cols.append(x)
-    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +436,8 @@ def xi_V(bfA: MultiTableau, window: tuple[int, int]) -> SElement:
     Pi-coordinate rewritten by the mirror involution q -> -q^-1.
 
     The mirror rewrite normalizes V_A to a unitriangular element over Std
-    leading terms in the convention's lattice (`laurent.LATTICE_SIGN`), at
-    whose specialization the classical alternating-sum identity sits.
+    leading terms in the lattice q^-1 Z[q^-1], at whose specialization
+    q = -1 the classical alternating-sum identity sits.
     """
     return xi_raw(bfA, window).map_coeffs(mirror)
 

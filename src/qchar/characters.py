@@ -7,8 +7,8 @@ by row-normalized multi-tableaux.  `expand_standard` and `expand_N` are two
 independent signed expansions of the same standard class — one grouped by
 piece, one grouped by global column — and `theoremC_check` compares them
 exhaustively.  Decomposition numbers come from the dual canonical basis of P
-at the specialization of `laurent.LATTICE_SIGN`, expected to be nonnegative
-there; known to fail on `2:+ / 1:+` at 1..2, weight 1:1,2:2 (one entry is -1).
+at q = -1 (`laurent.specialize`), expected to be nonnegative there; known to
+fail on `2:+ / 1:+` at 1..2, weight 1:1,2:2 (one entry is -1).
 """
 
 from __future__ import annotations

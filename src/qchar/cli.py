@@ -98,19 +98,27 @@ def parse_weight(text: str) -> dict[int, int]:
     return {a: c for a, c in out.items() if c}
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(chunks, out_path: str | None) -> None:
+    """Write a string, or the strings of an iterable, to `out_path` or stdout."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     if out_path:
         try:
             with open(out_path, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:  # a missing directory, a directory, no permission
             raise UsageError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
-def _json(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+def _json(data):
+    """`json.dumps(data, indent=2, sort_keys=True)` and a newline, in pieces of
+    2^16 encoder chunks: one write call per piece, even on an unbuffered stdout."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(data)
+    while piece := "".join(itertools.islice(chunks, 1 << 16)):
+        yield piece
+    yield "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A Laurent polynomial is stored as a mapping from integer exponent to nonzero
 arbitrary-precision integer coefficient, so equal values always have equal
-stored mappings.  All solver-support primitives (`antisym_solve`,
-`exact_divide`, the lattice test) and the lattice convention live here too.
+stored mappings.  The packed triangular solve of the dual canonical basis,
+its primitives and its one lattice live here too.
 
 A Laurent polynomial p also has a packed form, one Python int (Kronecker
 substitution): `pack(p, lo, bits)` is p(2^bits) * 2^(-bits*lo), so the
@@ -12,8 +12,8 @@ balanced digit in [-2^(bits-1), 2^(bits-1)).  Packed forms at the same
 (lo, bits) add as ints, and pack(a, lo, bits) * pack(b, 0, bits) is
 pack(a*b, lo, bits) for b with no negative exponent.  `unpack` inverts
 `pack` when every exponent is >= lo and every |coefficient| < 2^(bits-1);
-keeping that precondition is the caller's part.  `pack` and `unpack` are the
-only code that knows this digit format.
+keeping that precondition is the caller's part.  `pack`, `unpack` and
+`triangular_solve` are the only code that knows this digit format.
 
 Sums go through one of two helpers, by the values they add.  A Laurent-valued
 sparse vector (a module element's coefficients) is built by a `LaurentSum`,
@@ -285,24 +285,22 @@ def mirror(p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._of({-e: (c if e % 2 == 0 else -c) for e, c in p.terms.items()})
 
 
-# The one lattice convention s: strictly-lower dual canonical coordinates lie
-# in q^s Z[q^s] and specialize at q = s.  `bases.dcb_solve` needs s = -1: it
-# packs bar(c) at offset 0, right only while each correction c has e <= -1.
-LATTICE_SIGN = -1
+# The one lattice: strictly-lower coordinates lie in q^-1 Z[q^-1], specialized
+# at q = -1.  `triangular_solve` packs bar(c) at offset 0, right only for that.
 
 
 def in_lattice(p: LaurentPoly) -> bool:
-    """True iff p lies in the convention's lattice q^s Z[q^s]."""
-    return all(e * LATTICE_SIGN >= 1 for e in p.terms)
+    """True iff p lies in the lattice q^-1 Z[q^-1]."""
+    return all(e < 0 for e in p.terms)
 
 
 def specialize(p: LaurentPoly) -> int:
-    """p at the convention's specialization point q = s."""
-    return sum(c if e % 2 == 0 else LATTICE_SIGN * c for e, c in p.terms.items())
+    """p at the specialization point q = -1."""
+    return sum(-c if e % 2 else c for e, c in p.terms.items())
 
 
 def antisym_solve(d: LaurentPoly) -> LaurentPoly:
-    """Solve bar(c) - c = -d with c in the convention's lattice.
+    """Solve bar(c) - c = -d with c in the lattice q^-1 Z[q^-1].
 
     The input must be bar-antisymmetric, bar(d) = -d, that is d[-e] = -d[e]
     for every term (so no constant term); then d = c - bar(c) for the unique
@@ -311,7 +309,7 @@ def antisym_solve(d: LaurentPoly) -> LaurentPoly:
     terms = d.terms
     if any(terms.get(-e) != -c for e, c in terms.items()):
         raise ValueError(f"antisym_solve: input is not bar-antisymmetric: {d}")
-    return LaurentPoly._of({e: c for e, c in terms.items() if e * LATTICE_SIGN > 0})
+    return LaurentPoly._of({e: c for e, c in terms.items() if e < 0})
 
 
 def pack(p: LaurentPoly, lo: int, bits: int) -> int:
@@ -346,6 +344,69 @@ def unpack(n: int, lo: int, bits: int) -> LaurentPoly:
             n = (n - c) >> bits
             e += 1
     return LaurentPoly._of(terms)
+
+
+# The digit width at which `triangular_solve` first packs a block.  The column
+# bounds of the benchmark workloads' blocks stay below 2^8, so those blocks
+# solve at this width; wider coefficients cost one re-solve per doubling.
+_PACK_BITS = 16
+
+
+def triangular_solve(rows: list[dict], order) -> list[dict]:
+    """The dual canonical columns of a unitriangular bar matrix, keyed by
+    position: `rows[j]` maps i to the zero-free coefficient of e_i in
+    bar(e_j), and `order` names the positions in the two error messages.
+
+    Column j starts from X = e_j with bar defect d = bar(X) - X, cancels the
+    top entry i of d by the `antisym_solve` correction X[i] and adds bar(X[i])
+    bar(e_i) - X[i] e_i to d.  Each lower position is corrected at most once,
+    top-down, ending at the unique bar-invariant X unitriangular with
+    strictly-lower entries in q^-1 Z[q^-1].  The defect stays packed at the
+    block's lowest exponent `lo` (at most 0): a correction is int
+    multiply-and-add, and only the top entry is unpacked.  Every coefficient of
+    the defect is at most the sum of ||c||_1 * (height of row i + 1) over its
+    corrections c at i, counting e_j as the correction 1 at j, where ||c||_1
+    sums c's absolute coefficients and a row's height is its largest one.
+    Unpacking and the zero test are exact while that bound is below half a
+    digit; otherwise the block is solved again at twice the width.
+    """
+    lo, heights = 0, []
+    for row in rows:
+        height = 0
+        for c in row.values():
+            e, h = min(c.terms), max(map(abs, c.terms.values()))
+            if e < lo:
+                lo = e
+            if h > height:
+                height = h
+        heights.append(height + 1)
+    bits = _PACK_BITS
+    while True:
+        half = 1 << (bits - 1)
+        packed = [{i: pack(c, lo, bits) for i, c in row.items()} for row in rows]
+        unit = pack(ONE, lo, bits)
+        cols = []
+        for j, t in enumerate(order):
+            x = {j: ONE}
+            d = add_into(dict(packed[j]), {j: unit}, -1)
+            bound = heights[j]
+            while bound < half and d:
+                i = max(d)
+                if i >= j:
+                    raise RuntimeError(f"bar matrix is not unitriangular at {t}: defect at {order[i]}")
+                try:
+                    x[i] = c = antisym_solve(unpack(d[i], lo, bits))
+                except ValueError as err:
+                    raise ValueError(f"bar defect of {t} at {order[i]}: {err}") from err
+                add_into(d, packed[i], pack(bar(c), 0, bits))
+                add_into(d, {i: pack(c, lo, bits)}, -1)
+                bound += sum(map(abs, c.terms.values())) * heights[i]
+            if bound >= half:
+                break
+            cols.append(x)
+        else:
+            return cols
+        bits *= 2  # a column's bound reached half a digit
 
 
 def exact_divide(p: LaurentPoly, r: LaurentPoly) -> LaurentPoly:

@@ -6,6 +6,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orders import reference_tableaux_of_weight, weight_blocks
 from qchar.combinatorics import (
@@ -22,12 +23,15 @@ from qchar.combinatorics import (
 from qchar.laurent import (
     ONE,
     ZERO,
+    LaurentPoly,
+    bar,
     in_lattice,
     mirror,
     q_power,
 )
 import qchar.bases
 import qchar.characters
+import qchar.laurent
 from qchar.bases import (
     RouteDisagreement,
     SElement,
@@ -343,6 +347,34 @@ class TestSolver:
         with pytest.raises(RuntimeError, match="^bar matrix is not unitriangular at a: defect at a$"):
             dcb_solve(bad)
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_a_bar_matrix_built_from_its_answer_solves_to_it(self, data):
+        # Draw the answer C, unitriangular with strictly-lower entries in
+        # q^-1 Z[q^-1], some past 2^20 so that the first digit width gives up.
+        # X_t = sum_g C[g, t] e_g is bar-invariant when bar(e_t) is column t
+        # of B = C bar(C)^-1, so C is the one solution of that bar matrix.
+        n = data.draw(st.integers(1, 5))
+        order = tuple("abcde"[:n])
+        coeff = st.integers(-3, 3) | st.integers(2**20, 2**24) | st.integers(-(2**24), -(2**20))
+        entry = st.dictionaries(st.integers(-3, -1), coeff, max_size=3).map(LaurentPoly)
+        C = [[ZERO] * n for _ in range(n)]
+        for t in range(n):
+            C[t][t] = ONE
+            for g in range(t):
+                C[g][t] = data.draw(entry)
+        barred = [[bar(c) for c in row] for row in C]
+        inv = [[ONE if g == t else ZERO for t in range(n)] for g in range(n)]
+        for t in range(n):
+            for g in reversed(range(t)):
+                inv[g][t] = -sum((barred[g][h] * inv[h][t] for h in range(g + 1, t + 1)), ZERO)
+        B = [[sum((C[g][h] * inv[h][t] for h in range(n)), ZERO) for t in range(n)] for g in range(n)]
+
+        def columns(M):
+            return {order[t]: {order[g]: M[g][t] for g in range(n) if M[g][t]} for t in range(n)}
+
+        assert dcb_solve(TriangularBlock("t", order, columns(B))).canon == columns(C)
+
 
 def pinned_blocks():
     """Every dcb_T block of + - + - @ 1..4 and + + - - + @ 1..3, then every
@@ -375,14 +407,14 @@ class TestSolverPinned:
 
     def test_one_bar_per_correction(self, monkeypatch):
         calls = 0
-        real = qchar.bases.bar_q
+        real = qchar.laurent.bar
 
         def counted(c):
             nonlocal calls
             calls += 1
             return real(c)
 
-        monkeypatch.setattr(qchar.bases, "bar_q", counted)
+        monkeypatch.setattr(qchar.laurent, "bar", counted)
         corrections = 0
         for blk in pinned_blocks():
             corrections += sum(len(col) - 1 for col in blk.canon.values())

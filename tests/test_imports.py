@@ -4,7 +4,8 @@ every method or property of a library class is named as an attribute
 somewhere else: in the library, the benchmark, the tests or the README.
 The unchecked constructors `_of` are named nowhere but in the kernel and, for
 `Element._of`, at three sanctioned library call sites; a tableau label is
-built in one place only, from its row reading."""
+built in one place only, from its row reading; and only the kernel names the
+packed solve's digit format."""
 
 import ast
 import pathlib
@@ -244,3 +245,49 @@ def test_the_guard_sees_a_label_built_elsewhere():
         "def other(x):\n    y = MultiTableau.row_reading\n    return Tableau(*x), y\n"
     )
     assert label_sites(source) == {2: ("_label", "MultiTableau"), 7: ("other", "Tableau")}
+
+
+# The digit format, the packed solve and the lattice side of the dual
+# canonical basis are the kernel's: no other library module names `pack`,
+# `unpack`, `antisym_solve` or `_PACK_BITS`, and the lattice is written out
+# where it is used, not read from a sign constant.
+PACKED_SOLVE = {"pack", "unpack", "antisym_solve", "_PACK_BITS"}
+SIGN_CONSTANT = re.compile(r"\bLATTICE_SIGN\b")
+
+
+def names_of_the_packed_solve(source: str) -> list[str]:
+    """The kernel-only names that the module reads, binds or imports, as
+    code: a word in a comment or a docstring does not count."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.alias):
+            found |= {node.name, node.asname}
+    return sorted(found & PACKED_SOLVE)
+
+
+def test_only_the_kernel_names_the_packed_solve():
+    offenders = {
+        path.name: names
+        for path in MODULES
+        if path != KERNEL and (names := names_of_the_packed_solve(path.read_text()))
+    }
+    assert offenders == {}
+    texts = [*(ROOT / "src").rglob("*.py"), ROOT / "README.md"]
+    assert [path.name for path in texts if SIGN_CONSTANT.search(path.read_text())] == []
+
+
+def test_the_guard_sees_the_packed_solve():
+    source = (
+        "from .laurent import antisym_solve, pack as p\n"
+        "_PACK_BITS = 16\n"
+        "# rows pack into one int\n"
+        "x = laurent.unpack(p(1))\n"
+    )
+    assert names_of_the_packed_solve(source) == ["_PACK_BITS", "antisym_solve", "pack", "unpack"]
+    assert names_of_the_packed_solve('"""rows pack into one int"""\npacked = 1\n') == []
