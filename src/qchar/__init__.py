@@ -3,7 +3,7 @@ and the character tables (decomposition matrices, simple-character and
 standard-module expansions) they control.
 """
 
-from . import characters, combinatorics, tensor_space
+from . import bases, characters, combinatorics, tensor_space
 
 __version__ = "0.1.0"
 
@@ -19,6 +19,7 @@ MEMOS = {
     "psi": tensor_space._psi_monomial,
     "verma_expansions": characters.expand_standard,
     "solved_p_blocks": characters._solved_block,
+    "pattern_blocks": bases._standard_block,
 }
 
 

@@ -15,6 +15,7 @@ route comparison inside `dcb_P`) tie the layers together.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .combinatorics import (
     Listing,
@@ -339,7 +340,16 @@ def _bar_rows(block, basis: dict, reading, span: str, coord=None) -> dict:
 def dcb_T(
     signs: tuple[str, ...], window: tuple[int, int], mu: dict[int, int]
 ) -> TriangularBlock:
-    """The dual canonical basis of one weight block of the tensor module."""
+    """The dual canonical basis of one weight block of the tensor module; a
+    one-sign block is relabeled from the block of its weight pattern
+    (`_by_pattern`)."""
+    return _by_pattern("t", signs, window, mu)
+
+
+def _solve_T(
+    signs: tuple[str, ...], window: tuple[int, int], mu: dict[int, int]
+) -> TriangularBlock:
+    """`dcb_T` solved directly, from the monomials' bar images."""
     order = weight_block(signs, window, mu)
     bar_rows = {f: bar_involution(TensorElement.monomial(signs, window, f)).coeffs for f in order}
     return dcb_solve(TriangularBlock("t", tuple(order), bar_rows))
@@ -486,8 +496,16 @@ def dcb_P(
     Route (a) pushes bar_S through the Delta expansion and solves the
     triangular system; route (b) re-expresses the dcb_S elements at Std
     labels.  Both are computed and compared; a mismatch raises
-    `RouteDisagreement`.
+    `RouteDisagreement`.  A one-sign block is relabeled from the block of
+    its weight pattern (`_by_pattern`), where both routes ran.
     """
+    return _by_pattern("p", shape, window, mu)
+
+
+def _solve_P(
+    shape: SignedMultiPartition, window: tuple[int, int], mu: dict[int, int]
+) -> TriangularBlock:
+    """`dcb_P` solved directly, by both routes."""
     order, deltas = delta_block(shape, window, mu)
     bar_rows = {
         mt: delta_coords(bar_S(deltas[mt]).coeffs, deltas, order) for mt in order
@@ -505,6 +523,65 @@ def dcb_P(
                 f"dcb_P routes disagree at {mt}: (a) {show(solved.canon[mt])} vs (b) {show(route_b)}"
             )
     return solved
+
+
+# ---------------------------------------------------------------------------
+# One-sign blocks, solved once per weight pattern.
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def _standard_block(space: str, shape, pattern: tuple[int, ...]) -> TriangularBlock:
+    """The solved block of the standard weight {1: pattern[0], 2:
+    pattern[1], ...} at the window (1, len(pattern)): of P over the shape
+    `shape` when `space` is "p", of T over the sign sequence `shape` when it
+    is "t".  Callers only read it.  A block that raises is not cached."""
+    solve = _solve_P if space == "p" else _solve_T
+    return solve(shape, (1, len(pattern)), dict(enumerate(pattern, start=1)))
+
+
+def _by_pattern(space: str, shape, window, mu) -> TriangularBlock:
+    """One weight block of P ("p", over `shape`) or T ("t", over the sign
+    sequence `shape`).
+
+    With one sign, ψ, the Hecke action, the tableau conditions, the row
+    normal form and the Bruhat order only compare entries, and beyond
+    holding the entries the window is read only by ψ's mixed-sign rule.  So
+    when the sign sequence has one sign and the support of mu lies in the
+    window, the block is the block of the standard weight with mu's pattern
+    (its nonzero multiplicities in order) under the order-preserving
+    renaming v -> support[v - 1], which carries the order and the bar map
+    along.
+    Such a block is relabeled from `_standard_block` into dicts of its own
+    that share the Laurent values.  Every other block is solved directly,
+    and so is one whose standard block raises, so that the error names its
+    own labels."""
+    solve = _solve_P if space == "p" else _solve_T
+    signs = shape.sign_sequence() if space == "p" else shape
+    lo, hi = window
+    support = sorted(a for a, c in mu.items() if c)
+    if len(set(signs)) != 1 or not support or support[0] < lo or support[-1] > hi:
+        return solve(shape, window, mu)
+    try:
+        std = _standard_block(space, shape, tuple(mu[a] for a in support))
+    except Exception:
+        if (lo, hi) == (1, len(support)):  # the standard block itself
+            raise
+        return solve(shape, window, mu)
+    image = (None, *support)  # image[v] = support[v - 1]
+    if space == "t":
+        rename = {f: tuple(image[v] for v in f) for f in std.order}
+    else:
+        rename = {
+            mt: multi_tableau_from_row_reading(shape, tuple(image[v] for v in mt.row_reading()))
+            for mt in std.order
+        }
+
+    def cols(by_label: dict) -> dict:
+        return {rename[t]: {rename[g]: c for g, c in col.items()} for t, col in by_label.items()}
+
+    order = tuple(rename[t] for t in std.order)
+    return TriangularBlock(std.space, order, cols(std.bar_rows), cols(std.canon))
 
 
 # ---------------------------------------------------------------------------

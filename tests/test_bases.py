@@ -610,6 +610,9 @@ class TestDcbP:
             blk.canon[upper] = {**blk.canon[upper], lower: q_power(-3)}
             return blk
 
+        # a block of this pattern solved earlier would be relabeled from the
+        # pattern memo, and route (b) would not run
+        qchar.clear_caches()
         monkeypatch.setattr(qchar.bases, "dcb_S", perturbed)
         with pytest.raises(RouteDisagreement) as info:
             dcb_P(shape, window, {1: 1, 2: 1})
@@ -617,6 +620,96 @@ class TestDcbP:
             "dcb_P routes disagree at 2 / 1: "
             "(a) {1 / 2: 1*q^-1, 2 / 1: 1*q^0} vs (b) {1 / 2: 1*q^-3, 2 / 1: 1*q^0}"
         )
+
+
+def json_or_error(call):
+    """The JSON text of a block or table, or the error it raises as its type
+    and message."""
+    try:
+        return json.dumps(call().to_json())
+    except Exception as err:
+        return type(err), str(err)
+
+
+class TestPatternBlocks:
+    """One-sign P and T blocks are relabeled from the solved block of their
+    weight pattern (`bases._standard_block`); every other block is solved
+    directly.  Compared against the direct solves `_solve_P`/`_solve_T`."""
+
+    P_CASES = [
+        (MP(((3, 2, 1), "+")), (1, 4)),
+        (MP(((2, 1), "+"), ((1,), "+")), (1, 4)),
+        (MP(((2, 1), "+"), ((1,), "+")), (2, 5)),
+        (MP(((1, 1), "-"), ((2,), "-")), (1, 4)),
+        (MP(((2, 1), "-")), (0, 3)),
+    ]
+    T_CASES = [(("+",) * 4, (1, 4)), (("-",) * 3, (0, 3))]
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        qchar.clear_caches()
+        yield
+        qchar.clear_caches()
+
+    @pytest.mark.parametrize("shape, window", P_CASES, ids=str)
+    def test_p_blocks_and_tables_match_the_direct_solve(self, monkeypatch, shape, window):
+        keys = block_weights(shape, window, "std")
+        solved = [json_or_error(lambda: dcb_P(shape, window, dict(k))) for k in keys]
+        tables = [json_or_error(lambda: decomposition_matrix(shape, window, dict(k))) for k in keys]
+        assert qchar.MEMOS["pattern_blocks"].cache_info().hits > 0
+        assert solved == [json_or_error(lambda: qchar.bases._solve_P(shape, window, dict(k))) for k in keys]
+        qchar.clear_caches()
+        monkeypatch.setattr(qchar.bases, "dcb_P", qchar.bases._solve_P)
+        assert tables == [json_or_error(lambda: decomposition_matrix(shape, window, dict(k))) for k in keys]
+        assert qchar.MEMOS["pattern_blocks"].cache_info().currsize == 0
+
+    @pytest.mark.parametrize("signs, window", T_CASES, ids=str)
+    def test_t_blocks_match_the_direct_solve(self, signs, window):
+        keys = sorted(weight_keys(signs, window))
+        solved = [json_or_error(lambda: dcb_T(signs, window, dict(k))) for k in keys]
+        assert qchar.MEMOS["pattern_blocks"].cache_info().hits > 0
+        assert solved == [json_or_error(lambda: qchar.bases._solve_T(signs, window, dict(k))) for k in keys]
+
+    @pytest.mark.parametrize(
+        "window, mu", [((1, 4), {1: 1, 2: 2, 4: 1}), ((1, 3), {1: 1, 2: 2, 3: 1})], ids=str
+    )
+    def test_a_raising_block_raises_the_direct_solve_error(self, window, mu):
+        # the P defect: the standard block of pattern (1, 2, 1) of
+        # 2:+ / 1,1:+ fails its bar solve, the first weight's block is
+        # solved again directly, the second is that standard block
+        shape = MP(((2,), "+"), ((1, 1), "+"))
+        with pytest.raises(ValueError) as direct:
+            qchar.bases._solve_P(shape, window, mu)
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                dcb_P(shape, window, mu)
+            assert str(info.value) == str(direct.value)
+
+    def test_a_support_outside_the_window_gives_the_empty_block(self):
+        shape = MP(((2, 1), "+"))
+        for blk in (dcb_P(shape, (1, 3), {1: 2, 5: 1}), dcb_T(("+",) * 3, (2, 4), {1: 1, 3: 2})):
+            assert blk.order == () and blk.canon == {} and blk.bar_rows == {}
+        assert qchar.MEMOS["pattern_blocks"].cache_info().currsize == 0
+
+    @pytest.mark.parametrize(
+        "solve, window, mu",
+        [
+            (lambda w, mu: dcb_P(MP(((2, 1), "+"), ((1,), "+")), w, mu), (1, 3), {1: 2, 2: 1, 3: 1}),
+            (lambda w, mu: dcb_P(MP(((2, 1), "+"), ((1,), "+")), w, mu), (1, 5), {2: 2, 4: 1, 5: 1}),
+            (lambda w, mu: dcb_T(("+",) * 3, w, mu), (1, 3), {1: 1, 2: 1, 3: 1}),
+            (lambda w, mu: dcb_T(("+",) * 3, w, mu), (0, 4), {0: 1, 2: 1, 4: 1}),
+        ],
+        ids=["p-standard", "p-relabeled", "t-standard", "t-relabeled"],
+    )
+    def test_clearing_a_returned_block_leaves_the_memo_alone(self, solve, window, mu):
+        blk = solve(window, mu)
+        before = json.dumps(blk.to_json())
+        for cols in (blk.bar_rows, blk.canon):
+            for col in cols.values():
+                col.clear()
+            cols.clear()
+        assert json.dumps(solve(window, mu).to_json()) == before
+        assert qchar.MEMOS["pattern_blocks"].cache_info().hits == 1
 
 
 class TestBlockOrder:

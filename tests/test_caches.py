@@ -28,12 +28,15 @@ def test_the_memo_list_is_every_memo_and_each_is_bounded():
 
 
 def test_clear_caches_empties_every_memo():
-    shape = SignedMultiPartition(((Partition((2, 1)), "+"), (Partition((1,)), "-")))
-    for mt in enumerate_tableaux(shape, "std", (1, 3)):
-        try:
-            simple_character(mt, (1, 3))
-        except ValueError:  # the P defect raises on some blocks
-            pass
+    # the mixed-sign shape fills every memo but the one-sign pattern blocks
+    mixed = SignedMultiPartition(((Partition((2, 1)), "+"), (Partition((1,)), "-")))
+    one_sign = SignedMultiPartition(((Partition((2, 1)), "+"),))
+    for shape in (mixed, one_sign):
+        for mt in enumerate_tableaux(shape, "std", (1, 3)):
+            try:
+                simple_character(mt, (1, 3))
+            except ValueError:  # the P defect raises on some blocks
+                pass
     assert all(memo.cache_info().currsize for memo in qchar.MEMOS.values())
     qchar.clear_caches()
     assert not any(memo.cache_info().currsize for memo in qchar.MEMOS.values())

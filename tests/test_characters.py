@@ -281,9 +281,9 @@ def snapshot(cols):
 class TestSolvedBlockMemo:
     @pytest.fixture(autouse=True)
     def cold(self):
-        qchar.characters._solved_block.cache_clear()
+        qchar.clear_caches()
         yield
-        qchar.characters._solved_block.cache_clear()
+        qchar.clear_caches()
 
     @pytest.mark.parametrize("shape, window", MEMO_CASES, ids=str)
     def test_warm_and_cleared_memo_agree(self, shape, window):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import qchar
 import qchar.cli
 from qchar import tensor_space
 from qchar.cli import (
@@ -20,8 +21,9 @@ from qchar.laurent import q_power
 @pytest.fixture
 def negated_zeta(monkeypatch):
     """Negate the quasi-R constant on one ordered sign pair for the test,
-    by wrapping the pairwise step; the psi memo is cleared on the way in and
-    out."""
+    by wrapping the pairwise step; every memo is cleared on the way in, when
+    the constant is negated and on the way out, so that no memoized image or
+    block hides the fault or carries it into later tests."""
 
     def negate(si, sj):
         theta = tensor_space._theta
@@ -30,10 +32,11 @@ def negated_zeta(monkeypatch):
             return theta(cur, i, j, signs, window, -z if (signs[i], signs[j]) == (si, sj) else z)
 
         monkeypatch.setattr(tensor_space, "_theta", flipped)
-        tensor_space._psi_monomial.cache_clear()
+        qchar.clear_caches()
 
+    qchar.clear_caches()
     yield negate
-    tensor_space._psi_monomial.cache_clear()
+    qchar.clear_caches()
 
 
 def run(capsys, *argv):
