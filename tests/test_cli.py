@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-import qchar
 import qchar.cli
 from qchar import tensor_space
 from qchar.cli import (
