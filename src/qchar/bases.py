@@ -53,6 +53,34 @@ class RouteDisagreement(RuntimeError):
     """The two dcb_P computation routes produced different matrices."""
 
 
+def _solved_or_error(solve, *args):
+    """`solve(*args)` for a block memo to keep, or the error it raised when
+    that error is deterministic, so that the same inputs raise it again: a
+    ValueError or RuntimeError (RouteDisagreement among them), but not a
+    RecursionError, which depends on the caller's stack depth.  The kept
+    error and the errors it chains to hold no frames.  Any other error
+    propagates."""
+    try:
+        return solve(*args)
+    except RecursionError:
+        raise
+    except (ValueError, RuntimeError) as err:
+        link = err
+        while link is not None:
+            link.__traceback__ = None
+            link = link.__cause__ or link.__context__
+        return err
+
+
+def _block_or_raise(entry):
+    """A block memo's entry: the block, or a new raise of the kept error,
+    with its type, message and cause (the kept object itself is never
+    raised, so its traceback stays empty)."""
+    if isinstance(entry, Exception):
+        raise type(entry)(*entry.args) from entry.__cause__
+    return entry
+
+
 # ---------------------------------------------------------------------------
 # Module elements.
 # ---------------------------------------------------------------------------
@@ -531,13 +559,15 @@ def _solve_P(
 
 
 @lru_cache(maxsize=64)
-def _standard_block(space: str, shape, pattern: tuple[int, ...]) -> TriangularBlock:
+def _standard_block(space: str, shape, pattern: tuple[int, ...]) -> TriangularBlock | Exception:
     """The solved block of the standard weight {1: pattern[0], 2:
     pattern[1], ...} at the window (1, len(pattern)): of P over the shape
     `shape` when `space` is "p", of T over the sign sequence `shape` when it
-    is "t".  Callers only read it.  A block that raises is not cached."""
+    is "t".  Callers only read it.  A solve that raises a deterministic
+    error keeps that error as the entry (`_solved_or_error`), so a pattern
+    is solved once either way."""
     solve = _solve_P if space == "p" else _solve_T
-    return solve(shape, (1, len(pattern)), dict(enumerate(pattern, start=1)))
+    return _solved_or_error(solve, shape, (1, len(pattern)), dict(enumerate(pattern, start=1)))
 
 
 def _by_pattern(space: str, shape, window, mu) -> TriangularBlock:
@@ -554,20 +584,18 @@ def _by_pattern(space: str, shape, window, mu) -> TriangularBlock:
     along.
     Such a block is relabeled from `_standard_block` into dicts of its own
     that share the Laurent values.  Every other block is solved directly,
-    and so is one whose standard block raises, so that the error names its
-    own labels."""
+    and so is one whose pattern's kept entry is an error, so that the error
+    names its own labels; the standard block itself raises the kept error."""
     solve = _solve_P if space == "p" else _solve_T
     signs = shape.sign_sequence() if space == "p" else shape
     lo, hi = window
     support = sorted(a for a, c in mu.items() if c)
     if len(set(signs)) != 1 or not support or support[0] < lo or support[-1] > hi:
         return solve(shape, window, mu)
-    try:
-        std = _standard_block(space, shape, tuple(mu[a] for a in support))
-    except Exception:
-        if (lo, hi) == (1, len(support)):  # the standard block itself
-            raise
-        return solve(shape, window, mu)
+    std = _standard_block(space, shape, tuple(mu[a] for a in support))
+    if isinstance(std, Exception) and (lo, hi) != (1, len(support)):
+        return solve(shape, window, mu)  # not the standard block itself
+    std = _block_or_raise(std)
     image = (None, *support)  # image[v] = support[v - 1]
     if space == "t":
         rename = {f: tuple(image[v] for v in f) for f in std.order}

@@ -648,8 +648,6 @@ class TestPatternBlocks:
     @pytest.fixture(autouse=True)
     def cold(self):
         qchar.clear_caches()
-        yield
-        qchar.clear_caches()
 
     @pytest.mark.parametrize("shape, window", P_CASES, ids=str)
     def test_p_blocks_and_tables_match_the_direct_solve(self, monkeypatch, shape, window):

@@ -282,8 +282,6 @@ class TestSolvedBlockMemo:
     @pytest.fixture(autouse=True)
     def cold(self):
         qchar.clear_caches()
-        yield
-        qchar.clear_caches()
 
     @pytest.mark.parametrize("shape, window", MEMO_CASES, ids=str)
     def test_warm_and_cleared_memo_agree(self, shape, window):
@@ -315,25 +313,97 @@ class TestSolvedBlockMemo:
             simple_character(mt, window)
         assert len(calls) == 1
 
-    def test_a_raising_block_raises_again(self):
+    def test_a_raising_block_raises_again(self, monkeypatch):
         shape, window = MEMO_CASES[1]
         mt = MT(shape, (2, 1, 2, 1))
         first = character_or_error(mt, window)
         assert first[0] is ValueError
+        calls = []
+        solve = qchar.bases.dcb_P
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(qchar.bases, "dcb_P", counting)
         assert character_or_error(mt, window) == first
-        assert qchar.characters._solved_block.cache_info().currsize == 0
+        assert calls == []
 
     @pytest.mark.parametrize("shape, window", MEMO_CASES, ids=str)
     def test_a_query_leaves_the_cached_block_unchanged(self, shape, window):
         for mt in enumerate_tableaux(shape, "std", window):
-            try:
-                blk = qchar.characters._solved_block(shape, window, mt.signed_key)
-            except ValueError:
+            blk = qchar.characters._solved_block(shape, window, mt.signed_key)
+            if isinstance(blk, Exception):  # the kept error of a raising block
                 continue
             before = snapshot(blk.canon)
             simple_character(mt, window)
             assert qchar.characters._solved_block(shape, window, mt.signed_key) is blk
             assert snapshot(blk.canon) == before
+
+
+class TestKeptErrors:
+    """A block memo keeps the ValueError or RuntimeError its solve raised,
+    without frames, and raises it anew on each hit; other errors are not
+    kept."""
+
+    SHAPE, WINDOW = MEMO_CASES[1]
+    RAISING = (2, 1, 2, 1)
+
+    def raised(self, call):
+        with pytest.raises(ValueError) as info:
+            call()
+        return info.value
+
+    def test_a_relabeled_block_of_a_raising_pattern_is_solved_once(self, monkeypatch):
+        # the P defect: pattern (1, 2, 1) of 2:+ / 1,1:+ fails its bar solve
+        shape, window = MP(((2,), "+"), ((1, 1), "+")), (1, 4)
+        self.raised(lambda: qchar.bases.dcb_P(shape, window, {1: 1, 2: 2, 4: 1}))
+        assert isinstance(qchar.MEMOS["pattern_blocks"]("p", shape, (1, 2, 1)), ValueError)
+        mu = {1: 1, 3: 2, 4: 1}
+        direct = self.raised(lambda: qchar.bases._solve_P(shape, window, mu))
+        calls = []
+        solve = qchar.bases._solve_P
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(qchar.bases, "_solve_P", counting)
+        err = self.raised(lambda: qchar.bases.dcb_P(shape, window, mu))
+        assert calls == [(shape, window, mu)]
+        assert str(err) == str(direct)
+
+    def test_the_kept_errors_hold_no_frames(self):
+        mt = MT(self.SHAPE, self.RAISING)
+        err = self.raised(lambda: simple_character(mt, self.WINDOW))
+        assert err.__traceback__ is not None
+        kept = qchar.characters._solved_block(self.SHAPE, self.WINDOW, mt.signed_key)
+        assert isinstance(kept, ValueError) and kept.__cause__ is not None
+        assert kept.__traceback__ is None and kept.__cause__.__traceback__ is None
+        assert err.__cause__ is kept.__cause__
+
+    def test_each_hit_raises_a_new_error(self):
+        mt = MT(self.SHAPE, self.RAISING)
+        first, second = (self.raised(lambda: simple_character(mt, self.WINDOW)) for _ in range(2))
+        assert first is not second
+        assert type(first) is type(second) and str(first) == str(second)
+        assert qchar.characters._solved_block.cache_info().hits == 1
+
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    def test_other_errors_are_not_kept(self, monkeypatch, error):
+        mt = MT(self.SHAPE, self.RAISING)
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            raise error("injected")
+
+        monkeypatch.setattr(qchar.bases, "dcb_P", failing)
+        for _ in range(2):
+            with pytest.raises(error):
+                simple_character(mt, self.WINDOW)
+        assert len(calls) == 2
+        assert qchar.characters._solved_block.cache_info().currsize == 0
 
 
 class TestWeightLabel:

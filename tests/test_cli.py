@@ -20,9 +20,10 @@ from qchar.laurent import q_power
 @pytest.fixture
 def negated_zeta(monkeypatch):
     """Negate the quasi-R constant on one ordered sign pair for the test,
-    by wrapping the pairwise step; every memo is cleared on the way in, when
-    the constant is negated and on the way out, so that no memoized image or
-    block hides the fault or carries it into later tests."""
+    by wrapping the pairwise step; every memo is cleared on the way in and
+    when the constant is negated, so that no memoized image or block hides
+    the fault (`tests/conftest.py` clears them on the way out, so that none
+    carries it into later tests)."""
 
     def negate(si, sj):
         theta = tensor_space._theta
@@ -34,8 +35,7 @@ def negated_zeta(monkeypatch):
         qchar.clear_caches()
 
     qchar.clear_caches()
-    yield negate
-    qchar.clear_caches()
+    return negate
 
 
 def run(capsys, *argv):
