@@ -18,8 +18,7 @@ MEMOS = {
     "listings": combinatorics._tableaux,
     "psi": tensor_space._psi_monomial,
     "verma_expansions": characters.expand_standard,
-    "solved_p_blocks": characters._solved_block,
-    "pattern_blocks": bases._standard_block,
+    "blocks": bases._blocks,
 }
 
 

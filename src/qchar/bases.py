@@ -53,34 +53,6 @@ class RouteDisagreement(RuntimeError):
     """The two dcb_P computation routes produced different matrices."""
 
 
-def _solved_or_error(solve, *args):
-    """`solve(*args)` for a block memo to keep, or the error it raised when
-    that error is deterministic, so that the same inputs raise it again: a
-    ValueError or RuntimeError (RouteDisagreement among them), but not a
-    RecursionError, which depends on the caller's stack depth.  The kept
-    error and the errors it chains to hold no frames.  Any other error
-    propagates."""
-    try:
-        return solve(*args)
-    except RecursionError:
-        raise
-    except (ValueError, RuntimeError) as err:
-        link = err
-        while link is not None:
-            link.__traceback__ = None
-            link = link.__cause__ or link.__context__
-        return err
-
-
-def _block_or_raise(entry):
-    """A block memo's entry: the block, or a new raise of the kept error,
-    with its type, message and cause (the kept object itself is never
-    raised, so its traceback stays empty)."""
-    if isinstance(entry, Exception):
-        raise type(entry)(*entry.args) from entry.__cause__
-    return entry
-
-
 # ---------------------------------------------------------------------------
 # Module elements.
 # ---------------------------------------------------------------------------
@@ -368,8 +340,7 @@ def _bar_rows(block, basis: dict, reading, span: str, coord=None) -> dict:
 def dcb_T(
     signs: tuple[str, ...], window: tuple[int, int], mu: dict[int, int]
 ) -> TriangularBlock:
-    """The dual canonical basis of one weight block of the tensor module; a
-    one-sign block is relabeled from the block of its weight pattern
+    """The dual canonical basis of one weight block of the tensor module
     (`_by_pattern`)."""
     return _by_pattern("t", signs, window, mu)
 
@@ -387,7 +358,14 @@ def dcb_S(
     shape: SignedMultiPartition, window: tuple[int, int], mu: dict[int, int]
 ) -> TriangularBlock:
     """The dual canonical basis {L_A} of one weight block of S, over Row
-    multi-tableaux in Pi-coordinates."""
+    multi-tableaux in Pi-coordinates (`_by_pattern`)."""
+    return _by_pattern("s", shape, window, mu)
+
+
+def _solve_S(
+    shape: SignedMultiPartition, window: tuple[int, int], mu: dict[int, int]
+) -> TriangularBlock:
+    """`dcb_S` solved directly, from the bar images of the Pi basis."""
     block = _block(shape, window, "row", mu)
     bar_rows = {mt: bar_S(pi_monomial(shape, window, mt)).coeffs for mt in block}
     return dcb_solve(TriangularBlock("s", tuple(block), bar_rows))
@@ -524,8 +502,8 @@ def dcb_P(
     Route (a) pushes bar_S through the Delta expansion and solves the
     triangular system; route (b) re-expresses the dcb_S elements at Std
     labels.  Both are computed and compared; a mismatch raises
-    `RouteDisagreement`.  A one-sign block is relabeled from the block of
-    its weight pattern (`_by_pattern`), where both routes ran.
+    `RouteDisagreement` (`_by_pattern`; a relabeled block's routes ran on
+    its standard block).
     """
     return _by_pattern("p", shape, window, mu)
 
@@ -554,48 +532,77 @@ def _solve_P(
 
 
 # ---------------------------------------------------------------------------
-# One-sign blocks, solved once per weight pattern.
+# One memo of solved blocks; one-sign blocks solved once per weight pattern.
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _standard_block(space: str, shape, pattern: tuple[int, ...]) -> TriangularBlock | Exception:
-    """The solved block of the standard weight {1: pattern[0], 2:
-    pattern[1], ...} at the window (1, len(pattern)): of P over the shape
-    `shape` when `space` is "p", of T over the sign sequence `shape` when it
-    is "t".  Callers only read it.  A solve that raises a deterministic
-    error keeps that error as the entry (`_solved_or_error`), so a pattern
-    is solved once either way."""
-    solve = _solve_P if space == "p" else _solve_T
-    return _solved_or_error(solve, shape, (1, len(pattern)), dict(enumerate(pattern, start=1)))
+@lru_cache(maxsize=256)
+def _blocks(space: str, shape, window: tuple[int, int], key: tuple) -> TriangularBlock | Exception:
+    """The solved block of `space` ("t", "s" or "p") over `shape` (the sign
+    sequence for "t") at `window` and `weight_key` `key`, or the error its
+    solve raised when that error is deterministic, so that the same inputs
+    raise it again: a ValueError or RuntimeError (RouteDisagreement among
+    them), but not a RecursionError, which depends on the caller's stack
+    depth.  The kept error and the errors it chains to hold no frames; any
+    other error propagates.  A miss calls `dcb_T`, `dcb_S` or `dcb_P` as
+    `bases` binds it at call time, so a wrapper installed there sees every
+    solve."""
+    dcb = {"t": dcb_T, "s": dcb_S, "p": dcb_P}[space]
+    try:
+        return dcb(shape, window, dict(key))
+    except RecursionError:
+        raise
+    except (ValueError, RuntimeError) as err:
+        link = err
+        while link is not None:
+            link.__traceback__ = None
+            link = link.__cause__ or link.__context__
+        return err
+
+
+def solved_block(space: str, shape, window: tuple[int, int], key: tuple) -> TriangularBlock:
+    """The block of `_blocks`, shared while it stays cached: callers only
+    read it.  A kept error is raised anew, with its type, message and cause
+    (the kept object itself is never raised, so its traceback stays
+    empty)."""
+    entry = _blocks(space, shape, window, key)
+    if isinstance(entry, Exception):
+        raise type(entry)(*entry.args) from entry.__cause__
+    return entry
 
 
 def _by_pattern(space: str, shape, window, mu) -> TriangularBlock:
-    """One weight block of P ("p", over `shape`) or T ("t", over the sign
-    sequence `shape`).
+    """One weight block of T ("t", over the sign sequence `shape`), S ("s")
+    or P ("p", both over `shape`).
 
     With one sign, ψ, the Hecke action, the tableau conditions, the row
     normal form and the Bruhat order only compare entries, and beyond
     holding the entries the window is read only by ψ's mixed-sign rule.  So
     when the sign sequence has one sign and the support of mu lies in the
-    window, the block is the block of the standard weight with mu's pattern
-    (its nonzero multiplicities in order) under the order-preserving
-    renaming v -> support[v - 1], which carries the order and the bar map
-    along.
-    Such a block is relabeled from `_standard_block` into dicts of its own
-    that share the Laurent values.  Every other block is solved directly,
-    and so is one whose pattern's kept entry is an error, so that the error
-    names its own labels; the standard block itself raises the kept error."""
-    solve = _solve_P if space == "p" else _solve_T
-    signs = shape.sign_sequence() if space == "p" else shape
+    window, the block is the standard block of mu's pattern (its nonzero
+    multiplicities in order: the weight {1: pattern[0], 2: pattern[1], ...}
+    at the window (1, len(pattern))) under the order-preserving renaming
+    v -> support[v - 1], which carries the order and the bar map along.
+    Such a block, unless it is that standard block itself, is relabeled
+    from the standard block in `_blocks` into dicts of its own that share
+    the Laurent values.  Every other block is solved directly and not kept,
+    and so is one whose pattern's entry is an error, so that the error
+    names its own labels."""
+    solve = {"t": _solve_T, "s": _solve_S, "p": _solve_P}[space]
+    signs = shape if space == "t" else shape.sign_sequence()
     lo, hi = window
     support = sorted(a for a, c in mu.items() if c)
-    if len(set(signs)) != 1 or not support or support[0] < lo or support[-1] > hi:
+    if (
+        len(set(signs)) != 1
+        or not support
+        or support[0] < lo
+        or support[-1] > hi
+        or (lo, hi) == (1, len(support))  # the standard block itself
+    ):
         return solve(shape, window, mu)
-    std = _standard_block(space, shape, tuple(mu[a] for a in support))
-    if isinstance(std, Exception) and (lo, hi) != (1, len(support)):
-        return solve(shape, window, mu)  # not the standard block itself
-    std = _block_or_raise(std)
+    std = _blocks(space, shape, (1, len(support)), tuple(enumerate((mu[a] for a in support), 1)))
+    if isinstance(std, Exception):
+        return solve(shape, window, mu)
     image = (None, *support)  # image[v] = support[v - 1]
     if space == "t":
         rename = {f: tuple(image[v] for v in f) for f in std.order}

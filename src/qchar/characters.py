@@ -235,35 +235,21 @@ def decomposition_matrix(
     return DecompositionTable(shape, window, dict(weight), blk.order, blk.canon, delta_cols)
 
 
-@lru_cache(maxsize=256)
-def _solved_block(
-    shape: SignedMultiPartition, window: tuple[int, int], key: tuple[tuple[int, int], ...]
-) -> bases.TriangularBlock | Exception:
-    """The solved `dcb_P` block of the signed weight with `weight_key` `key`,
-    shared by the character queries of all its labels while it stays cached;
-    callers only read it.  A solve that raises a deterministic error keeps
-    that error as the entry (`bases._solved_or_error`), so a failing block
-    is solved once too, and each query of its labels raises it anew.  A miss
-    looks `dcb_P` up on `bases` at call time, so a wrapper installed there
-    sees every solve."""
-    return bases._solved_or_error(bases.dcb_P, shape, window, dict(key))
-
-
 def simple_character(
     bfA: MultiTableau, window: tuple[int, int]
 ) -> tuple[dict[MultiTableau, int], VermaSum]:
     """The character of the simple class [L(bfA)]: its integer expansion over
     standard classes (its L-in-Delta column through `specialize`) and the
-    composed Verma-class expansion.  The solved block comes from a bounded
-    memo keyed by (shape, window, weight), so the labels of one block share
-    one `dcb_P` solve, or the error it raised."""
+    composed Verma-class expansion.  The solved block comes from the block
+    memo (`bases.solved_block`), so the labels of one block share one
+    `dcb_P` solve, or the error it raised."""
     if not bfA.is_std():
         raise ValueError(f"simple_character requires a Std multi-tableau, got {bfA}")
     lo, hi = window
     if not all(lo <= a <= hi for a in bfA.row_reading()):
         raise ValueError(f"simple_character: {bfA} has an entry outside the window {window}")
     shape = bfA.shape
-    blk = bases._block_or_raise(_solved_block(shape, (lo, hi), bfA.signed_key))
+    blk = bases.solved_block("p", shape, (lo, hi), bfA.signed_key)
     delta_exp = add_into({}, ((g, specialize(c)) for g, c in blk.canon[bfA].items()))
     verma: dict = {}
     for g, c in delta_exp.items():

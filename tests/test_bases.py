@@ -415,9 +415,17 @@ class TestSolverPinned:
             return real(c)
 
         monkeypatch.setattr(qchar.laurent, "bar", counted)
-        corrections = 0
-        for blk in pinned_blocks():
-            corrections += sum(len(col) - 1 for col in blk.canon.values())
+        solved = []  # every block solved, relabeled blocks' standard blocks included
+        solve = qchar.bases.dcb_solve
+
+        def collecting(block):
+            solved.append(solve(block))
+            return solved[-1]
+
+        monkeypatch.setattr(qchar.bases, "dcb_solve", collecting)
+        for _ in pinned_blocks():
+            pass
+        corrections = sum(len(col) - 1 for blk in solved for col in blk.canon.values())
         assert corrections > 0
         assert calls == corrections
 
@@ -610,9 +618,6 @@ class TestDcbP:
             blk.canon[upper] = {**blk.canon[upper], lower: q_power(-3)}
             return blk
 
-        # a block of this pattern solved earlier would be relabeled from the
-        # pattern memo, and route (b) would not run
-        qchar.clear_caches()
         monkeypatch.setattr(qchar.bases, "dcb_S", perturbed)
         with pytest.raises(RouteDisagreement) as info:
             dcb_P(shape, window, {1: 1, 2: 1})
@@ -632,15 +637,21 @@ def json_or_error(call):
 
 
 class TestPatternBlocks:
-    """One-sign P and T blocks are relabeled from the solved block of their
-    weight pattern (`bases._standard_block`); every other block is solved
-    directly.  Compared against the direct solves `_solve_P`/`_solve_T`."""
+    """One-sign T, S and P blocks are relabeled from the solved standard
+    block of their weight pattern, kept in `MEMOS["blocks"]`; every other
+    block is solved directly.  Compared against the direct solves
+    `_solve_T`/`_solve_S`/`_solve_P`."""
 
     P_CASES = [
         (MP(((3, 2, 1), "+")), (1, 4)),
         (MP(((2, 1), "+"), ((1,), "+")), (1, 4)),
         (MP(((2, 1), "+"), ((1,), "+")), (2, 5)),
         (MP(((1, 1), "-"), ((2,), "-")), (1, 4)),
+        (MP(((2, 1), "-")), (0, 3)),
+    ]
+    S_CASES = [
+        (MP(((2, 1), "+"), ((1,), "+")), (1, 4)),
+        (MP(((2, 1), "+"), ((1,), "+")), (2, 5)),
         (MP(((2, 1), "-")), (0, 3)),
     ]
     T_CASES = [(("+",) * 4, (1, 4)), (("-",) * 3, (0, 3))]
@@ -654,19 +665,54 @@ class TestPatternBlocks:
         keys = block_weights(shape, window, "std")
         solved = [json_or_error(lambda: dcb_P(shape, window, dict(k))) for k in keys]
         tables = [json_or_error(lambda: decomposition_matrix(shape, window, dict(k))) for k in keys]
-        assert qchar.MEMOS["pattern_blocks"].cache_info().hits > 0
-        assert solved == [json_or_error(lambda: qchar.bases._solve_P(shape, window, dict(k))) for k in keys]
+        assert qchar.MEMOS["blocks"].cache_info().hits > 0
         qchar.clear_caches()
+        # route (b) of the direct P solve reads dcb_S: solve that directly too
+        monkeypatch.setattr(qchar.bases, "dcb_S", qchar.bases._solve_S)
+        assert solved == [json_or_error(lambda: qchar.bases._solve_P(shape, window, dict(k))) for k in keys]
         monkeypatch.setattr(qchar.bases, "dcb_P", qchar.bases._solve_P)
         assert tables == [json_or_error(lambda: decomposition_matrix(shape, window, dict(k))) for k in keys]
-        assert qchar.MEMOS["pattern_blocks"].cache_info().currsize == 0
+        assert qchar.MEMOS["blocks"].cache_info().currsize == 0
+
+    @pytest.mark.parametrize("shape, window", S_CASES, ids=str)
+    def test_s_blocks_match_the_direct_solve(self, shape, window):
+        keys = block_weights(shape, window, "row")
+        solved = [json_or_error(lambda: dcb_S(shape, window, dict(k))) for k in keys]
+        assert qchar.MEMOS["blocks"].cache_info().hits > 0
+        assert solved == [json_or_error(lambda: qchar.bases._solve_S(shape, window, dict(k))) for k in keys]
+
+    def test_a_mixed_sign_s_block_is_solved_directly(self, monkeypatch):
+        shape, window = MP(((2, 1), "+"), ((1,), "-")), (1, 3)
+        calls = []
+        solve = qchar.bases._solve_S
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(qchar.bases, "_solve_S", counting)
+        weights = [dict(k) for k in block_weights(shape, window, "row")]
+        for mu in weights:
+            dcb_S(shape, window, mu)
+        assert calls == [(shape, window, mu) for mu in weights]
+        assert qchar.MEMOS["blocks"].cache_info().currsize == 0
 
     @pytest.mark.parametrize("signs, window", T_CASES, ids=str)
     def test_t_blocks_match_the_direct_solve(self, signs, window):
         keys = sorted(weight_keys(signs, window))
         solved = [json_or_error(lambda: dcb_T(signs, window, dict(k))) for k in keys]
-        assert qchar.MEMOS["pattern_blocks"].cache_info().hits > 0
+        assert qchar.MEMOS["blocks"].cache_info().hits > 0
         assert solved == [json_or_error(lambda: qchar.bases._solve_T(signs, window, dict(k))) for k in keys]
+
+    @pytest.mark.parametrize(
+        "dcb, shape",
+        [(dcb_P, MP(((2, 1), "+"), ((1,), "+"))), (dcb_S, MP(((2, 1), "+"), ((1,), "+"))), (dcb_T, ("+",) * 4)],
+        ids=["p", "s", "t"],
+    )
+    def test_a_directly_queried_standard_block_is_not_kept(self, dcb, shape):
+        blk = dcb(shape, (1, 3), {1: 2, 2: 1, 3: 1})
+        assert blk.order
+        assert qchar.MEMOS["blocks"].cache_info().currsize == 0
 
     @pytest.mark.parametrize(
         "window, mu", [((1, 4), {1: 1, 2: 2, 4: 1}), ((1, 3), {1: 1, 2: 2, 3: 1})], ids=str
@@ -685,29 +731,41 @@ class TestPatternBlocks:
 
     def test_a_support_outside_the_window_gives_the_empty_block(self):
         shape = MP(((2, 1), "+"))
-        for blk in (dcb_P(shape, (1, 3), {1: 2, 5: 1}), dcb_T(("+",) * 3, (2, 4), {1: 1, 3: 2})):
+        blocks = (
+            dcb_P(shape, (1, 3), {1: 2, 5: 1}),
+            dcb_S(shape, (1, 3), {1: 2, 5: 1}),
+            dcb_T(("+",) * 3, (2, 4), {1: 1, 3: 2}),
+        )
+        for blk in blocks:
             assert blk.order == () and blk.canon == {} and blk.bar_rows == {}
-        assert qchar.MEMOS["pattern_blocks"].cache_info().currsize == 0
+        assert qchar.MEMOS["blocks"].cache_info().currsize == 0
 
     @pytest.mark.parametrize(
-        "solve, window, mu",
+        "dcb, shape, window, mu",
         [
-            (lambda w, mu: dcb_P(MP(((2, 1), "+"), ((1,), "+")), w, mu), (1, 3), {1: 2, 2: 1, 3: 1}),
-            (lambda w, mu: dcb_P(MP(((2, 1), "+"), ((1,), "+")), w, mu), (1, 5), {2: 2, 4: 1, 5: 1}),
-            (lambda w, mu: dcb_T(("+",) * 3, w, mu), (1, 3), {1: 1, 2: 1, 3: 1}),
-            (lambda w, mu: dcb_T(("+",) * 3, w, mu), (0, 4), {0: 1, 2: 1, 4: 1}),
+            (dcb_P, MP(((2, 1), "+"), ((1,), "+")), (1, 3), {1: 2, 2: 1, 3: 1}),
+            (dcb_P, MP(((2, 1), "+"), ((1,), "+")), (1, 5), {2: 2, 4: 1, 5: 1}),
+            (dcb_T, ("+",) * 3, (1, 3), {1: 1, 2: 1, 3: 1}),
+            (dcb_T, ("+",) * 3, (0, 4), {0: 1, 2: 1, 4: 1}),
         ],
         ids=["p-standard", "p-relabeled", "t-standard", "t-relabeled"],
     )
-    def test_clearing_a_returned_block_leaves_the_memo_alone(self, solve, window, mu):
-        blk = solve(window, mu)
+    def test_clearing_a_returned_block_leaves_the_memo_alone(self, dcb, shape, window, mu):
+        space = "p" if dcb is dcb_P else "t"
+        standard = window == (1, len(mu))
+        if standard:  # a direct query keeps nothing: the memo's block comes from solved_block
+            qchar.bases.solved_block(space, shape, window, weight_key(mu))
+        blk = dcb(shape, window, mu)
         before = json.dumps(blk.to_json())
         for cols in (blk.bar_rows, blk.canon):
             for col in cols.values():
                 col.clear()
             cols.clear()
-        assert json.dumps(solve(window, mu).to_json()) == before
-        assert qchar.MEMOS["pattern_blocks"].cache_info().hits == 1
+        assert json.dumps(dcb(shape, window, mu).to_json()) == before
+        if standard:
+            kept = qchar.bases.solved_block(space, shape, window, weight_key(mu))
+            assert json.dumps(kept.to_json()) == before
+        assert qchar.MEMOS["blocks"].cache_info().hits == 1
 
 
 class TestBlockOrder:
@@ -808,7 +866,10 @@ class TestTableauMemo:
         listings = qchar.MEMOS["listings"]
         listings.cache_clear()
         cold = self.solve_all()
-        assert listings.cache_info().currsize == 2
+        # the two shapes' listings, and the Row listings of the standard
+        # blocks that the Row blocks of 2,1:+ / 1:+ with support of size 1,
+        # 2 and 3 are relabeled from, at 1..1, 1..2 and 1..3
+        assert listings.cache_info().currsize == 5
         assert self.solve_all() == cold
 
 

@@ -28,7 +28,8 @@ def test_the_memo_list_is_every_memo_and_each_is_bounded():
 
 
 def test_clear_caches_empties_every_memo():
-    # the mixed-sign shape fills every memo but the one-sign pattern blocks
+    # the mixed-sign shape fills every memo; the one-sign shape adds the
+    # standard blocks its relabeled blocks are read from
     mixed = SignedMultiPartition(((Partition((2, 1)), "+"), (Partition((1,)), "-")))
     one_sign = SignedMultiPartition(((Partition((2, 1)), "+"),))
     for shape in (mixed, one_sign):

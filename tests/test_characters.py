@@ -287,10 +287,10 @@ class TestSolvedBlockMemo:
     def test_warm_and_cleared_memo_agree(self, shape, window):
         labels = enumerate_tableaux(shape, "std", window)
         warm = [character_or_error(mt, window) for mt in labels]
-        assert qchar.characters._solved_block.cache_info().hits > 0
+        assert qchar.MEMOS["blocks"].cache_info().hits > 0
         cold = []
         for mt in labels:
-            qchar.characters._solved_block.cache_clear()
+            qchar.MEMOS["blocks"].cache_clear()
             cold.append(character_or_error(mt, window))
         assert cold == warm
 
@@ -332,19 +332,19 @@ class TestSolvedBlockMemo:
     @pytest.mark.parametrize("shape, window", MEMO_CASES, ids=str)
     def test_a_query_leaves_the_cached_block_unchanged(self, shape, window):
         for mt in enumerate_tableaux(shape, "std", window):
-            blk = qchar.characters._solved_block(shape, window, mt.signed_key)
+            blk = qchar.MEMOS["blocks"]("p", shape, window, mt.signed_key)
             if isinstance(blk, Exception):  # the kept error of a raising block
                 continue
             before = snapshot(blk.canon)
             simple_character(mt, window)
-            assert qchar.characters._solved_block(shape, window, mt.signed_key) is blk
+            assert qchar.bases.solved_block("p", shape, window, mt.signed_key) is blk
             assert snapshot(blk.canon) == before
 
 
 class TestKeptErrors:
-    """A block memo keeps the ValueError or RuntimeError its solve raised,
-    without frames, and raises it anew on each hit; other errors are not
-    kept."""
+    """The block memo keeps the ValueError or RuntimeError a solve raised,
+    without frames, and `bases.solved_block` raises it anew on each hit;
+    other errors are not kept."""
 
     SHAPE, WINDOW = MEMO_CASES[1]
     RAISING = (2, 1, 2, 1)
@@ -358,7 +358,8 @@ class TestKeptErrors:
         # the P defect: pattern (1, 2, 1) of 2:+ / 1,1:+ fails its bar solve
         shape, window = MP(((2,), "+"), ((1, 1), "+")), (1, 4)
         self.raised(lambda: qchar.bases.dcb_P(shape, window, {1: 1, 2: 2, 4: 1}))
-        assert isinstance(qchar.MEMOS["pattern_blocks"]("p", shape, (1, 2, 1)), ValueError)
+        standard = ((1, 1), (2, 2), (3, 1))  # the weight of pattern (1, 2, 1) at 1..3
+        assert isinstance(qchar.MEMOS["blocks"]("p", shape, (1, 3), standard), ValueError)
         mu = {1: 1, 3: 2, 4: 1}
         direct = self.raised(lambda: qchar.bases._solve_P(shape, window, mu))
         calls = []
@@ -377,7 +378,7 @@ class TestKeptErrors:
         mt = MT(self.SHAPE, self.RAISING)
         err = self.raised(lambda: simple_character(mt, self.WINDOW))
         assert err.__traceback__ is not None
-        kept = qchar.characters._solved_block(self.SHAPE, self.WINDOW, mt.signed_key)
+        kept = qchar.MEMOS["blocks"]("p", self.SHAPE, self.WINDOW, mt.signed_key)
         assert isinstance(kept, ValueError) and kept.__cause__ is not None
         assert kept.__traceback__ is None and kept.__cause__.__traceback__ is None
         assert err.__cause__ is kept.__cause__
@@ -387,7 +388,7 @@ class TestKeptErrors:
         first, second = (self.raised(lambda: simple_character(mt, self.WINDOW)) for _ in range(2))
         assert first is not second
         assert type(first) is type(second) and str(first) == str(second)
-        assert qchar.characters._solved_block.cache_info().hits == 1
+        assert qchar.MEMOS["blocks"].cache_info().hits == 1
 
     @pytest.mark.parametrize("error", [MemoryError, RecursionError])
     def test_other_errors_are_not_kept(self, monkeypatch, error):
@@ -403,7 +404,7 @@ class TestKeptErrors:
             with pytest.raises(error):
                 simple_character(mt, self.WINDOW)
         assert len(calls) == 2
-        assert qchar.characters._solved_block.cache_info().currsize == 0
+        assert qchar.MEMOS["blocks"].cache_info().currsize == 0
 
 
 class TestWeightLabel:

@@ -5,7 +5,8 @@ somewhere else: in the library, the benchmark, the tests or the README.
 The unchecked constructors `_of` are named nowhere but in the kernel and, for
 `Element._of`, at three sanctioned library call sites; a tableau label is
 built in one place only, from its row reading; and only the kernel names the
-packed solve's digit format."""
+packed solve's digit format.  No library module but the package's
+`__init__.py` names another module's private (`_`-prefixed) attribute."""
 
 import ast
 import pathlib
@@ -291,3 +292,52 @@ def test_the_guard_sees_the_packed_solve():
     )
     assert names_of_the_packed_solve(source) == ["_PACK_BITS", "antisym_solve", "pack", "unpack"]
     assert names_of_the_packed_solve('"""rows pack into one int"""\npacked = 1\n') == []
+
+
+# A library module reads another module through its public names only; the
+# package's `__init__.py`, which lists every module's memo, is the exception.
+INIT = pathlib.Path(qchar.__file__)
+
+
+def foreign_private_names(source: str) -> list[str]:
+    """The `_`-prefixed, non-dunder names that the module imports from
+    another package module or reads as an attribute of a package module it
+    imports (`from . import bases` ... `bases._name`)."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.append((node.lineno, f"{node.module}.{alias.name}"))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+            and not node.attr.endswith("__")
+        ):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_no_module_names_another_modules_private_attribute():
+    offenders = {
+        path.name: names
+        for path in MODULES
+        if path != INIT and (names := foreign_private_names(path.read_text()))
+    }
+    assert offenders == {}
+
+
+def test_the_guard_sees_a_foreign_private_name():
+    source = (
+        "from . import bases\n"
+        "from .laurent import _PACK_BITS, bar\n"
+        "x = bases._blocks(bases.dcb_P, bases.__name__)\n"
+        "y = self._own\n"
+    )
+    assert foreign_private_names(source) == ["laurent._PACK_BITS (line 2)", "bases._blocks (line 3)"]
