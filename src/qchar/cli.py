@@ -4,13 +4,12 @@ decomposition tables, invariant verification suites, and pyramid reports.
 JSON is the canonical output format; CSV and LaTeX are lossy views.  Exit
 codes: 0 success, 1 verification or computation failure, 2 usage error.
 Identical configurations produce byte-identical output: every listing is
-sorted and block results are merged in a fixed order regardless of --jobs.
+sorted and blocks are solved and written in weight order.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import itertools
 import json
@@ -185,37 +184,27 @@ _SOLVERS = {
 }
 
 
-def _solve_block(task):
-    space, shape, window, mu = task
-    with _naming_block(shape, window, mu):
-        return _SOLVERS[space][1](shape, window, mu)
-
-
-def _solve_blocks(args, space: str, jobs: int = 1):
+def _solve_blocks(args, space: str):
     """Parse the shape and window and solve the blocks of the space, or the
-    --weight block alone, in weight order: the (weight, solved block) pairs
-    with the shape and window.  A pool, never larger than the number of
-    blocks, runs only when more than one worker would have work."""
+    --weight block alone, in weight order, each in this process, so that the
+    blocks of one weight pattern share the block memo: the (weight, solved
+    block) pairs with the shape and window."""
     shape = parse_shape(args.shape)
     window = parse_window(args.window)
+    kind, solve = _SOLVERS[space]
     if args.weight is not None:
         weights = [weight_key(parse_weight(args.weight))]
     else:
-        weights = bases.block_weights(shape, window, _SOLVERS[space][0])
-    tasks = [(space, shape, window, dict(w)) for w in weights]
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(_solve_block, tasks))
-    else:
-        solved = [_solve_block(t) for t in tasks]
-    return shape, window, [(mu, blk) for (*_, mu), blk in zip(tasks, solved)]
+        weights = bases.block_weights(shape, window, kind)
+    solved = []
+    for mu in map(dict, weights):
+        with _naming_block(shape, window, mu):
+            solved.append((mu, solve(shape, window, mu)))
+    return shape, window, solved
 
 
 def cmd_dcb(args) -> int:
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    shape, window, solved = _solve_blocks(args, args.space, args.jobs)
+    shape, window, solved = _solve_blocks(args, args.space)
     if args.format == "latex":
         _emit("\n\n".join(blk.to_latex() for _, blk in solved) + "\n", args.out)
     else:
@@ -457,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dcb", help="export dual canonical basis matrices per weight block")
     common(p, ("json", "latex"))
     p.add_argument("--space", choices=("t", "s", "p"), default="s")
-    p.add_argument("--jobs", type=int, default=1, help="parallel block jobs, at least 1")
     p.set_defaults(fn=cmd_dcb)
 
     p = sub.add_parser("decompose", help="export decomposition tables")

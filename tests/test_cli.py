@@ -149,6 +149,7 @@ class TestOptions:
             ["dcb", "--shape", "1:+", "--format", "csv"],
             ["report", "--shape", "1:+", "--window", "1..3"],
             ["decompose", "--shape", "1:+", "--jobs", "2"],
+            ["dcb", "--shape", "1:+", "--jobs", "2"],
         ],
     )
     def test_unread_option_is_usage_error(self, capsys, argv):
@@ -177,43 +178,32 @@ class TestDcb:
         assert blocks[0]["order"] == [[1, 2], [2, 1]]
         assert [0, 1, [[-1, "1"]]] in blocks[0]["canonical"]
 
-    def test_jobs_do_not_change_output(self, capsys):
-        args = ["dcb", "--shape", "1:+ / 1:+", "--window", "1..2", "--space", "s"]
-        _, out1 = run(capsys, *args, "--jobs", "1")
-        _, out2 = run(capsys, *args, "--jobs", "2")
-        assert out1 == out2
+    @pytest.mark.parametrize(
+        "space, shape, window, solver, blocks, solves",
+        [
+            # one solve per composition of the shape's 3 or 4 boxes
+            ("t", "3:+", "1..4", "_solve_T", 20, 4),
+            ("s", "2,1:+ / 1:+", "1..6", "_solve_S", 126, 8),
+        ],
+    )
+    def test_a_sweep_solves_each_weight_pattern_once(
+        self, capsys, monkeypatch, space, shape, window, solver, blocks, solves
+    ):
+        # every block of a sweep is solved in this process, so all blocks of
+        # one weight pattern share the standard block in the block memo
+        qchar.clear_caches()
+        calls = []
+        solve = getattr(qchar.bases, solver)
 
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
-        code, _ = run(capsys, "dcb", "--shape", "1:+", "--window", "1..2", "--jobs", jobs)
-        assert code == 2
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
 
-    def test_pool_never_exceeds_block_count(self, capsys, monkeypatch):
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(qchar.cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        args = ["dcb", "--shape", "1:+ / 1:+", "--window", "1..2", "--space", "s"]
-        _, serial = run(capsys, *args)
-        # three weight blocks: a pool of three, whatever --jobs asks for
-        code, pooled = run(capsys, *args, "--jobs", "64")
-        assert code == 0 and pooled == serial
-        assert sizes == [3]
-        # a single block runs without a pool
-        run(capsys, *args, "--weight", "1:1,2:1", "--jobs", "8")
-        assert sizes == [3]
+        monkeypatch.setattr(qchar.bases, solver, counting)
+        code, out = run(capsys, "dcb", "--space", space, "--shape", shape, "--window", window)
+        assert code == 0
+        assert len(json.loads(out)["blocks"]) == blocks
+        assert len(calls) == solves
 
     def test_p_space_runs(self, capsys):
         code, out = run(
