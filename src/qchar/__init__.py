@@ -16,6 +16,7 @@ MEMOS = {
     "labels": combinatorics._label,
     "row_normal_forms": combinatorics.row_normal_form,
     "listings": combinatorics._tableaux,
+    "monomials": tensor_space._monomials_by_weight,
     "psi": tensor_space._psi_monomial,
     "verma_expansions": characters.expand_standard,
     "blocks": bases._blocks,

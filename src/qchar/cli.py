@@ -162,14 +162,16 @@ def cmd_enumerate(args) -> int:
 @contextlib.contextmanager
 def _naming_block(shape, window: tuple[int, int], mu: dict[int, int] | None):
     """Re-raise a computation's ValueError or RuntimeError (a route
-    disagreement included) with the block it failed on; a computation over
-    every weight of the window passes `mu` None and names no weight."""
+    disagreement included) with the block it failed on, and a MemoryError
+    as "out of memory" on that block; a computation over every weight of
+    the window passes `mu` None and names no weight."""
     try:
         yield
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         weight = "" if mu is None else f", weight {mu}"
+        reason = "out of memory" if isinstance(exc, MemoryError) else exc
         raise RuntimeError(
-            f"shape {shape}, window {window[0]}..{window[1]}{weight}: {exc}"
+            f"shape {shape}, window {window[0]}..{window[1]}{weight}: {reason}"
         ) from exc
 
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 import collections
 import heapq
 import itertools
+from collections.abc import KeysView
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .combinatorics import bruhat_above, wt_key
+from .combinatorics import bruhat_above, weight_key, wt_key
 from .laurent import (
     Element,
     LaurentPoly,
@@ -349,11 +350,23 @@ def bar_involution(x: TensorElement) -> TensorElement:
 # ---------------------------------------------------------------------------
 
 
-def weight_keys(signs: tuple[str, ...], window: tuple[int, int]) -> set[tuple]:
+def weight_keys(signs: tuple[str, ...], window: tuple[int, int]) -> KeysView:
     """The `wt_key` of every monomial index of the window: the weights of
     the nonempty blocks of the tensor module."""
+    return _monomials_by_weight(signs, tuple(window)).keys()
+
+
+@lru_cache(maxsize=64)
+def _monomials_by_weight(signs: tuple[str, ...], window: tuple[int, int]) -> dict:
+    """Every monomial index of the window, in lexicographic order, grouped
+    by `wt_key`: the index that every T block of a sweep reads, built once
+    per (signs, window) from (hi - lo + 1)^k monomials.  Callers must not
+    mutate it."""
     lo, hi = window
-    return {wt_key(f, signs) for f in itertools.product(range(lo, hi + 1), repeat=len(signs))}
+    index: dict = {}
+    for f in itertools.product(range(lo, hi + 1), repeat=len(signs)):
+        index.setdefault(wt_key(f, signs), []).append(f)
+    return {key: tuple(block) for key, block in index.items()}
 
 
 def linear_extension(items, signs: tuple[str, ...], reading=None) -> list:
@@ -382,45 +395,6 @@ def weight_block(
     signs: tuple[str, ...], window: tuple[int, int], mu: dict[int, int]
 ) -> list[tuple[int, ...]]:
     """All monomial indices in the window of signed weight mu, sorted by a
-    fixed linear extension of the Bruhat order.
-
-    The weight is additive over positions, so the indices are generated
-    position by position, keeping the weight `need` that the remaining
-    positions must make up.  A prefix is cut as soon as the positive part of
-    `need` exceeds the number of "+" positions left; since the total of
-    `need` always equals the "+" positions left minus the "-" ones, the
-    negative part then fits the "-" positions too, and every prefix kept
-    completes.  The cost is the block's size times k times the window width.
-    """
-    lo, hi = window
-    steps = [1 if s == "+" else -1 for s in signs]
-    need = [0] * max(hi - lo + 1, 0)
-    for a, c in mu.items():
-        if c:
-            if not lo <= a <= hi:
-                return []
-            need[a - lo] = c
-    if sum(need) != sum(steps):
-        return []
-    plus_after = [steps[j + 1 :].count(1) for j in range(len(steps))]
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def walk(j: int, over: int) -> None:
-        """Extend `prefix` at position j; `over` is the positive part of `need`."""
-        if j == len(steps):
-            out.append(tuple(prefix))
-            return
-        s, room = steps[j], plus_after[j]
-        for i, c in enumerate(need):
-            after = over - (c > 0) if s == 1 else over + (c >= 0)
-            if after > room:
-                continue
-            need[i] = c - s
-            prefix.append(lo + i)
-            walk(j + 1, after)
-            prefix.pop()
-            need[i] = c
-
-    walk(0, sum(c for c in need if c > 0))
-    return linear_extension(out, signs)
+    fixed linear extension of the Bruhat order."""
+    block = _monomials_by_weight(signs, tuple(window)).get(weight_key(mu), ())
+    return linear_extension(block, signs)

@@ -2,6 +2,7 @@ import importlib
 import pkgutil
 
 import qchar
+from qchar.bases import dcb_T
 from qchar.characters import simple_character
 from qchar.combinatorics import Partition, SignedMultiPartition, enumerate_tableaux
 
@@ -28,8 +29,9 @@ def test_the_memo_list_is_every_memo_and_each_is_bounded():
 
 
 def test_clear_caches_empties_every_memo():
-    # the mixed-sign shape fills every memo; the one-sign shape adds the
-    # standard blocks its relabeled blocks are read from
+    # the mixed-sign shape fills every memo but the monomial index, which
+    # one T block fills; the one-sign shape adds the standard blocks its
+    # relabeled blocks are read from
     mixed = SignedMultiPartition(((Partition((2, 1)), "+"), (Partition((1,)), "-")))
     one_sign = SignedMultiPartition(((Partition((2, 1)), "+"),))
     for shape in (mixed, one_sign):
@@ -38,6 +40,7 @@ def test_clear_caches_empties_every_memo():
                 simple_character(mt, (1, 3))
             except ValueError:  # the P defect raises on some blocks
                 pass
+    dcb_T(("+", "-"), (1, 2), {})
     assert all(memo.cache_info().currsize for memo in qchar.MEMOS.values())
     qchar.clear_caches()
     assert not any(memo.cache_info().currsize for memo in qchar.MEMOS.values())

@@ -14,7 +14,7 @@ from qchar.cli import (
     parse_weight,
     parse_window,
 )
-from qchar.laurent import q_power
+from qchar.laurent import constant
 
 
 @pytest.fixture
@@ -205,6 +205,24 @@ class TestDcb:
         assert len(json.loads(out)["blocks"]) == blocks
         assert len(calls) == solves
 
+    @pytest.mark.parametrize(
+        "shape, window, blocks, misses, hits",
+        [
+            # every block reads the one index of the window
+            ("1:+ / 1:- / 1:+ / 1:-", "1..5", 131, 1, 131),
+            # one-sign blocks also read the standard windows of their patterns
+            ("3:+", "1..4", 20, 4, 1),
+            ("5:+", "1..5", 126, 5, 12),
+        ],
+    )
+    def test_a_tensor_sweep_keys_each_monomial_once(self, capsys, shape, window, blocks, misses, hits):
+        qchar.clear_caches()
+        code, out = run(capsys, "dcb", "--space", "t", "--shape", shape, "--window", window)
+        assert code == 0
+        assert len(json.loads(out)["blocks"]) == blocks
+        info = qchar.MEMOS["monomials"].cache_info()
+        assert (info.misses, info.hits) == (misses, hits)
+
     def test_p_space_runs(self, capsys):
         code, out = run(
             capsys, "dcb", "--shape", "1,1:+", "--window", "1..3", "--space", "p"
@@ -272,28 +290,59 @@ class TestDecompose:
 
 
 class TestComputationErrors:
-    # The P-layer defect is still open on this shape: the commands must fail
-    # with a one-line error naming the block, not with a traceback.
+    # A solve that fails must end the command with a one-line error naming
+    # the block, not with a traceback.  The failure is injected into the
+    # packed solve, which calls `laurent.antisym_solve` as a module global,
+    # on a block that solves in T, S and P.
+    PREFIX = "error: shape 1:+ / 1:+, window 1..2, weight {1: 1, 2: 1}: "
+
+    @pytest.fixture
+    def failing_solve(self, monkeypatch):
+        def fail(d):
+            raise ValueError(f"antisym_solve: injected at {d}")
+
+        monkeypatch.setattr(qchar.laurent, "antisym_solve", fail)
+
     @pytest.mark.parametrize(
         "argv",
         [
-            ["decompose", "--shape", "1,1:+ / 1:-", "--window", "1..3"],
-            ["dcb", "--space", "p", "--shape", "1,1:+ / 1:-", "--window", "1..3"],
+            ["decompose", "--shape", "1:+ / 1:+", "--window", "1..2"],
+            ["dcb", "--space", "p", "--shape", "1:+ / 1:+", "--window", "1..2"],
         ],
     )
-    def test_solver_error_exits_one_without_traceback(self, capsys, argv):
+    def test_solver_error_exits_one_without_traceback(self, capsys, failing_solve, argv):
+        # the whole sweep: its first block of two labels fails
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 1
         assert "Traceback" not in err
-        assert err.startswith("error: shape 1,1:+ / 1:-, window 1..3, weight {2: 1}: ")
+        assert err.startswith(self.PREFIX)
 
     @pytest.mark.parametrize("command", [["dcb", "--space", "p"], ["decompose"]])
-    def test_solver_error_names_the_label_and_defect(self, capsys, command):
-        argv = command + ["--shape", "1,1:+ / 1:-", "--window", "1..3", "--weight", "2:1"]
+    def test_solver_error_names_the_label_and_defect(self, capsys, failing_solve, command):
+        argv = command + ["--shape", "1:+ / 1:+", "--window", "1..2", "--weight", "1:1,2:1"]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert "bar defect of 3|2 / 3 at 2|1 / 1: antisym_solve: " in err
+        assert err.startswith(self.PREFIX)
+        assert "bar defect of 2 / 1 at 1 / 2: antisym_solve: " in err
+
+    def test_out_of_memory_is_a_one_line_error(self, capsys, monkeypatch):
+        calls = []
+
+        def exhausted(*args):
+            calls.append(args)
+            raise MemoryError
+
+        monkeypatch.setattr(qchar.bases, "_solve_T", exhausted)
+        # a relabeled block: its standard block is solved through the block
+        # memo, which does not keep a MemoryError
+        argv = ["dcb", "--space", "t", "--shape", "1:+ / 1:+", "--window", "1..3", "--weight", "2:1,3:1"]
+        for _ in range(2):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: shape 1:+ / 1:+, window 1..3, weight {2: 1, 3: 1}: out of memory\n"
+        assert len(calls) == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -362,10 +411,11 @@ class TestVerify:
         solve = qchar.bases.dcb_S
 
         def off_lattice(shape, window, mu):
-            # a q-lattice entry above the diagonal of every block of two or more
+            # a nonzero constant above the diagonal of every block of two or
+            # more: it lies in neither q^-1 Z[q^-1] nor q Z[q]
             blk = solve(shape, window, mu)
             if len(blk.order) > 1:
-                blk.canon[blk.order[1]][blk.order[0]] = q_power(1)
+                blk.canon[blk.order[1]][blk.order[0]] = constant(1)
             return blk
 
         monkeypatch.setattr(qchar.bases, "dcb_S", off_lattice)
