@@ -2,7 +2,8 @@
 decomposition tables, invariant verification suites, and pyramid reports.
 
 JSON is the canonical output format; CSV and LaTeX are lossy views.  Exit
-codes: 0 success, 1 verification or computation failure, 2 usage error.
+codes: 0 success, 1 verification or computation failure or a closed output
+pipe, 2 usage error.
 Identical configurations produce byte-identical output: every listing is
 sorted and blocks are solved and written in weight order.
 """
@@ -13,6 +14,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import random
 import sys
 
@@ -125,12 +127,29 @@ def _json(data):
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _naming_block(shape, window: tuple[int, int], mu: dict[int, int] | None):
+    """Re-raise a computation's ValueError or RuntimeError (a route
+    disagreement included) with the block it failed on, and a MemoryError
+    as "out of memory" on that block; a computation over every weight of
+    the window passes `mu` None and names no weight."""
+    try:
+        yield
+    except (ValueError, RuntimeError, MemoryError) as exc:
+        weight = "" if mu is None else f", weight {mu}"
+        reason = "out of memory" if isinstance(exc, MemoryError) else exc
+        raise RuntimeError(
+            f"shape {shape}, window {window[0]}..{window[1]}{weight}: {reason}"
+        ) from exc
+
+
 def cmd_enumerate(args) -> int:
     shape = parse_shape(args.shape)
     window = parse_window(args.window)
-    tableaux = enumerate_tableaux(shape, args.kind, window)
-    if args.weight is not None:
-        mu = parse_weight(args.weight)
+    mu = None if args.weight is None else parse_weight(args.weight)
+    with _naming_block(shape, window, None):
+        tableaux = enumerate_tableaux(shape, args.kind, window)
+    if mu is not None:
         tableaux = bases.tableaux_of_weight(tableaux, mu)
     # Each format builds only the fields it prints.
     if args.format == "json":
@@ -159,22 +178,6 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _naming_block(shape, window: tuple[int, int], mu: dict[int, int] | None):
-    """Re-raise a computation's ValueError or RuntimeError (a route
-    disagreement included) with the block it failed on, and a MemoryError
-    as "out of memory" on that block; a computation over every weight of
-    the window passes `mu` None and names no weight."""
-    try:
-        yield
-    except (ValueError, RuntimeError, MemoryError) as exc:
-        weight = "" if mu is None else f", weight {mu}"
-        reason = "out of memory" if isinstance(exc, MemoryError) else exc
-        raise RuntimeError(
-            f"shape {shape}, window {window[0]}..{window[1]}{weight}: {reason}"
-        ) from exc
-
-
 # Each block command's solver, by the space it solves in: the kind of label
 # whose weights list the blocks, and the solve of one block.  The solvers
 # look their functions up in their modules when called.
@@ -186,23 +189,24 @@ _SOLVERS = {
 }
 
 
-def _solve_blocks(args, space: str):
-    """Parse the shape and window and solve the blocks of the space, or the
-    --weight block alone, in weight order, each in this process, so that the
-    blocks of one weight pattern share the block memo: the (weight, solved
-    block) pairs with the shape and window."""
-    shape = parse_shape(args.shape)
-    window = parse_window(args.window)
-    kind, solve = _SOLVERS[space]
-    if args.weight is not None:
-        weights = [weight_key(parse_weight(args.weight))]
-    else:
-        weights = bases.block_weights(shape, window, kind)
-    solved = []
+def _each_block(shape, window: tuple[int, int], kind: str, solve, weight: dict[int, int] | None = None):
+    """Yield (weight, solved block) for the blocks of labels of `kind`, or
+    the `weight` block alone, in weight order, each solved by `solve(shape,
+    window, mu)` in this process, so that the blocks of one weight pattern
+    share the block memo; a failure names the shape, window and block."""
+    with _naming_block(shape, window, None):
+        weights = [weight_key(weight)] if weight is not None else bases.block_weights(shape, window, kind)
     for mu in map(dict, weights):
         with _naming_block(shape, window, mu):
-            solved.append((mu, solve(shape, window, mu)))
-    return shape, window, solved
+            solved = solve(shape, window, mu)
+        yield mu, solved
+
+
+def _solve_blocks(args, space: str):
+    """The shape, window and solved (weight, block) pairs of a block command."""
+    shape, window = parse_shape(args.shape), parse_window(args.window)
+    weight = None if args.weight is None else parse_weight(args.weight)
+    return shape, window, list(_each_block(shape, window, *_SOLVERS[space], weight))
 
 
 def cmd_dcb(args) -> int:
@@ -210,18 +214,14 @@ def cmd_dcb(args) -> int:
     if args.format == "latex":
         _emit("\n\n".join(blk.to_latex() for _, blk in solved) + "\n", args.out)
     else:
-        blocks = [
-            dict(blk.to_json(), weight={str(a): c for a, c in sorted(mu.items())})
-            for mu, blk in solved
-        ]
+        blocks = [dict(blk.to_json(), weight={str(a): c for a, c in mu.items()}) for mu, blk in solved]
         data = {"shape": str(shape), "window": list(window), "space": args.space, "blocks": blocks}
         _emit(_json(data), args.out)
     return 0
 
 
 def cmd_decompose(args) -> int:
-    _, _, blocks = _solve_blocks(args, "table")
-    tables = [t for _, t in blocks]
+    tables = [t for _, t in _solve_blocks(args, "table")[2]]
     if args.format == "csv":
         _emit("\n".join(t.to_csv() for t in tables), args.out)
     elif args.format == "latex":
@@ -322,31 +322,23 @@ def _suite_bar():
                         yield {"signs": signs, "property": f"{name} commutation", "a": a}
 
 
-def _row_blocks(cases):
-    """Every (shape, window, weight) of the Row weight blocks of the cases."""
-    for shape, window in cases:
-        for w in bases.block_weights(shape, window, "row"):
-            yield shape, window, dict(w)
-
-
 def _suite_dcb():
-    for shape, window, mu in _row_blocks([
+    for shape, window in [
         (parse_shape("1:+ / 1:+"), (1, 2)),
         (parse_shape("1,1:+"), (1, 3)),
         (parse_shape("2:+ / 1,1:-"), (1, 2)),
-    ]):
-        with _naming_block(shape, window, mu):
-            blk = bases.dcb_S(shape, window, mu)
-        for t in blk.order:
-            canon = blk.canon[t]
-            where = {"shape": str(shape), "window": list(window), "weight": mu, "label": str(t)}
-            if canon.get(t) != ONE:
-                yield {**where, "property": "diagonal"}
-            if any(g != t and not in_lattice(c) for g, c in canon.items()):
-                yield {**where, "property": "lattice"}
-            elem = bases.SElement(shape, window, dict(canon))
-            if bases.bar_S(elem).coeffs != elem.coeffs:
-                yield {**where, "property": "bar invariance"}
+    ]:
+        for mu, blk in _each_block(shape, window, "row", bases.dcb_S):
+            for t in blk.order:
+                canon = blk.canon[t]
+                where = {"shape": str(shape), "window": list(window), "weight": mu, "label": str(t)}
+                if canon.get(t) != ONE:
+                    yield {**where, "property": "diagonal"}
+                if any(g != t and not in_lattice(c) for g, c in canon.items()):
+                    yield {**where, "property": "lattice"}
+                elem = bases.SElement(shape, window, dict(canon))
+                if bases.bar_S(elem).coeffs != elem.coeffs:
+                    yield {**where, "property": "bar invariance"}
 
 
 def _suite_xi():
@@ -374,17 +366,16 @@ def _suite_theoremC():
 
 
 def _suite_sameDCB():
-    for shape, window, mu in _row_blocks([
+    for shape, window in [
         (parse_shape("1,1:+"), (1, 2)),
         (parse_shape("2:-"), (1, 2)),
         (parse_shape("2,1:+"), (1, 3)),
         (parse_shape("1:+ / 1,1:-"), (1, 2)),
-    ]):
-        with _naming_block(shape, window, mu):
-            a = bases.dcb_S(shape, window, mu)
-            b = bases.sym_ideal_dcb(shape, window, mu)
-        if a.order != b.order or a.canon != b.canon:
-            yield {"shape": str(shape), "window": list(window), "weight": mu, "property": "identification"}
+    ]:
+        pairs = _each_block(shape, window, "row", lambda *args: (bases.dcb_S(*args), bases.sym_ideal_dcb(*args)))
+        for mu, (a, b) in pairs:
+            if a.order != b.order or a.canon != b.canon:
+                yield {"shape": str(shape), "window": list(window), "weight": mu, "property": "identification"}
 
 
 # Every verification suite by name, in the order `verify --suite all` runs
@@ -470,12 +461,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout; the flush at exit goes to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -350,14 +350,16 @@ class TestSolver:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.data())
     def test_a_bar_matrix_built_from_its_answer_solves_to_it(self, data):
-        # Draw the answer C, unitriangular with strictly-lower entries in
-        # q^-1 Z[q^-1], some past 2^20 so that the first digit width gives up.
+        # Draw the answer C, unitriangular with strictly-lower entries in the
+        # lattice `in_lattice` names (q^-1 Z[q^-1] or q Z[q]), some past 2^20
+        # so that the first digit width gives up.
         # X_t = sum_g C[g, t] e_g is bar-invariant when bar(e_t) is column t
         # of B = C bar(C)^-1, so C is the one solution of that bar matrix.
         n = data.draw(st.integers(1, 5))
         order = tuple("abcde"[:n])
         coeff = st.integers(-3, 3) | st.integers(2**20, 2**24) | st.integers(-(2**24), -(2**20))
-        entry = st.dictionaries(st.integers(-3, -1), coeff, max_size=3).map(LaurentPoly)
+        exponent = st.integers(1, 3).map(lambda e: e if in_lattice(q_power(e)) else -e)
+        entry = st.dictionaries(exponent, coeff, max_size=3).map(LaurentPoly)
         C = [[ZERO] * n for _ in range(n)]
         for t in range(n):
             C[t][t] = ONE
@@ -717,13 +719,14 @@ class TestPatternBlocks:
     @pytest.mark.parametrize(
         "window, mu", [((1, 4), {1: 1, 2: 2, 4: 1}), ((1, 3), {1: 1, 2: 2, 3: 1})], ids=str
     )
-    def test_a_raising_block_raises_the_direct_solve_error(self, window, mu):
-        # the P defect: the standard block of pattern (1, 2, 1) of
-        # 2:+ / 1,1:+ fails its bar solve, the first weight's block is
-        # solved again directly, the second is that standard block
+    def test_a_raising_block_raises_the_direct_solve_error(self, failing_solve, window, mu):
+        # the standard block of pattern (1, 2, 1) of 2:+ / 1,1:+ fails its
+        # bar solve (`failing_solve`), the first weight's block is solved
+        # again directly, the second is that standard block
         shape = MP(((2,), "+"), ((1, 1), "+"))
         with pytest.raises(ValueError) as direct:
             qchar.bases._solve_P(shape, window, mu)
+        assert failing_solve
         for _ in range(2):
             with pytest.raises(ValueError) as info:
                 dcb_P(shape, window, mu)

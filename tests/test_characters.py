@@ -313,11 +313,13 @@ class TestSolvedBlockMemo:
             simple_character(mt, window)
         assert len(calls) == 1
 
-    def test_a_raising_block_raises_again(self, monkeypatch):
+    def test_a_raising_block_raises_again(self, monkeypatch, failing_solve):
         shape, window = MEMO_CASES[1]
         mt = MT(shape, (2, 1, 2, 1))
         first = character_or_error(mt, window)
         assert first[0] is ValueError
+        injected = len(failing_solve)
+        assert injected > 0
         calls = []
         solve = qchar.bases.dcb_P
 
@@ -328,6 +330,7 @@ class TestSolvedBlockMemo:
         monkeypatch.setattr(qchar.bases, "dcb_P", counting)
         assert character_or_error(mt, window) == first
         assert calls == []
+        assert len(failing_solve) == injected
 
     @pytest.mark.parametrize("shape, window", MEMO_CASES, ids=str)
     def test_a_query_leaves_the_cached_block_unchanged(self, shape, window):
@@ -344,7 +347,9 @@ class TestSolvedBlockMemo:
 class TestKeptErrors:
     """The block memo keeps the ValueError or RuntimeError a solve raised,
     without frames, and `bases.solved_block` raises it anew on each hit;
-    other errors are not kept."""
+    other errors are not kept.  A raising solve is made by injection
+    (`failing_solve`), so that the blocks raise under either lattice
+    convention."""
 
     SHAPE, WINDOW = MEMO_CASES[1]
     RAISING = (2, 1, 2, 1)
@@ -354,8 +359,8 @@ class TestKeptErrors:
             call()
         return info.value
 
-    def test_a_relabeled_block_of_a_raising_pattern_is_solved_once(self, monkeypatch):
-        # the P defect: pattern (1, 2, 1) of 2:+ / 1,1:+ fails its bar solve
+    def test_a_relabeled_block_of_a_raising_pattern_is_solved_once(self, monkeypatch, failing_solve):
+        # pattern (1, 2, 1) of 2:+ / 1,1:+ fails its bar solve
         shape, window = MP(((2,), "+"), ((1, 1), "+")), (1, 4)
         self.raised(lambda: qchar.bases.dcb_P(shape, window, {1: 1, 2: 2, 4: 1}))
         standard = ((1, 1), (2, 2), (3, 1))  # the weight of pattern (1, 2, 1) at 1..3
@@ -370,25 +375,29 @@ class TestKeptErrors:
             return solve(*args)
 
         monkeypatch.setattr(qchar.bases, "_solve_P", counting)
+        injected = len(failing_solve)
         err = self.raised(lambda: qchar.bases.dcb_P(shape, window, mu))
         assert calls == [(shape, window, mu)]
         assert str(err) == str(direct)
+        assert len(failing_solve) == injected + 1
 
-    def test_the_kept_errors_hold_no_frames(self):
+    def test_the_kept_errors_hold_no_frames(self, failing_solve):
         mt = MT(self.SHAPE, self.RAISING)
         err = self.raised(lambda: simple_character(mt, self.WINDOW))
+        assert failing_solve
         assert err.__traceback__ is not None
         kept = qchar.MEMOS["blocks"]("p", self.SHAPE, self.WINDOW, mt.signed_key)
         assert isinstance(kept, ValueError) and kept.__cause__ is not None
         assert kept.__traceback__ is None and kept.__cause__.__traceback__ is None
         assert err.__cause__ is kept.__cause__
 
-    def test_each_hit_raises_a_new_error(self):
+    def test_each_hit_raises_a_new_error(self, failing_solve):
         mt = MT(self.SHAPE, self.RAISING)
         first, second = (self.raised(lambda: simple_character(mt, self.WINDOW)) for _ in range(2))
         assert first is not second
         assert type(first) is type(second) and str(first) == str(second)
         assert qchar.MEMOS["blocks"].cache_info().hits == 1
+        assert len(failing_solve) == 1
 
     @pytest.mark.parametrize("error", [MemoryError, RecursionError])
     def test_other_errors_are_not_kept(self, monkeypatch, error):

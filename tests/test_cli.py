@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -292,16 +296,9 @@ class TestDecompose:
 class TestComputationErrors:
     # A solve that fails must end the command with a one-line error naming
     # the block, not with a traceback.  The failure is injected into the
-    # packed solve, which calls `laurent.antisym_solve` as a module global,
-    # on a block that solves in T, S and P.
+    # packed solve (the `failing_solve` fixture of `tests/conftest.py`), on
+    # a block that solves in T, S and P.
     PREFIX = "error: shape 1:+ / 1:+, window 1..2, weight {1: 1, 2: 1}: "
-
-    @pytest.fixture
-    def failing_solve(self, monkeypatch):
-        def fail(d):
-            raise ValueError(f"antisym_solve: injected at {d}")
-
-        monkeypatch.setattr(qchar.laurent, "antisym_solve", fail)
 
     @pytest.mark.parametrize(
         "argv",
@@ -343,6 +340,32 @@ class TestComputationErrors:
             assert captured.out == ""
             assert captured.err == "error: shape 1:+ / 1:+, window 1..3, weight {2: 1, 3: 1}: out of memory\n"
         assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "target, argv",
+        [
+            ("bases.block_weights", ["dcb", "--space", "t", "--shape", "1:+ / 1:+", "--window", "1..3"]),
+            ("bases.block_weights", ["dcb", "--space", "s", "--shape", "1:+ / 1:+", "--window", "1..3"]),
+            ("bases.block_weights", ["decompose", "--shape", "1:+ / 1:+", "--window", "1..3"]),
+            ("cli.enumerate_tableaux", ["enumerate", "--shape", "1:+ / 1:+", "--window", "1..3"]),
+        ],
+    )
+    def test_out_of_memory_while_listing_is_a_one_line_error(self, capsys, monkeypatch, target, argv):
+        # the listing of a sweep's block weights, or of enumerate's tableaux,
+        # names the shape and window; no weight is known yet
+        calls = []
+
+        def exhausted(*args):
+            calls.append(args)
+            raise MemoryError
+
+        module, name = target.split(".")
+        monkeypatch.setattr(getattr(qchar, module), name, exhausted)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: shape 1:+ / 1:+, window 1..3: out of memory\n"
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -473,6 +496,22 @@ class TestVerify:
         assert failure["detail"]["window"] == [1, 3]
         assert failure["detail"]["property"] == "nonvanishing"
 
+    def test_the_block_suites_name_a_failed_listing(self, capsys, monkeypatch):
+        # dcb and sameDCB list their Row blocks through `cli._each_block`; xi
+        # lists its Col blocks inside the naming of its whole computation
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(qchar.bases, "block_weights", exhausted)
+        code, out = run(capsys, "verify", "--suite", "all")
+        assert code == 1
+        *lines, report = out.strip().splitlines()
+        assert lines == ["PASS hecke", "PASS bar", "FAIL dcb", "FAIL xi", "PASS theoremC", "FAIL sameDCB"]
+        details = {f["suite"]: f["detail"] for f in json.loads(report)["failures"]}
+        assert details["dcb"] == {"error": "shape 1:+ / 1:+, window 1..2: out of memory"}
+        assert details["xi"] == {"error": "shape 2,1:+, window 1..3: out of memory"}
+        assert details["sameDCB"] == {"error": "shape 1,1:+, window 1..2: out of memory"}
+
     def test_a_raising_suite_fails_and_the_rest_run(self, capsys, negated_zeta):
         negated_zeta("-", "-")
         code, out = run(capsys, "verify", "--suite", "all")
@@ -482,6 +521,27 @@ class TestVerify:
         details = {f["suite"]: f["detail"] for f in json.loads(report)["failures"]}
         assert details["dcb"]["error"].startswith("shape 2:+ / 1,1:-, window 1..2, weight ")
         assert details["xi"]["error"].startswith("shape 2,1:-, window 1..3: ")
+
+
+class TestClosedPipe:
+    def test_a_closed_stdout_ends_the_command_without_a_traceback(self):
+        # about 210 kB of JSON, more than a pipe holds: the writes meet the
+        # closed pipe whatever the timing
+        argv = ["dcb", "--space", "s", "--shape", "2,1:+ / 1:+", "--window", "1..4"]
+        src = pathlib.Path(qchar.__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="error")
+        cmd = [sys.executable, "-m", "qchar.cli", *argv]
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+            assert len(child.stdout.read(100)) == 100
+            child.stdout.close()
+            try:
+                code = child.wait(timeout=120)
+            except subprocess.TimeoutExpired:
+                child.kill()
+                raise
+            err = child.stderr.read()
+        assert code == 1
+        assert err == b""
 
 
 class TestReport:
