@@ -503,7 +503,7 @@ def dcb_P(
     triangular system; route (b) re-expresses the dcb_S elements at Std
     labels.  Both are computed and compared; a mismatch raises
     `RouteDisagreement` (`_by_pattern`; a relabeled block's routes ran on
-    its standard block).
+    the block it was relabeled from).
     """
     return _by_pattern("p", shape, window, mu)
 
@@ -532,8 +532,79 @@ def _solve_P(
 
 
 # ---------------------------------------------------------------------------
-# One memo of solved blocks; one-sign blocks solved once per weight pattern.
+# One memo of solved blocks; one-sign blocks solved once per weight pattern,
+# mixed-sign blocks once per symmetry orbit.
 # ---------------------------------------------------------------------------
+
+
+def symmetry(n: int, signs: tuple[str, ...], window: tuple[int, int]):
+    """The block symmetry sigma_n, n = 1, 2 or 3, of the tensor module of
+    `signs` at `window` = (lo, hi): the image sign sequence, the map on
+    monomials (on row readings for S and P) and the map on signed weights.
+
+    - sigma1 keeps the positions, flips every sign and sends each entry v to
+      lo + hi - v, so mu goes to mu' with mu'(lo + hi - v) = -mu(v);
+    - sigma2 reverses the factors and sends v to lo + hi - v, so the signs
+      are reversed and mu'(lo + hi - v) = mu(v);
+    - sigma3 = sigma1 sigma2 reverses the factors and flips the signs,
+      keeping the entries, so mu' = -mu.
+
+    Each carries a weight block to the block of the image weight in the
+    image space, with the same bar rows and canonical columns, coefficient
+    for coefficient.  On S and P, sigma1 flips every piece's sign and maps
+    the row readings.  This is a numerical finding, presumably the
+    Chevalley involution composed with the V <-> V* duality, not derived
+    here; `verify --suite symmetry` checks it over a named set of spaces."""
+    lo, hi = window
+    flipped = tuple("-" if s == "+" else "+" for s in signs)
+    if n == 1:
+        return (
+            flipped,
+            lambda f: tuple(lo + hi - v for v in f),
+            lambda mu: {lo + hi - a: -c for a, c in mu.items()},
+        )
+    if n == 2:
+        return (
+            signs[::-1],
+            lambda f: tuple(lo + hi - v for v in reversed(f)),
+            lambda mu: {lo + hi - a: c for a, c in mu.items()},
+        )
+    return flipped[::-1], lambda f: f[::-1], lambda mu: {a: -c for a, c in mu.items()}
+
+
+def _orbit(space: str, shape, window: tuple[int, int], mu: dict[int, int]):
+    """The weight key of the canonical member of a mixed-sign block's
+    symmetry orbit, the one with the smaller `weight_key`, and the map
+    between the labels of the orbit's two blocks; None when the orbit is the
+    block alone.  Only a symmetry that sends the space to itself counts:
+    sigma2 when the sign sequence is a palindrome, sigma3 when it equals its
+    flipped reverse (never both, with mixed signs), and sigma1 never.  On S
+    and P only when every piece is one box, where a label is its row reading
+    (Delta_A = Pi_A = M_f).  Both maps are involutions, so one map serves
+    both directions."""
+    signs = shape if space == "t" else shape.sign_sequence()
+    if len(set(signs)) != 2 or (space != "t" and len(signs) != len(shape.pieces)):
+        return None
+    for n in (2, 3):
+        image, g, weight = symmetry(n, signs, window)
+        if image == signs:
+            break
+    else:
+        return None
+    key, other = weight_key(mu), weight_key(weight(mu))
+    if key == other:
+        return None
+    if space == "t":
+        return min(key, other), g
+    return min(key, other), lambda mt: multi_tableau_from_row_reading(shape, g(mt.row_reading()))
+
+
+def direct_solve(space: str, shape, window: tuple[int, int], mu: dict[int, int]) -> TriangularBlock:
+    """One weight block of T ("t", over the sign sequence `shape`), S ("s")
+    or P ("p", both over `shape`) solved directly, reading no solved block
+    of its own space: `_solve_T`, `_solve_S` or `_solve_P` as `bases` binds
+    it at call time.  (Route (b) of a P solve reads `dcb_S`.)"""
+    return {"t": _solve_T, "s": _solve_S, "p": _solve_P}[space](shape, window, mu)
 
 
 @lru_cache(maxsize=256)
@@ -544,12 +615,17 @@ def _blocks(space: str, shape, window: tuple[int, int], key: tuple) -> Triangula
     raise it again: a ValueError or RuntimeError (RouteDisagreement among
     them), but not a RecursionError, which depends on the caller's stack
     depth.  The kept error and the errors it chains to hold no frames; any
-    other error propagates.  A miss calls `dcb_T`, `dcb_S` or `dcb_P` as
-    `bases` binds it at call time, so a wrapper installed there sees every
-    solve."""
-    dcb = {"t": dcb_T, "s": dcb_S, "p": dcb_P}[space]
+    other error propagates.  A miss at the canonical member of a symmetry
+    orbit (`_orbit`) is the orbit's one solve, `direct_solve`: `dcb_T`,
+    `dcb_S` and `dcb_P` read this entry for both members.  Any other miss
+    calls `dcb_T`, `dcb_S` or `dcb_P` as `bases` binds it at call time, so a
+    wrapper installed there sees every other solve."""
+    mu = dict(key)
+    orbit = _orbit(space, shape, window, mu)
     try:
-        return dcb(shape, window, dict(key))
+        if orbit is not None and orbit[0] == key:
+            return direct_solve(space, shape, window, mu)
+        return {"t": dcb_T, "s": dcb_S, "p": dcb_P}[space](shape, window, mu)
     except RecursionError:
         raise
     except (ValueError, RuntimeError) as err:
@@ -573,7 +649,9 @@ def solved_block(space: str, shape, window: tuple[int, int], key: tuple) -> Tria
 
 def _by_pattern(space: str, shape, window, mu) -> TriangularBlock:
     """One weight block of T ("t", over the sign sequence `shape`), S ("s")
-    or P ("p", both over `shape`).
+    or P ("p", both over `shape`), in dicts of its own that share the
+    Laurent values of a solved block in `_blocks`, or solved directly
+    (`direct_solve`) and not kept.
 
     With one sign, ψ, the Hecke action, the tableau conditions, the row
     normal form and the Bruhat order only compare entries, and beyond
@@ -584,39 +662,60 @@ def _by_pattern(space: str, shape, window, mu) -> TriangularBlock:
     at the window (1, len(pattern))) under the order-preserving renaming
     v -> support[v - 1], which carries the order and the bar map along.
     Such a block, unless it is that standard block itself, is relabeled
-    from the standard block in `_blocks` into dicts of its own that share
-    the Laurent values.  Every other block is solved directly and not kept,
-    and so is one whose pattern's entry is an error, so that the error
-    names its own labels."""
-    solve = {"t": _solve_T, "s": _solve_S, "p": _solve_P}[space]
+    from the standard block in `_blocks`, or solved directly when that
+    entry is an error, so that the error names its own labels.
+
+    With mixed signs, a block whose symmetry orbit (`_orbit`) has a second
+    member is read from the `_blocks` entry of the orbit's canonical
+    member, whichever member is queried first: the canonical member copies
+    it, or raises its error anew; its partner relabels it through the
+    symmetry and lists the labels in its own block order, since the image
+    of the canonical order need not be the linear extension that the
+    partner's block lists.  A partner whose canonical entry is an error is
+    solved directly.  Every other block is solved directly."""
     signs = shape if space == "t" else shape.sign_sequence()
     lo, hi = window
     support = sorted(a for a, c in mu.items() if c)
-    if (
-        len(set(signs)) != 1
-        or not support
-        or support[0] < lo
-        or support[-1] > hi
-        or (lo, hi) == (1, len(support))  # the standard block itself
-    ):
-        return solve(shape, window, mu)
-    std = _blocks(space, shape, (1, len(support)), tuple(enumerate((mu[a] for a in support), 1)))
-    if isinstance(std, Exception):
-        return solve(shape, window, mu)
-    image = (None, *support)  # image[v] = support[v - 1]
-    if space == "t":
-        rename = {f: tuple(image[v] for v in f) for f in std.order}
+    if not support or support[0] < lo or support[-1] > hi:
+        return direct_solve(space, shape, window, mu)
+    if len(set(signs)) == 1:
+        if (lo, hi) == (1, len(support)):  # the standard block itself
+            return direct_solve(space, shape, window, mu)
+        source = _blocks(space, shape, (1, len(support)), tuple(enumerate((mu[a] for a in support), 1)))
+        if isinstance(source, Exception):
+            return direct_solve(space, shape, window, mu)
+        image = (None, *support)  # image[v] = support[v - 1]
+        if space == "t":
+            rename = {f: tuple(image[v] for v in f) for f in source.order}
+        else:
+            rename = {
+                mt: multi_tableau_from_row_reading(shape, tuple(image[v] for v in mt.row_reading()))
+                for mt in source.order
+            }
+        order = tuple(rename[t] for t in source.order)
     else:
-        rename = {
-            mt: multi_tableau_from_row_reading(shape, tuple(image[v] for v in mt.row_reading()))
-            for mt in std.order
-        }
+        orbit = _orbit(space, shape, window, mu)
+        if orbit is None:
+            return direct_solve(space, shape, window, mu)
+        canonical, sigma = orbit
+        if canonical == weight_key(mu):
+            source = solved_block(space, shape, window, canonical)
+            rename = {t: t for t in source.order}
+            order = source.order
+        else:
+            source = _blocks(space, shape, window, canonical)
+            if isinstance(source, Exception):
+                return direct_solve(space, shape, window, mu)
+            rename = {t: sigma(t) for t in source.order}
+            if space == "t":
+                order = tuple(weight_block(signs, window, mu))
+            else:
+                order = tuple(_block(shape, window, "row" if space == "s" else "std", mu))
 
     def cols(by_label: dict) -> dict:
         return {rename[t]: {rename[g]: c for g, c in col.items()} for t, col in by_label.items()}
 
-    order = tuple(rename[t] for t in std.order)
-    return TriangularBlock(std.space, order, cols(std.bar_rows), cols(std.canon))
+    return TriangularBlock(source.space, order, cols(source.bar_rows), cols(source.canon))
 
 
 # ---------------------------------------------------------------------------

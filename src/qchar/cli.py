@@ -23,6 +23,7 @@ from .combinatorics import (
     Partition,
     SignedMultiPartition,
     enumerate_tableaux,
+    multi_tableau_from_row_reading,
     pyramid_report,
     weight_key,
 )
@@ -378,6 +379,70 @@ def _suite_sameDCB():
                 yield {"shape": str(shape), "window": list(window), "weight": mu, "property": "identification"}
 
 
+def _carried(blk, img, g) -> bool:
+    """Whether `img` is the block of the images under `g` of `blk`'s labels,
+    with `blk`'s bar rows and canonical columns carried along; labels are
+    compared as sets, since the image of `blk`'s order need not be the
+    order `img` is listed in."""
+    return set(img.order) == {g(t) for t in blk.order} and all(
+        {g(t): {g(h): c for h, c in col.items()} for t, col in getattr(blk, cols).items()} == getattr(img, cols)
+        for cols in ("bar_rows", "canon")
+    )
+
+
+def _solved_or_error(space, shape, window, mu):
+    """The directly solved block, or for P the error its solve raised: the P
+    defect raises on some blocks.  A T or S block's error propagates."""
+    try:
+        return bases.direct_solve(space, shape, window, mu)
+    except (ValueError, RuntimeError) as exc:
+        if space != "p":
+            raise
+        return exc
+
+
+def _flipped(shape, window):
+    """sigma1 on S and P, as a map of `_suite_symmetry`: the shape with every
+    piece's sign flipped, the label map through the mapped row reading, and
+    the weight map."""
+    image = SignedMultiPartition(tuple((p, "-" if s == "+" else "+") for p, s in shape.pieces))
+    _, read, weight = bases.symmetry(1, shape.sign_sequence(), window)
+    return "sigma1", image, lambda mt: multi_tableau_from_row_reading(image, read(mt.row_reading())), weight
+
+
+def _suite_symmetry():
+    # sigma1-sigma3 (`bases.symmetry`) on T and sigma1 on S and P, each block
+    # and each of its images solved directly, so that no block is compared
+    # with a block relabeled from it; a P block must raise if and only if
+    # its image does
+    cases = []
+    for text, window in [
+        ("1:+ / 1:- / 1:+", (1, 5)),
+        ("1:+ / 1:+ / 1:- / 1:- / 1:+", (1, 4)),
+        ("1:+ / 1:- / 1:+ / 1:-", (1, 4)),
+    ]:
+        shape = parse_shape(text)
+        signs = shape.sign_sequence()
+        maps = [(f"sigma{n}", *bases.symmetry(n, signs, window)) for n in (1, 2, 3)]
+        cases.append(("t", "t", shape, signs, window, maps))
+    for text in ("2,1:+ / 1:-", "2:+ / 1,1:-", "3,1:+"):
+        shape, window = parse_shape(text), (1, 4)
+        for space, kind in (("s", "row"), ("p", "std")):
+            cases.append((space, kind, shape, shape, window, [_flipped(shape, window)]))
+    for space, kind, shape, own, window, maps in cases:
+
+        def solve(_, window, mu):
+            blk = _solved_or_error(space, own, window, mu)
+            return blk, [(name, _solved_or_error(space, image, window, weight(mu)), g) for name, image, g, weight in maps]
+
+        for mu, (blk, images) in _each_block(shape, window, kind, solve):
+            raised = isinstance(blk, Exception)
+            for name, img, g in images:
+                if raised != isinstance(img, Exception) or not (raised or _carried(blk, img, g)):
+                    where = {"shape": str(shape), "window": list(window), "weight": mu}
+                    yield {**where, "space": space, "symmetry": name}
+
+
 # Every verification suite by name, in the order `verify --suite all` runs
 # them.  A suite is a generator of one detail dict per failure; a suite that
 # raises fails with the error as its detail, and the next suite still runs.
@@ -388,6 +453,7 @@ SUITES = {
     "xi": _suite_xi,
     "theoremC": _suite_theoremC,
     "sameDCB": _suite_sameDCB,
+    "symmetry": _suite_symmetry,
 }
 
 

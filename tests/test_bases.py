@@ -771,6 +771,110 @@ class TestPatternBlocks:
         assert qchar.MEMOS["blocks"].cache_info().hits == 1
 
 
+class TestOrbitBlocks:
+    """A mixed-sign block whose symmetry orbit has a second member is served
+    from the `MEMOS["blocks"]` entry of the orbit's canonical member, the one
+    with the smaller weight key: sigma3 on the blocks of + - + - (mu goes to
+    -mu) and sigma2 on those of the one-box shape 1:+ / 1:- / 1:+ (mu(v)
+    goes to lo + hi - v), where the S, P and T blocks coincide.  Compared
+    against the direct solves `_solve_T`/`_solve_S`/`_solve_P`."""
+
+    SIGNS, SHAPE, WINDOW = tuple("+-+-"), MP(((1,), "+"), ((1,), "-"), ((1,), "+")), (1, 5)
+    # (partner, canonical) weights of one orbit each: 16 and 9 labels
+    T_PAIR = ({1: 1, 2: -1}, {1: -1, 2: 1})
+    P_PAIR = ({5: 1}, {1: 1})
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        qchar.clear_caches()
+
+    def counting(self, monkeypatch, *solvers):
+        calls = []
+        for name in solvers:
+            solve = getattr(qchar.bases, name)
+
+            def counted(*args, solve=solve, name=name):
+                calls.append((name, args))
+                return solve(*args)
+
+            monkeypatch.setattr(qchar.bases, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["canonical-first", "partner-first"])
+    def test_t_blocks_match_the_direct_solve(self, reverse):
+        keys = sorted(weight_keys(self.SIGNS, self.WINDOW), reverse=reverse)
+        solved = [json_or_error(lambda: dcb_T(self.SIGNS, self.WINDOW, dict(k))) for k in keys]
+        assert qchar.MEMOS["blocks"].cache_info().hits > 0
+        assert solved == [json_or_error(lambda: qchar.bases._solve_T(self.SIGNS, self.WINDOW, dict(k))) for k in keys]
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["canonical-first", "partner-first"])
+    def test_s_p_and_table_blocks_match_the_direct_solve(self, monkeypatch, reverse):
+        shape, window = self.SHAPE, self.WINDOW
+        keys = sorted(block_weights(shape, window, "std"), reverse=reverse)
+        assert keys == sorted(block_weights(shape, window, "row"), reverse=reverse)
+        calls = [
+            lambda k: qchar.bases.dcb_S(shape, window, dict(k)),
+            lambda k: qchar.bases.dcb_P(shape, window, dict(k)),
+            lambda k: decomposition_matrix(shape, window, dict(k)),
+        ]
+        solved = [[json_or_error(lambda: call(k)) for k in keys] for call in calls]
+        assert qchar.MEMOS["blocks"].cache_info().hits > 0
+        qchar.clear_caches()
+        # route (b) of the direct P solve and the table read dcb_S and dcb_P
+        monkeypatch.setattr(qchar.bases, "dcb_S", qchar.bases._solve_S)
+        monkeypatch.setattr(qchar.bases, "dcb_P", qchar.bases._solve_P)
+        assert solved == [[json_or_error(lambda: call(k)) for k in keys] for call in calls]
+        assert qchar.MEMOS["blocks"].cache_info().currsize == 0
+
+    def test_a_shuffled_sweep_solves_once_per_orbit(self, monkeypatch):
+        calls = self.counting(monkeypatch, "_solve_T")
+        keys = sorted(weight_keys(self.SIGNS, self.WINDOW))
+        random.Random(1).shuffle(keys)
+        for k in keys:
+            dcb_T(self.SIGNS, self.WINDOW, dict(k))
+        # 65 orbits of two blocks and one block that is its own image
+        assert (len(keys), len(calls)) == (131, 66)
+
+    @pytest.mark.parametrize("space", ["t", "p"])
+    def test_a_canonical_member_queried_after_its_partner_makes_no_solve(self, monkeypatch, space):
+        if space == "t":
+            (partner, canonical), query = self.T_PAIR, lambda mu: dcb_T(self.SIGNS, self.WINDOW, mu)
+        else:
+            (partner, canonical), query = self.P_PAIR, lambda mu: decomposition_matrix(self.SHAPE, self.WINDOW, mu)
+        query(partner)
+        calls = self.counting(monkeypatch, "_solve_T", "_solve_S", "_solve_P")
+        blk = query(canonical)
+        assert calls == []
+        assert len(blk.order) > 1
+
+    def test_a_partner_of_a_raising_block_raises_its_own_error(self, failing_solve):
+        (partner, canonical), signs, window = self.T_PAIR, self.SIGNS, self.WINDOW
+        direct = {}
+        for name, mu in (("partner", partner), ("canonical", canonical)):
+            with pytest.raises(ValueError) as info:
+                qchar.bases._solve_T(signs, window, mu)
+            direct[name] = str(info.value)
+        assert direct["partner"] != direct["canonical"]  # each names its own labels
+        for name, mu in (("partner", partner), ("partner", partner), ("canonical", canonical)):
+            with pytest.raises(ValueError) as info:
+                dcb_T(signs, window, mu)
+            assert str(info.value) == direct[name]
+        assert isinstance(qchar.MEMOS["blocks"]("t", signs, window, weight_key(canonical)), ValueError)
+
+    @pytest.mark.parametrize("member", [0, 1], ids=["partner", "canonical"])
+    def test_clearing_a_returned_block_leaves_the_memo_alone(self, member):
+        mu, canonical = self.T_PAIR[member], self.T_PAIR[1]
+        blk = dcb_T(self.SIGNS, self.WINDOW, mu)
+        before = json.dumps(blk.to_json())
+        for cols in (blk.bar_rows, blk.canon):
+            for col in cols.values():
+                col.clear()
+            cols.clear()
+        assert json.dumps(dcb_T(self.SIGNS, self.WINDOW, mu).to_json()) == before
+        kept = qchar.bases.solved_block("t", self.SIGNS, self.WINDOW, weight_key(canonical))
+        assert kept.to_json() == qchar.bases._solve_T(self.SIGNS, self.WINDOW, canonical).to_json()
+
+
 class TestBlockOrder:
     # SHA-256 of the label order of every Row, Std and Col block of
     # "2,1:+ / 1:+" at 1..5 and of every tensor block of + + - - + at 1..4,

@@ -301,14 +301,16 @@ class TestSolvedBlockMemo:
             by_block[mt.signed_key].append(mt)
         labels = max(by_block.values(), key=len)
         assert len(labels) > 2
+        # counted at the direct solve: this block is the canonical member of
+        # its symmetry orbit, whose memo miss solves it without `dcb_P`
         calls = []
-        solve = qchar.bases.dcb_P
+        solve = qchar.bases._solve_P
 
         def counting(*args):
             calls.append(args)
             return solve(*args)
 
-        monkeypatch.setattr(qchar.bases, "dcb_P", counting)
+        monkeypatch.setattr(qchar.bases, "_solve_P", counting)
         for mt in labels:
             simple_character(mt, window)
         assert len(calls) == 1

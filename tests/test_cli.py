@@ -398,7 +398,7 @@ class TestVerify:
         assert code == 0
         lines = out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines)
-        assert len(lines) == 6
+        assert len(lines) == 7
 
     def test_single_suite(self, capsys):
         code, out = run(capsys, "verify", "--suite", "theoremC")
@@ -429,6 +429,36 @@ class TestVerify:
         details = list(qchar.cli.SUITES["hecke"]())
         assert {d["relation"] for d in details} == {"braid"}
         assert {d["signs"] for d in details} == {("+", "+", "+"), ("-", "-", "-")}
+
+    def test_a_symmetry_failure_names_its_block_and_map(self, capsys, monkeypatch):
+        solve = qchar.bases._solve_T
+
+        def perturbed(signs, window, mu):
+            # the direct solve of every T block of two or more labels whose
+            # first factor is "-": each sigma1 image of a "+" first factor
+            # then differs from its block
+            blk = solve(signs, window, mu)
+            if signs[0] == "-" and len(blk.order) > 1:
+                blk.canon[blk.order[1]][blk.order[0]] = constant(1)
+            return blk
+
+        monkeypatch.setattr(qchar.bases, "_solve_T", perturbed)
+        code, out = run(capsys, "verify", "--suite", "symmetry")
+        assert code == 1
+        line, report = out.strip().splitlines()
+        assert line == "FAIL symmetry"
+        assert json.loads(report)["failures"] == [
+            {
+                "suite": "symmetry",
+                "detail": {
+                    "shape": "1:+ / 1:- / 1:+",
+                    "window": [1, 5],
+                    "weight": {"1": -1, "2": 1, "3": 1},
+                    "space": "t",
+                    "symmetry": "sigma1",
+                },
+            }
+        ]
 
     def test_a_lattice_failure_names_its_window_and_label(self, capsys, monkeypatch):
         solve = qchar.bases.dcb_S
@@ -497,8 +527,9 @@ class TestVerify:
         assert failure["detail"]["property"] == "nonvanishing"
 
     def test_the_block_suites_name_a_failed_listing(self, capsys, monkeypatch):
-        # dcb and sameDCB list their Row blocks through `cli._each_block`; xi
-        # lists its Col blocks inside the naming of its whole computation
+        # dcb, sameDCB and symmetry list their blocks through
+        # `cli._each_block`; xi lists its Col blocks inside the naming of its
+        # whole computation
         def exhausted(*args):
             raise MemoryError
 
@@ -506,11 +537,14 @@ class TestVerify:
         code, out = run(capsys, "verify", "--suite", "all")
         assert code == 1
         *lines, report = out.strip().splitlines()
-        assert lines == ["PASS hecke", "PASS bar", "FAIL dcb", "FAIL xi", "PASS theoremC", "FAIL sameDCB"]
+        assert lines == [
+            "PASS hecke", "PASS bar", "FAIL dcb", "FAIL xi", "PASS theoremC", "FAIL sameDCB", "FAIL symmetry"
+        ]
         details = {f["suite"]: f["detail"] for f in json.loads(report)["failures"]}
         assert details["dcb"] == {"error": "shape 1:+ / 1:+, window 1..2: out of memory"}
         assert details["xi"] == {"error": "shape 2,1:+, window 1..3: out of memory"}
         assert details["sameDCB"] == {"error": "shape 1,1:+, window 1..2: out of memory"}
+        assert details["symmetry"] == {"error": "shape 1:+ / 1:- / 1:+, window 1..5: out of memory"}
 
     def test_a_raising_suite_fails_and_the_rest_run(self, capsys, negated_zeta):
         negated_zeta("-", "-")

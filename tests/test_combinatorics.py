@@ -472,10 +472,11 @@ class TestLabelHash:
             assert multi_tableau_from_row_reading(self.SHAPE, reading).shape is self.SHAPE
 
     def test_a_pickled_label_hashes_like_a_fresh_one_under_another_seed(self):
-        # a worker process may run under another string-hash seed than the
-        # process that reads its pickled results; a pickled label and shape
-        # carry the hashes cached here, and the dict keyed by them is rebuilt
-        # on those hashes
+        # a label and its shape cache their hashes, and a pickle carries the
+        # cached values: they are built from ints and bools only, so that
+        # unpickled under another string-hash seed they still equal the
+        # hashes of fresh objects, and a dict rebuilt on them finds, and is
+        # found by, fresh labels and shapes
         mt = enumerate_tableaux(self.SHAPE, "row", (1, 3))[-1]
         shape = mt.shape
         blob = pickle.dumps(({mt: "found", shape: "shape found"}, shape, mt))

@@ -12,16 +12,22 @@ coefficient.  On a monomial f of a sign sequence:
   the entries.
 
 On S and P, sigma1 flips each piece's sign and sends a label to the label
-whose row reading is lo + hi minus each entry.  The maps are a numerical
-finding, presumably the Chevalley involution composed with the V <-> V*
-duality, not yet derived.  The image of a block's order is a linear
-extension of the image block, but not always the one the image block is
-solved in, so labels are compared as sets and entries by label.
+whose row reading is lo + hi minus each entry.  When every piece is one box,
+a label is its row reading, and sigma2 and sigma3 act on S and P as on T.
+The maps are a numerical finding, presumably the Chevalley involution
+composed with the V <-> V* duality, not yet derived.  The image of a block's
+order is a linear extension of the image block, but not always the one the
+image block is solved in, so labels are compared as sets and entries by
+label.
+
+Every block is solved directly (`bases._solve_T`, `_solve_S`, `_solve_P`):
+`dcb_T`, `dcb_S` and `dcb_P` serve a block from its symmetry partner, so
+reading them here would check the relabeling against itself.
 """
 
 import pytest
 
-from qchar.bases import block_weights, dcb_P, dcb_S, dcb_T
+from qchar.bases import _solve_P, _solve_S, _solve_T, block_weights
 from qchar.combinatorics import (
     Partition,
     SignedMultiPartition,
@@ -63,6 +69,11 @@ def flipped_shape(shape, window):
     return image, label, weight
 
 
+def one_box(signs):
+    """The shape of one one-box piece per sign."""
+    return SignedMultiPartition(tuple((Partition((1,)), s) for s in signs))
+
+
 def assert_maps_to(blk, img, g):
     """`img` is the block of the images under `g` of `blk`'s labels, with the
     bar rows and canonical columns of `blk` carried along."""
@@ -72,9 +83,9 @@ def assert_maps_to(blk, img, g):
         assert carried == getattr(img, cols), cols
 
 
-def solved_or_error(dcb, *args):
+def solved_or_error(solve, *args):
     try:
-        return dcb(*args)
+        return solve(*args)
     except (ValueError, RuntimeError) as err:  # the P defect raises on some blocks
         return err
 
@@ -88,6 +99,7 @@ SHAPES = [
 S_CASES = [
     (SignedMultiPartition(tuple((Partition(p), s) for p, s in pieces)), (1, 4), n) for pieces, n in SHAPES
 ]
+ONE_BOX_CASES = [(tuple("+-+"), (1, 5), 55), (tuple("+-+"), (1, 6), 96), (tuple("-++-"), (1, 4), 55)]
 
 
 @pytest.mark.parametrize("sigma", [sigma1, sigma2, sigma3], ids=lambda s: s.__name__)
@@ -97,8 +109,8 @@ def test_every_t_block_maps_to_its_image_block(sigma, signs, window, blocks):
     keys = sorted(weight_keys(signs, window))
     assert len(keys) == len(weight_keys(image, window)) == blocks
     for key in keys:
-        blk = dcb_T(signs, window, dict(key))
-        img = dcb_T(image, window, dict(wt_key(g(blk.order[0]), image)))
+        blk = _solve_T(signs, window, dict(key))
+        img = _solve_T(image, window, dict(wt_key(g(blk.order[0]), image)))
         assert_maps_to(blk, img, g)
 
 
@@ -108,7 +120,7 @@ def test_every_s_block_maps_to_its_sigma1_block(shape, window, blocks):
     keys = block_weights(shape, window, "row")
     assert len(keys) == len(block_weights(image, window, "row")) == blocks
     for key in keys:
-        assert_maps_to(dcb_S(shape, window, dict(key)), dcb_S(image, window, weight(key)), g)
+        assert_maps_to(_solve_S(shape, window, dict(key)), _solve_S(image, window, weight(key)), g)
 
 
 @pytest.mark.parametrize("shape, window, blocks", S_CASES, ids=str)
@@ -120,10 +132,31 @@ def test_a_p_block_solves_as_its_sigma1_block_does(shape, window, blocks):
     assert len(keys) == len(block_weights(image, window, "std"))
     solved = 0
     for key in keys:
-        blk = solved_or_error(dcb_P, shape, window, dict(key))
-        img = solved_or_error(dcb_P, image, window, weight(key))
+        blk = solved_or_error(_solve_P, shape, window, dict(key))
+        img = solved_or_error(_solve_P, image, window, weight(key))
         assert isinstance(blk, Exception) == isinstance(img, Exception), key
         if not isinstance(blk, Exception):
             assert_maps_to(blk, img, g)
             solved += 1
     assert solved > 0
+
+
+@pytest.mark.parametrize("space, kind, solve", [("s", "row", _solve_S), ("p", "std", _solve_P)], ids=["s", "p"])
+@pytest.mark.parametrize("sigma", [sigma2, sigma3], ids=lambda s: s.__name__)
+@pytest.mark.parametrize("signs, window, blocks", ONE_BOX_CASES, ids=str)
+def test_every_one_box_block_maps_to_its_image_block(space, kind, solve, sigma, signs, window, blocks):
+    # with one box per piece a label is its row reading, so the maps of T
+    # act on S and P; every block of these shapes solves
+    shape = one_box(signs)
+    image_signs, read = sigma(signs, window)
+    image = one_box(image_signs)
+
+    def g(mt):
+        return multi_tableau_from_row_reading(image, read(mt.row_reading()))
+
+    keys = block_weights(shape, window, kind)
+    assert len(keys) == len(block_weights(image, window, kind)) == blocks
+    for key in keys:
+        blk = solve(shape, window, dict(key))
+        img = solve(image, window, dict(wt_key(read(blk.order[0].row_reading()), image_signs)))
+        assert_maps_to(blk, img, g)
