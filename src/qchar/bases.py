@@ -148,13 +148,25 @@ class TriangularBlock:
 def sparse_json(order, cols: dict, cell) -> list:
     """The stored entries of a square matrix given by label-keyed sparse
     columns, as [row, column, cell(value)] position triples, column by column
-    and rows in `order`; a label without a column contributes nothing."""
+    and rows in `order`; a label without a column contributes nothing.
+
+    `cell` runs once per distinct value: the triples of equal values hold
+    one shared cell, so a result's cells are read-only.  Nothing is kept
+    between calls, so no two results share a cell."""
     pos = {t: i for i, t in enumerate(order)}
-    return [
-        [pos[g], j, cell(c)]
-        for j, t in enumerate(order)
-        for g, c in sorted(cols.get(t, {}).items(), key=lambda kv: pos[kv[0]])
-    ]
+    cells = {}
+    out = []
+    for j, t in enumerate(order):
+        col = {pos[g]: c for g, c in cols.get(t, {}).items()}
+        for i in sorted(col):
+            c = col[i]
+            # a Laurent value is looked up by its sorted terms, which cost
+            # less than its Python-level hash
+            key = tuple(sorted(c.terms.items())) if type(c) is LaurentPoly else c
+            if (v := cells.get(key)) is None:
+                v = cells[key] = cell(c)
+            out.append([i, j, v])
+    return out
 
 
 def latex_poly(c) -> str:

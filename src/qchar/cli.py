@@ -114,13 +114,115 @@ def _emit(chunks, out_path: str | None) -> None:
         sys.stdout.writelines(chunks)
 
 
+# `_json` closes a piece at the first item boundary past _PIECE characters;
+# a list of at most _WHOLE items that holds no dict is written whole; it
+# keeps the text of at most _TEXTS lists.
+_PIECE = 1 << 16
+_WHOLE = 64
+_TEXTS = 1 << 12
+
+
 def _json(data):
-    """`json.dumps(data, indent=2, sort_keys=True)` and a newline, in pieces of
-    2^16 encoder chunks: one write call per piece, even on an unbuffered stdout."""
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(data)
-    while piece := "".join(itertools.islice(chunks, 1 << 16)):
-        yield piece
-    yield "\n"
+    """`json.dumps(data, indent=2, sort_keys=True)` and a newline, written
+    directly in pieces of about 2^16 characters: one write call per piece,
+    even on an unbuffered stdout.  `data` holds dicts with string keys,
+    lists, tuples, strings, ints, bools and None, the values the commands
+    write; any other value raises `TypeError`.
+
+    From the top down, dicts and lists of more than `_WHOLE` items or
+    holding a dict are written item by item, and a piece closes at the first
+    item boundary past `_PIECE` characters; any other list is written, with
+    all it holds, as one string.  A list met again at the same depth inside
+    such a string, like the shared cells of `bases.sparse_json`, is written
+    from the text kept at its first writing, so `data` must not change while
+    the pieces are read."""
+    texts = {}  # (id, indent) -> the text of a list nested in a whole list
+    enc = json.encoder.encode_basestring_ascii
+
+    def key(k) -> str:
+        if not isinstance(k, str):
+            raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+        return enc(k) + ": "
+
+    def whole(o, nl: str) -> str:
+        # `o` as one string, its closing line indented by `nl`
+        if isinstance(o, str):
+            return enc(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            inner = nl + "  "
+            parts = []
+            for x in o:
+                t = type(x)
+                if t is int:
+                    parts.append(int.__repr__(x))
+                elif t is str:
+                    parts.append(enc(x))
+                elif t is list and x:
+                    if (s := texts.get((id(x), inner))) is None:
+                        if len(texts) >= _TEXTS:
+                            texts.clear()
+                        s = texts[id(x), inner] = whole(x, inner)
+                    parts.append(s)
+                else:
+                    parts.append(whole(x, inner))
+            return "[" + inner + ("," + inner).join(parts) + nl + "]"
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            inner = nl + "  "
+            parts = [key(k) + whole(v, inner) for k, v in sorted(o.items())]
+            return "{" + inner + ("," + inner).join(parts) + nl + "}"
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+    def streamed(o) -> bool:
+        if isinstance(o, dict):
+            return bool(o)
+        return isinstance(o, (list, tuple)) and (len(o) > _WHOLE or dict in map(type, o))
+
+    buf, size = [], 0
+
+    def stream(o, nl: str):
+        # append `o` to `buf` item by item, yielding each full piece
+        nonlocal size
+        inner = nl + "  "
+        if isinstance(o, dict):
+            items = [(key(k), v) for k, v in sorted(o.items())]
+            sep, close = "{" + inner, nl + "}"
+        else:
+            items = zip(itertools.repeat(""), o)
+            sep, close = "[" + inner, nl + "]"
+        for head, x in items:
+            if streamed(x):
+                buf.append(sep + head)
+                size += len(buf[-1])
+                yield from stream(x, inner)
+            else:
+                buf.append(sep + head + whole(x, inner))
+                size += len(buf[-1])
+            sep = "," + inner
+            if size >= _PIECE:
+                yield "".join(buf)
+                buf.clear()
+                size = 0
+        buf.append(close)
+        size += len(close)
+
+    if streamed(data):
+        yield from stream(data, "\n")
+    else:
+        buf.append(whole(data, "\n"))
+    buf.append("\n")
+    yield "".join(buf)
 
 
 # ---------------------------------------------------------------------------

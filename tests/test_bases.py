@@ -1091,6 +1091,36 @@ class TestSerialization:
         # canonical matrix sparse entries: [row, col, coeff-json]
         assert [0, 1, [[-1, "1"]]] in data["canonical"]
 
+    def test_equal_values_share_one_cell_within_a_result(self):
+        data = dcb_T(("+", "+"), (1, 2), {1: 1, 2: 1}).to_json()
+        diagonal = [cell for i, j, cell in data["canonical"] if i == j]
+        assert diagonal == [[[0, "1"]]] * 2 and diagonal[0] is diagonal[1]
+
+    @pytest.mark.parametrize("changed", range(6))
+    def test_a_changed_cell_leaves_every_other_result_alone(self, changed):
+        # The memo's standard block of +^3 and the block relabeled from it,
+        # which holds the same Laurent objects, each written twice, and a
+        # decomposition table written twice: changing every cell of one
+        # result changes no other result and no later call.
+        signs, mu = ("+",) * 3, {1: 1, 2: 1, 3: 1}
+        standard = qchar.bases.solved_block("t", signs, (1, 3), weight_key(mu))
+        relabeled = dcb_T(signs, (0, 4), {0: 1, 2: 1, 4: 1})
+        values = {id(c) for cols in standard.bar_rows.values() for c in cols.values()}
+        assert any(id(c) in values for cols in relabeled.bar_rows.values() for c in cols.values())
+        table = decomposition_matrix(MP(((2, 1), "+")), (1, 3), {1: 1, 2: 1, 3: 1})
+        objects = [standard, standard, relabeled, relabeled, table, table]
+        results = [x.to_json() for x in objects]
+        before = [json.dumps(r) for r in results]
+        for key in ("bar", "canonical", "L_in_Delta"):
+            for _, _, cell in results[changed].get(key, ()):
+                cell[0][1] = "0"
+                cell.append([99, "7"])
+        assert json.dumps(results[changed]) != before[changed]
+        for k, r in enumerate(results):
+            if k != changed:
+                assert json.dumps(r) == before[k]
+        assert [json.dumps(x.to_json()) for x in objects] == before
+
     def test_latex_contains_entries(self):
         blk = dcb_T(("+", "+"), (1, 2), {1: 1, 2: 1})
         text = blk.to_latex()

@@ -1,13 +1,16 @@
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qchar.cli
 from qchar import tensor_space
@@ -740,3 +743,113 @@ def test_golden_output(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _is_json(argv) -> bool:
+    return "--format" not in argv or argv[argv.index("--format") + 1] == "json"
+
+
+def _spy_json(monkeypatch):
+    """Wrap `cli._json`; return the list of (data, pieces) of its calls."""
+    calls = []
+    write = qchar.cli._json
+
+    def spy(data):
+        pieces = []
+        calls.append((data, pieces))
+        for piece in write(data):
+            pieces.append(piece)
+            yield piece
+
+    monkeypatch.setattr(qchar.cli, "_json", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv", [a for a, _ in GOLDEN if _is_json(a)], ids=[" ".join(a) for a, _ in GOLDEN if _is_json(a)]
+)
+def test_golden_json_output_is_the_json_dumps_of_its_data(capsys, monkeypatch, argv):
+    calls = _spy_json(monkeypatch)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    [(data, _)] = calls
+    assert out == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+_JSON_CHARS = st.one_of(st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7f\x80é€ 😀'), st.characters())
+_JSON_TEXT = st.text(_JSON_CHARS, max_size=6)
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    _JSON_TEXT,
+)
+
+
+def _json_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=5),
+            st.tuples(kids, kids),
+            st.dictionaries(_JSON_TEXT, kids, max_size=5),
+        ),
+        max_leaves=40,
+    )
+
+
+@st.composite
+def _json_data(draw):
+    """JSON data holding one list object at any number of places and depths."""
+    shared = draw(st.lists(_json_trees(_JSON_LEAVES), max_size=4))
+    return draw(_json_trees(st.one_of(_JSON_LEAVES, st.just(shared))))
+
+
+class TestJsonWriter:
+    """`cli._json` writes the bytes of `json.dumps(indent=2, sort_keys=True)`
+    and a newline, in pieces of about `cli._PIECE` characters."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=_json_data())
+    def test_bytes_are_those_of_json_dumps(self, data):
+        expected = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        assert "".join(qchar.cli._json(data)) == expected
+        # lists written item by item, pieces closed after every item and at
+        # most one list's text kept
+        with (
+            mock.patch.object(qchar.cli, "_WHOLE", 1),
+            mock.patch.object(qchar.cli, "_PIECE", 1),
+            mock.patch.object(qchar.cli, "_TEXTS", 1),
+        ):
+            assert "".join(qchar.cli._json(data)) == expected
+
+    @pytest.mark.parametrize("data", [{"a": {1, 2}}, [1.5], {1: "a"}, {None: 1}], ids=repr)
+    def test_a_value_the_commands_do_not_write_raises_type_error(self, data):
+        with pytest.raises(TypeError):
+            "".join(qchar.cli._json(data))
+
+    def test_one_write_call_per_bounded_piece_on_an_unbuffered_stdout(self, monkeypatch):
+        class Raw(io.RawIOBase):
+            def __init__(self):
+                self.writes = []
+
+            def writable(self):
+                return True
+
+            def write(self, b):
+                self.writes.append(bytes(b).decode())
+                return len(b)
+
+        raw = Raw()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+        calls = _spy_json(monkeypatch)
+        # about 210 kB of JSON
+        assert main(["dcb", "--space", "s", "--shape", "2,1:+ / 1:+", "--window", "1..4"]) == 0
+        [(data, pieces)] = calls
+        assert raw.writes == pieces
+        assert "".join(pieces) == json.dumps(data, indent=2, sort_keys=True) + "\n"
+        piece = qchar.cli._PIECE
+        assert len(pieces) > 2
+        assert all(piece <= len(p) < piece + 4096 for p in pieces[:-1])
+        assert len(pieces[-1]) < piece + 4096
